@@ -42,7 +42,7 @@ from .manifold import (  # noqa: F401
     compute_manifold,
     compute_manifold_pair,
     conjugacy_residual,
-    cubic_convolution,
+    evaluate_grid,
     evaluate_series,
     load_series,
     rescale_series,
@@ -50,7 +50,6 @@ from .manifold import (  # noqa: F401
     series_from_dict,
     series_jacobian,
     series_to_dict,
-    solve_order_block,
 )
 from .homoclinic import (  # noqa: F401
     FitResult,

@@ -530,15 +530,12 @@ def main(argv=None):
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL as exc:
+    except _NUMERICAL as exc:  # before ValueError: NonHyperbolicError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .manifold import (
     DEFAULT_ORDER,
     ManifoldSeries,
     compute_manifold_pair,
+    evaluate_grid,
     evaluate_series,
     pointwise_conjugacy_residual,
     series_jacobian,
@@ -328,8 +329,7 @@ def symmetric_search(Ps: ManifoldSeries, Pu: Optional[ManifoldSeries] = None,
     bound = 2.0 * nonwandering_bound(p, dim=4)
     n = int(census)
     g = np.linspace(-1.0, 1.0, n)
-    uu, vv = np.meshgrid(g, g, indexing="ij")
-    P = evaluate_series(Ps, uu, vv)
+    P = evaluate_grid(Ps, g, g)
     amp = np.max(np.abs(P), axis=-1)
     G1 = P[..., 0] - P[..., 3]
     G2 = P[..., 1] - P[..., 2]

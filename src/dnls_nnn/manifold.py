@@ -30,12 +30,24 @@ largest box with conjugacy residual below a target -- subject to maximizing
 the covered parameter area; see _default_gauge.  The unstable series is
 gauged so that P_u = sigma5 o P_s, which the reversor structure makes exact:
 reversing a Vandermonde vector for L gives L^3 times the one for 1/L.
+
+One evaluator, two entry points.  Scattered points (evaluate_series,
+series_jacobian; Newton, residual checks, profile tails) take a two-stage
+contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
+the Jacobian contracts the same coefficients against the tables k U^{k-1}
+and k V^{k-1}.  Tensor grids (evaluate_grid; the homoclinic census and every
+gauge probe) run Horner in v over all rows, then Horner in u.  Both are
+exactly odd (the Jacobian exactly even), agree to about 1e-15 relative, and
+are deterministic for one input shape, BLAS build and machine.  At
+large-amplitude cells the gauge target sits at the float64 rounding floor,
+so the chosen gauge moves when the summation order changes; Horner is the
+most accurate grid order measured there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,12 +64,11 @@ __all__ = [
     "ResonanceError",
     "SeriesOverflowError",
     "GaugeError",
-    "cubic_convolution",
-    "solve_order_block",
     "compute_manifold",
     "compute_manifold_pair",
     "rescale_series",
     "evaluate_series",
+    "evaluate_grid",
     "series_jacobian",
     "conjugacy_residual",
     "pointwise_conjugacy_residual",
@@ -111,59 +122,6 @@ class ManifoldSeries:
     scale: tuple
     coeffs: np.ndarray
     params: ModelParams
-
-
-def _k0_at(A, x):
-    a, b = 1.0 / A, -2.0 / A
-    return ((x + a) * x + b) * x * x + a * x + 1.0
-
-
-def cubic_convolution(coeffs3, n, m):
-    """Coefficient of u^n v^m in (sum a3^{nm} u^n v^m)^3.
-
-    Reference implementation by direct double convolution; the series builder
-    computes the same numbers diagonal-at-a-time.
-    """
-    a3 = np.asarray(coeffs3, dtype=float)
-    n, m = int(n), int(m)
-    sq = np.zeros((n + 1, m + 1))
-    for i in range(n + 1):
-        for j in range(m + 1):
-            block = a3[: i + 1, : j + 1]
-            sq[i, j] = np.sum(block * block[::-1, ::-1])
-    out = 0.0
-    for i in range(n + 1):
-        for j in range(m + 1):
-            out += sq[i, j] * a3[n - i, m - j]
-    return float(out)
-
-
-def solve_order_block(ms: ManifoldSeries, n, m):
-    """One coefficient quadruple a^{nm} from the already-filled lower orders.
-
-    Reference path for tests and inspection; compute_manifold fills whole
-    anti-diagonals at once with the same arithmetic.
-    """
-    n, m = int(n), int(m)
-    k = n + m
-    if k == 0:
-        return np.zeros(4)
-    L1, L2 = ms.rates
-    g1, g2 = ms.scale
-    if k == 1:
-        L = L1 if n == 1 else L2
-        g = g1 if n == 1 else g2
-        return g * np.array([1.0, L, L * L, L**3])
-    p = ms.params
-    R = cubic_convolution(ms.coeffs[2], n, m) / (p.epsilon * p.A)
-    Lam = L1**n * L2**m
-    if R == 0.0:
-        return np.zeros(4)
-    D = -_k0_at(p.A, Lam)
-    if abs(D) <= RESONANCE_TOL * max(1.0, abs(Lam) ** 4):
-        raise ResonanceError((n, m), abs(D))
-    a1 = R / D
-    return a1 * np.array([1.0, Lam, Lam * Lam, Lam**3])
 
 
 def _build_coeffs(p: ModelParams, L1, L2, N, g1, g2):
@@ -223,34 +181,39 @@ def _power_table(x, N):
     return T
 
 
-def _eval_raw(C, u, v):
-    """Evaluate a dense coefficient table at flat parameter arrays -> (4, P).
-
-    Terms are accumulated in fixed total-degree-descending order so results
-    are bit-reproducible.
+def _contract(C, u, v, jac=False):
+    """Two-stage contraction at flat parameter arrays: B_i = C_i V, then
+    P_i = sum_n U_n B_i[n] -> (4, P).  jac=True contracts the same tables
+    against the derivative power tables k U^{k-1}, k V^{k-1} -> (4, 2, P).
     """
     N = C.shape[1] - 1
-    U = _power_table(u, N)
-    V = _power_table(v, N)
-    out = np.zeros((4, u.size))
-    for k in range(N, -1, -1):
-        j = np.arange(k + 1)
-        out += C[:, j, k - j] @ (U[j, :] * V[k - j, :])
-    return out
+    U, V = _power_table(u, N), _power_table(v, N)
+    if not jac:
+        return np.stack([np.sum(U * (Ci @ V), axis=0) for Ci in C])
+    k = np.arange(1.0, N + 1.0)[:, None]
+    dU, dV = k * U[:-1], k * V[:-1]
+    return np.stack([[np.sum(dU * (Ci[1:] @ V), axis=0),
+                      np.sum(U * (Ci[:, 1:] @ dV), axis=0)] for Ci in C])
 
 
-def _jac_raw(C, u, v):
-    N = C.shape[1] - 1
-    U = _power_table(u, N)
-    V = _power_table(v, N)
-    out = np.zeros((4, 2, u.size))
-    for k in range(N, 0, -1):
-        j = np.arange(k + 1)
-        Cd = C[:, j, k - j]
-        ju = j[1:]
-        out[:, 0, :] += (Cd[:, 1:] * ju[None, :]) @ (U[ju - 1, :] * V[k - ju, :])
-        jv = j[:-1]
-        out[:, 1, :] += (Cd[:, :-1] * (k - jv)[None, :]) @ (U[jv, :] * V[k - jv - 1, :])
+def _horner_v(C, gv):
+    """Grid stage 1: W[n, i, j] = sum_m C[i, n, m] gv_j^m, Horner in v over
+    all rows at once (row n stops at degree N - n)."""
+    N = C.shape[2] - 1
+    Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
+    W = np.zeros((C.shape[1], 4, gv.size))
+    for m in range(N, -1, -1):
+        W[: N + 1 - m] *= gv
+        W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
+    return W
+
+
+def _horner_u(W, gu):
+    """Grid stage 2: P[a, i, j] = sum_n W[n, i, j] gu_a^n, Horner in u."""
+    out = np.zeros((gu.size,) + W.shape[1:])
+    for n in range(W.shape[0] - 1, -1, -1):
+        out *= gu[:, None, None]
+        out += W[n]
     return out
 
 
@@ -264,14 +227,25 @@ def _broadcast_uv(u, v):
 def evaluate_series(ms: ManifoldSeries, u, v):
     """P(u, v); u, v broadcast together, components land on the last axis."""
     u, v = _broadcast_uv(u, v)
-    flat = _eval_raw(ms.coeffs, u.ravel(), v.ravel())
+    flat = _contract(ms.coeffs, u.ravel(), v.ravel())
     return np.moveaxis(flat.reshape((4,) + u.shape), 0, -1)
+
+
+def evaluate_grid(ms: ManifoldSeries, gu, gv):
+    """P on the tensor grid gu x gv (ij indexing), shape (len(gu), len(gv), 4).
+
+    Equals evaluate_series on the meshgrid up to rounding (about 1e-15
+    relative); oddness P(-gu, -gv) == -P(gu, gv) holds exactly.
+    """
+    gu = np.asarray(gu, dtype=float).ravel()
+    gv = np.asarray(gv, dtype=float).ravel()
+    return np.moveaxis(_horner_u(_horner_v(ms.coeffs, gv), gu), 1, -1)
 
 
 def series_jacobian(ms: ManifoldSeries, u, v):
     """Term-wise derivative: dP/d(u, v), shape (..., 4, 2)."""
     u, v = _broadcast_uv(u, v)
-    flat = _jac_raw(ms.coeffs, u.ravel(), v.ravel())
+    flat = _contract(ms.coeffs, u.ravel(), v.ravel(), jac=True)
     return np.moveaxis(flat.reshape((4, 2) + u.shape), (0, 1), (-2, -1))
 
 
@@ -305,6 +279,24 @@ def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
     return float(np.max(pointwise_conjugacy_residual(ms, uu, vv)))
 
 
+def _grid_residual_fn(ms: ManifoldSeries, gv):
+    """gu -> max conjugacy residual of a stable series on the grid gu x gv
+    (inf once P leaves double range).  Both v-stages depend on gv alone and
+    are computed once, so each call costs two u-stages."""
+    l1, l2 = ms.rates
+    WP, WQ = _horner_v(ms.coeffs, gv), _horner_v(ms.coeffs, l2 * gv)
+
+    def resid(gu):
+        P = np.moveaxis(_horner_u(WP, gu), 1, -1)
+        if not np.all(np.isfinite(P)):
+            return np.inf
+        Q = np.moveaxis(_horner_u(WQ, l1 * gu), 1, -1)
+        F = map4_apply(P, ms.params)
+        return float(np.max(np.linalg.norm(F - Q, axis=-1)))
+
+    return resid
+
+
 def _stable_eigensystem(p: ModelParams):
     es = solve_reciprocal_quartic(characteristic_poly(p, "origin"))
     if not es.hyperbolic or es.classification != ALL_REAL:
@@ -314,26 +306,6 @@ def _stable_eigensystem(p: ModelParams):
             + ("" if es.hyperbolic else " (non-hyperbolic)")
         )
     return es
-
-
-def _unit_residual_fn(p, C_unit, l1, l2):
-    """Residual of the unit-gauge stable series probed at scaled parameters."""
-
-    def resid(u, v):
-        P = _eval_raw(C_unit, u, v)
-        F = np.stack(
-            [
-                P[1],
-                P[2],
-                P[3],
-                -P[0] - P[1] / p.A + 2.0 * P[2] / p.A
-                - P[2] * P[2] * P[2] / (p.epsilon * p.A) - P[3] / p.A,
-            ]
-        )
-        Q = _eval_raw(C_unit, l1 * u, l2 * v)
-        return np.linalg.norm(F - Q, axis=0)
-
-    return resid
 
 
 def _log_bisect(f, cap, tau, refine=25):
@@ -359,7 +331,7 @@ def _log_bisect(f, cap, tau, refine=25):
     return lo
 
 
-def _default_gauge(p, C_unit, l1, l2, tau):
+def _default_gauge(unit: ManifoldSeries, tau):
     """Scales (g1, g2) so the unit box carries residual <= tau.
 
     Two-stage log-bisection: the v-extent is first pushed to its residual
@@ -368,21 +340,23 @@ def _default_gauge(p, C_unit, l1, l2, tau):
     covered area wins (largest v among near-ties).  Residual level sets in
     the two parameters are strongly anisotropic and the trade-off between
     them is not monotone, so neither single-edge criterion alone is safe.
+    Every probe is a grid residual of the unit-gauge stable series; a rung
+    of the ladder fixes the v-grid, so its v-stage is shared by all probes.
     """
-    resid = _unit_residual_fn(p, C_unit, l1, l2)
-    cap = 256.0 * np.sqrt(abs(p.epsilon))
+    cap = 256.0 * np.sqrt(abs(unit.params.epsilon))
     e41 = np.linspace(-1.0, 1.0, 41)
-    z41 = np.zeros(41)
-    g2max = _log_bisect(lambda t: np.max(resid(z41, e41 * t)), cap, tau)
+    z1 = np.zeros(1)
+    edge = replace(unit, coeffs=unit.coeffs[:, :1])  # u = 0 reads row n = 0 only
+    g2max = _log_bisect(lambda t: _grid_residual_fn(edge, e41 * t)(z1), cap, tau)
     if g2max is None:
         raise GaugeError("no v-extent meets the residual target")
     eu = np.linspace(-1.0, 1.0, 17)
     ev = np.linspace(-1.0, 1.0, 33)
-    uu, vv = [x.ravel() for x in np.meshgrid(eu, ev)]
     ladder = np.geomspace(g2max / 30.0, g2max, 12)[::-1]
     table = []
     for g2 in ladder:
-        g1 = _log_bisect(lambda t: np.max(resid(uu * t, vv * g2)), cap, tau)
+        resid = _grid_residual_fn(unit, ev * g2)
+        g1 = _log_bisect(lambda t: resid(eu * t), cap, tau)
         if g1 is not None:
             table.append((g1 * g2, g1, g2))
     if not table:
@@ -440,11 +414,11 @@ def compute_manifold(p: ModelParams, branch="stable", order=DEFAULT_ORDER,
     es = _stable_eigensystem(p)
     l1, l2 = es.stable_pair()
     if scale is None:
-        C_unit = _build_coeffs(p, l1, l2, order, 1.0, 1.0)
-        g1, g2 = _default_gauge(p, C_unit, l1, l2, gauge_residual)
+        unit = ManifoldSeries("stable", order, (l1, l2), (1.0, 1.0),
+                              _build_coeffs(p, l1, l2, order, 1.0, 1.0), p)
+        g1, g2 = _default_gauge(unit, gauge_residual)
         if branch == "stable":
-            return ManifoldSeries("stable", order, (l1, l2), (g1, g2),
-                                  _rescale_table(C_unit, g1, g2), p)
+            return rescale_series(unit, (g1, g2))
         scale = (g1 * l1**3, g2 * l2**3)
     g1, g2 = float(scale[0]), float(scale[1])
     if branch == "stable":

@@ -242,3 +242,17 @@ def test_config_must_be_an_object(tmp_path, capsys):
                "--config", str(cfg_path)])
     assert rc == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_numerical_failure_outranks_value_error(monkeypatch, capsys):
+    # NonHyperbolicError subclasses ValueError; raised inside a command it is
+    # a numerical failure (3), not a usage error (2)
+    from dnls_nnn import cli
+    from dnls_nnn.spectral import NonHyperbolicError
+
+    def fail(cfg):
+        raise NonHyperbolicError("spectrum left the hyperbolic window")
+
+    monkeypatch.setitem(cli._COMMANDS, "eigen", fail)
+    assert main(["eigen", "--epsilon", "0.0004", "--A", "-0.125"]) == 3
+    assert "numerical failure" in capsys.readouterr().err

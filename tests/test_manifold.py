@@ -11,7 +11,6 @@ from dnls_nnn.manifold import (
     compute_manifold,
     compute_manifold_pair,
     conjugacy_residual,
-    cubic_convolution,
     evaluate_series,
     load_series,
     pointwise_conjugacy_residual,
@@ -20,7 +19,6 @@ from dnls_nnn.manifold import (
     series_from_dict,
     series_jacobian,
     series_to_dict,
-    solve_order_block,
 )
 from dnls_nnn.maps import ModelParams, apply_symmetry, map4_apply, map4_inverse
 from dnls_nnn.spectral import (
@@ -28,6 +26,8 @@ from dnls_nnn.spectral import (
     characteristic_poly,
     solve_reciprocal_quartic,
 )
+
+from reference import cubic_convolution, solve_order_block
 
 P = ModelParams(0.0004, -0.125)
 
