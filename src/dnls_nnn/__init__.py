@@ -57,7 +57,6 @@ from .homoclinic import (  # noqa: F401
     MatchFailure,
     ScanCell,
     det_curve_fit,
-    multistart_search,
     newton_match,
     scan_parameters,
     symmetric_search,

@@ -23,7 +23,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,8 @@ from . import __version__
 from .homoclinic import (
     MatchFailure,
     det_curve_fit,
-    multistart_search,
     scan_parameters,
     symmetric_search,
-    transversality_det,
 )
 from .manifold import (
     GaugeError,
@@ -140,7 +138,7 @@ def _build_parser():
                         help="manifold-family: explicit gauge pair 'g1,g2'; "
                              "portrait: seed half-width")
         sp.add_argument("--seeds", type=int, default=None,
-                        help="seed-grid points per axis")
+                        help="portrait: seed-grid points per axis")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default .)")
         sp.add_argument("--workers", type=int, default=None,
@@ -202,7 +200,6 @@ def _resolve(args):
     if order == 1:
         print("warning: order 1 keeps only the degenerate linear series",
               file=sys.stderr)
-    seeds_default = 21 if cmd in ("homoclinic", "scan") else 11
     cfg = RunConfig(
         command=cmd,
         epsilon=epsilon,
@@ -210,7 +207,7 @@ def _resolve(args):
         order=order,
         threshold=float(pick("threshold", 1e-10)),
         box=str(pick("box", "")),
-        seeds=int(pick("seeds", seeds_default)),
+        seeds=int(pick("seeds", 11)),
         workers=int(pick("workers", 0)),
         out=str(pick("out", ".")),
     )
@@ -268,12 +265,10 @@ def _solution_dict(sol):
 
 
 def cmd_eigen(cfg):
-    if len(cfg.epsilon) != 1 or len(cfg.A) != 1:
-        raise UsageError("eigen takes a single --epsilon and a single --A")
-    eps, A = cfg.epsilon[0], cfg.A[0]
+    p = _single_cell(cfg)
+    eps, A = p.epsilon, p.A
     if A == 0.0:
         raise UsageError("A must be nonzero: the map is 4-d only for A != 0")
-    p = ModelParams(eps, A)
     payload = {"critical_A": CRITICAL_A}
     for at in ("origin", "nontrivial"):
         if at == "nontrivial" and eps * A >= 0.0:
@@ -334,10 +329,6 @@ def cmd_homoclinic(cfg):
     Ps, Pu = compute_manifold_pair(p, order=cfg.order,
                                    scale=_gauge_override(cfg))
     sols = symmetric_search(Ps, Pu, threshold=cfg.threshold)
-    if not sols:
-        sols = multistart_search(Pu, Ps, grid=cfg.seeds,
-                                 threshold=cfg.threshold)
-    sols = [replace(s, det=transversality_det(Pu, Ps, s)) for s in sols]
     payload = {"found": bool(sols),
                "solutions": [_solution_dict(s) for s in sols]}
     out = _outdir(cfg) / "homoclinic.json"
@@ -436,9 +427,6 @@ def cmd_soliton(cfg):
     Ps, Pu = compute_manifold_pair(p, order=cfg.order,
                                    scale=_gauge_override(cfg))
     sols = symmetric_search(Ps, Pu, threshold=cfg.threshold)
-    if not sols:
-        sols = multistart_search(Pu, Ps, grid=cfg.seeds,
-                                 threshold=cfg.threshold)
     if not sols:
         raise ProfileError("no homoclinic intersection to build from")
     prof = build_profile(sols[0], Pu, Ps)

@@ -4,28 +4,22 @@ A homoclinic point is a simultaneous image q = P_u(u1, v1) = P_s(u2, v2)
 with both parameter pairs inside the trusted unit boxes and q != 0.  The
 orbit of q then converges to the origin in both time directions.
 
-Two search strategies are provided:
+symmetric_search finds them through the reversor: with the series pair
+gauged so that P_u = sigma5 o P_s, any parameter point where P_s lands on
+the reversor's fixed plane {(x, y, y, x)} is a homoclinic point with
+(u1, v1) = (u2, v2).  That reduces the problem to a 2-d root find for
+G = (P_1 - P_4, P_2 - P_3).  The two zero curves are nearly parallel along
+the manifold's fold, so roots are seeded from a fine census of sign-change
+cells (both components changing sign in the same cell) rather than from a
+coarse multistart.  Each root is then certified on the full 4-d matching
+system by newton_match.
 
-* symmetric_search exploits the reversor: with the series pair gauged so
-  that P_u = sigma5 o P_s, any parameter point where P_s lands on the
-  reversor's fixed plane {(x, y, y, x)} is a homoclinic point with
-  (u1, v1) = (u2, v2).  That reduces the problem to a 2-d root find for
-  G = (P_1 - P_4, P_2 - P_3).  The two zero curves are nearly parallel
-  along the manifold's fold, so roots are seeded from a fine census of
-  sign-change cells (both components changing sign in the same cell)
-  rather than from a coarse multistart.
-
-* multistart_search runs damped Newton on the full 4-d matching system
-  from a grid of symmetric starting guesses (u, v, u, v).  It is the
-  blunt instrument: slower per seed and prone to drifting out of the box,
-  but independent of the reversor and used to cross-check.
-
-Both polish loops share one batched damped-Newton engine with strict
+Both polish stages run one batched damped-Newton engine with a strict
 failure taxonomy (singular-jacobian / left-box / no-convergence /
-trivial-solution / above-threshold).  Transversality of an intersection
-is measured by the determinant of the four tangent columns
-[dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2]; its magnitude is gauge
-dependent, but its vanishing (a tangency) is not.
+trivial-solution / above-threshold).  Transversality of a certified
+intersection is measured by the determinant of the four tangent columns
+[dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2], stored as its det; its
+magnitude is gauge dependent, but its vanishing (a tangency) is not.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ __all__ = [
     "FitResult",
     "MatchFailure",
     "newton_match",
-    "multistart_search",
     "symmetric_search",
     "transversality_det",
     "scan_parameters",
@@ -62,6 +55,7 @@ __all__ = [
 ]
 
 MATCH_THRESHOLD = 1e-10
+CENSUS = 321  # census grid points per axis of the unit box
 TRIVIAL_NORM = 1e-6
 DEDUPE_TOL = 1e-8
 
@@ -88,7 +82,8 @@ class HomoclinicSolution:
 
     (u1, v1) are unstable-series parameters, (u2, v2) stable ones; point is
     the common image (midpoint of the two evaluations) and residual their
-    Euclidean mismatch.  det is the transversality determinant when filled.
+    Euclidean mismatch.  det is the transversality determinant, filled
+    by newton_match when it certifies the solution.
     """
 
     u1: float
@@ -137,8 +132,7 @@ def _damped_newton_batch(fun, fun_jac, X0, *, box_limit=None, tol_step=1e-13,
     Returns (X, resnorm, status) full-size arrays.
     """
     X = np.array(X0, dtype=float)
-    npts, dim = X.shape
-    status = np.full(npts, _RUNNING)
+    status = np.full(X.shape[0], _RUNNING)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         G, J = fun_jac(X)
         gn = np.linalg.norm(G, axis=-1)
@@ -158,20 +152,9 @@ def _damped_newton_batch(fun, fun_jac, X0, *, box_limit=None, tol_step=1e-13,
             act_idx = act_idx[ok]
             if act_idx.size == 0:
                 continue
-            try:
-                dx = np.linalg.solve(J[act_idx], G[act_idx][..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                dx = np.empty((act_idx.size, dim))
-                for r, i in enumerate(act_idx):
-                    try:
-                        dx[r] = np.linalg.solve(J[i], G[i])
-                    except np.linalg.LinAlgError:
-                        dx[r] = np.nan
-                        status[i] = _SINGULAR
-                keep = status[act_idx] != _SINGULAR
-                act_idx, dx = act_idx[keep], dx[keep]
-                if act_idx.size == 0:
-                    continue
+            # the det test above leaves only systems with nonzero pivots,
+            # so the batched solve cannot raise
+            dx = np.linalg.solve(J[act_idx], G[act_idx][..., None])[..., 0]
             # a proposed step below tolerance means the seed already sits on
             # the root; the strict-decrease search cannot certify that at the
             # machine floor, so accept it directly
@@ -248,8 +231,9 @@ def _make_solution(Pu, Ps, row, residual):
 
 def newton_match(Pu: ManifoldSeries, Ps: ManifoldSeries, guess,
                  threshold=MATCH_THRESHOLD):
-    """Polish one 4-d matching guess (u1, v1, u2, v2); raise MatchFailure
-    with a taxonomy reason if it cannot be certified."""
+    """Polish one 4-d matching guess (u1, v1, u2, v2) into a certified
+    solution carrying its transversality det; raise MatchFailure with a
+    taxonomy reason if it cannot be certified."""
     X0 = np.asarray(guess, dtype=float).reshape(1, 4)
     if np.max(np.abs(X0)) > 1.0:
         raise MatchFailure("left-box", "starting guess outside the unit boxes")
@@ -264,7 +248,7 @@ def newton_match(Pu: ManifoldSeries, Ps: ManifoldSeries, guess,
     if sol.residual > threshold:
         raise MatchFailure("above-threshold",
                            f"residual {sol.residual:.2e} > {threshold:.1e}")
-    return sol
+    return replace(sol, det=transversality_det(Pu, Ps, sol))
 
 
 def _dedupe(solutions, tol=DEDUPE_TOL):
@@ -281,39 +265,11 @@ def _mirror(sol: HomoclinicSolution):
                    point=-sol.point)
 
 
-def multistart_search(Pu: ManifoldSeries, Ps: ManifoldSeries, grid=21,
-                      threshold=MATCH_THRESHOLD):
-    """Batch-polish a grid of symmetric guesses (u, v, u, v) over the box.
+def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
+                     threshold=MATCH_THRESHOLD):
+    """Find the reversor-symmetric homoclinic points of a series pair.
 
-    The seed grid is halved by the sign symmetry (solutions come in +/-
-    pairs); accepted roots are mirrored back in.  Returns solutions sorted
-    by residual, deduplicated in image space -- distinct parameter tuples
-    for the same image collapse, distinct orbit points do not.
-    """
-    g = np.linspace(-1.0, 1.0, int(grid))
-    uu, vv = [x.ravel() for x in np.meshgrid(g, g, indexing="ij")]
-    keep = (uu > 0.0) | ((uu == 0.0) & (vv >= 0.0))
-    uu, vv = uu[keep], vv[keep]
-    X0 = np.stack([uu, vv, uu, vv], axis=-1)
-    fun, fun_jac = _match_funs(Pu, Ps)
-    X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.0)
-    sols = []
-    for row, res, st in zip(X, gn, status):
-        if st != _CONVERGED or res > threshold:
-            continue
-        sol = _make_solution(Pu, Ps, row, res)
-        if np.linalg.norm(sol.point) <= TRIVIAL_NORM:
-            continue
-        sols.append(sol)
-        sols.append(_mirror(sol))
-    return _dedupe(sols)
-
-
-def symmetric_search(Ps: ManifoldSeries, Pu: Optional[ManifoldSeries] = None,
-                     threshold=MATCH_THRESHOLD, census=321):
-    """Find reversor-symmetric homoclinic points from a stable series.
-
-    Census stage: evaluate P_s on a census x census grid of the unit box,
+    Census stage: evaluate P_s on a CENSUS x CENSUS grid of the unit box,
     keep cells whose corners all stay within twice the non-wandering bound
     (the relevant intersections cannot sit farther out) and where both
     components of G = (P_1 - P_4, P_2 - P_3) change sign.  Polish stage:
@@ -321,14 +277,13 @@ def symmetric_search(Ps: ManifoldSeries, Pu: Optional[ManifoldSeries] = None,
     the box.  A root is accepted only if it is nontrivial, inside the box,
     within the amplitude filter, has ||G|| below threshold, and sits where
     the series itself is trusted (pointwise conjugacy residual below
-    threshold).  Accepted roots are mirrored through the sign symmetry and
-    deduplicated; when the unstable partner series is supplied, each root
-    is re-certified through the full 4-d newton_match.
+    threshold).  Accepted roots are mirrored through the sign symmetry,
+    deduplicated and re-certified through the full 4-d newton_match, so
+    each returned solution carries its det.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
-    n = int(census)
-    g = np.linspace(-1.0, 1.0, n)
+    g = np.linspace(-1.0, 1.0, CENSUS)
     P = evaluate_grid(Ps, g, g)
     amp = np.max(np.abs(P), axis=-1)
     G1 = P[..., 0] - P[..., 3]
@@ -381,18 +336,14 @@ def symmetric_search(Ps: ManifoldSeries, Pu: Optional[ManifoldSeries] = None,
                                  series_order=Ps.order)
         sols.append(sol)
         sols.append(_mirror(sol))
-    sols = _dedupe(sols)
-    if Pu is not None:
-        certified = []
-        for sol in sols:
-            try:
-                refined = newton_match(Pu, Ps, (sol.u1, sol.v1, sol.u2, sol.v2),
-                                       threshold=threshold)
-            except MatchFailure:
-                continue
-            certified.append(refined)
-        sols = _dedupe(certified)
-    return sols
+    certified = []
+    for sol in _dedupe(sols):
+        try:
+            certified.append(newton_match(
+                Pu, Ps, (sol.u1, sol.v1, sol.u2, sol.v2), threshold=threshold))
+        except MatchFailure:
+            continue
+    return _dedupe(certified)
 
 
 def transversality_det(Pu: ManifoldSeries, Ps: ManifoldSeries,
@@ -410,12 +361,8 @@ def _scan_cell(task):
         Ps, Pu = compute_manifold_pair(p, order=order)
         sols = symmetric_search(Ps, Pu, threshold=threshold)
         if not sols:
-            sols = multistart_search(Pu, Ps, threshold=threshold)
-        if not sols:
             return ScanCell(eps, A, False, None, None)
-        best = sols[0]
-        best = replace(best, det=transversality_det(Pu, Ps, best))
-        return ScanCell(eps, A, True, best.residual, best)
+        return ScanCell(eps, A, True, sols[0].residual, sols[0])
     except Exception as exc:  # a failed cell must not sink the scan
         return ScanCell(eps, A, False, None, None,
                         error=f"{type(exc).__name__}: {exc}")

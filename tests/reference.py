@@ -1,8 +1,19 @@
 """Reference paths that check the package's fast code: block-at-a-time
-coefficient recursion and a long-double grid evaluator."""
+coefficient recursion, a long-double grid evaluator, and a multistart
+homoclinic search that does not rely on the reversor."""
 
 import numpy as np
 
+from dnls_nnn.homoclinic import (
+    _CONVERGED,
+    MATCH_THRESHOLD,
+    TRIVIAL_NORM,
+    _damped_newton_batch,
+    _dedupe,
+    _make_solution,
+    _match_funs,
+    _mirror,
+)
 from dnls_nnn.manifold import RESONANCE_TOL, ManifoldSeries, ResonanceError
 
 
@@ -76,3 +87,34 @@ def horner_longdouble(C, gu, gv):
     for n in range(N, -1, -1):
         out = out * gu[:, None] + W[:, n, None, :]
     return np.moveaxis(out, 0, -1)
+
+
+def multistart_search(Pu: ManifoldSeries, Ps: ManifoldSeries, grid=21,
+                      threshold=MATCH_THRESHOLD):
+    """Batch-polish a grid of symmetric guesses (u, v, u, v) over the box.
+
+    Damped Newton runs on the full 4-d matching system, so this search does
+    not use the reversor that symmetric_search reduces the problem with;
+    it cross-checks that no intersection is missed.  The seed grid is
+    halved by the sign symmetry (solutions come in +/- pairs); accepted
+    roots are mirrored back in.  Returns solutions sorted by residual,
+    deduplicated in image space -- distinct parameter tuples for the same
+    image collapse, distinct orbit points do not.
+    """
+    g = np.linspace(-1.0, 1.0, int(grid))
+    uu, vv = [x.ravel() for x in np.meshgrid(g, g, indexing="ij")]
+    keep = (uu > 0.0) | ((uu == 0.0) & (vv >= 0.0))
+    uu, vv = uu[keep], vv[keep]
+    X0 = np.stack([uu, vv, uu, vv], axis=-1)
+    fun, fun_jac = _match_funs(Pu, Ps)
+    X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.0)
+    sols = []
+    for row, res, st in zip(X, gn, status):
+        if st != _CONVERGED or res > threshold:
+            continue
+        sol = _make_solution(Pu, Ps, row, res)
+        if np.linalg.norm(sol.point) <= TRIVIAL_NORM:
+            continue
+        sols.append(sol)
+        sols.append(_mirror(sol))
+    return _dedupe(sols)

@@ -3,18 +3,21 @@ import pytest
 from dataclasses import replace
 
 from dnls_nnn.homoclinic import (
+    _CONVERGED,
+    _SINGULAR,
     MatchFailure,
+    _damped_newton_batch,
     det_curve_fit,
-    multistart_search,
     newton_match,
     scan_parameters,
-    symmetric_search,
     transversality_det,
 )
-from dnls_nnn.manifold import evaluate_series, rescale_series
-from dnls_nnn.maps import apply_symmetry
+from dnls_nnn.manifold import (compute_manifold_pair, evaluate_series,
+                               rescale_series)
+from dnls_nnn.maps import ModelParams, apply_symmetry
 
 from conftest import POINT_ILL
+from reference import multistart_search
 
 
 def _matches_reference(point, tol=1e-8):
@@ -45,6 +48,25 @@ def test_symmetric_point_is_a_palindrome(sols_ill):
     for sol in sols_ill:
         assert np.max(np.abs(apply_symmetry("sigma5", sol.point) - sol.point)) \
             <= 1e-10
+
+
+def test_damped_newton_labels_a_singular_jacobian():
+    # G = (x^2 - 1, y - 2) has J = diag(2x, 1), exactly singular at x = 0:
+    # that row is labelled and its regular neighbour still converges
+    def fun(X):
+        return np.stack([X[:, 0] ** 2 - 1.0, X[:, 1] - 2.0], axis=-1)
+
+    def fun_jac(X):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0] = 2.0 * X[:, 0]
+        J[:, 1, 1] = 1.0
+        return fun(X), J
+
+    X0 = np.array([[0.0, 0.0], [3.0, 0.0]])
+    X, gn, status = _damped_newton_batch(fun, fun_jac, X0)
+    assert list(status) == [_SINGULAR, _CONVERGED]
+    assert np.allclose(X[1], [1.0, 2.0], rtol=0, atol=1e-14)
+    assert gn[1] <= 1e-14
 
 
 def test_newton_match_reconverges_from_perturbed_seed(pair_ill, sols_ill):
@@ -94,6 +116,7 @@ def test_multistart_recovers_the_symmetric_pair(pair_ill, sols_ill):
 def test_transversality_det_is_bounded_away_from_zero(pair_ill, sols_ill):
     Ps, Pu = pair_ill
     dets = [transversality_det(Pu, Ps, sol) for sol in sols_ill]
+    assert [sol.det for sol in sols_ill] == dets  # filled at certification
     for d in dets:
         assert abs(d) > 1e-6
     # the tangent Jacobians are even in the parameters, so mirror images
@@ -152,6 +175,9 @@ def test_scan_empty_when_no_intersection_exists():
     cells = scan_parameters([-0.1], [-0.125])
     assert len(cells) == 1
     assert not cells[0].found and cells[0].error is None
+    # the reversor-free cross-check finds nothing there either
+    Ps, Pu = compute_manifold_pair(ModelParams(-0.1, -0.125))
+    assert multistart_search(Pu, Ps) == []
 
 
 def test_scan_worker_pool_matches_serial():
