@@ -39,7 +39,6 @@ from .manifold import (  # noqa: F401
     ManifoldSeries,
     ResonanceError,
     SeriesOverflowError,
-    compute_manifold,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_grid,

@@ -77,16 +77,19 @@ class RunConfig:
     order: int
     threshold: float
     box: str
-    seeds: int
+    seeds: int | None
     workers: int
     out: str
 
 
 def _float_list(text):
     try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok != "")
+        vals = tuple(float(tok) for tok in str(text).split(",") if tok != "")
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"number list {text!r} must be finite")
+    return vals
 
 
 def _jsonable(obj):
@@ -138,7 +141,8 @@ def _build_parser():
                         help="manifold-family: explicit gauge pair 'g1,g2'; "
                              "portrait: seed half-width")
         sp.add_argument("--seeds", type=int, default=None,
-                        help="portrait: seed-grid points per axis")
+                        help="portrait only: seed-grid points per axis "
+                             "(default 11)")
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default .)")
         sp.add_argument("--workers", type=int, default=None,
@@ -207,13 +211,13 @@ def _resolve(args):
         order=order,
         threshold=float(pick("threshold", 1e-10)),
         box=str(pick("box", "")),
-        seeds=int(pick("seeds", 11)),
+        seeds=int(pick("seeds", 11)) if cmd == "portrait" else None,
         workers=int(pick("workers", 0)),
         out=str(pick("out", ".")),
     )
-    if cfg.threshold <= 0.0:
-        raise UsageError("--threshold must be positive")
-    if cfg.seeds < 2:
+    if not 0.0 < cfg.threshold < np.inf:
+        raise UsageError("--threshold must be positive and finite")
+    if cfg.seeds is not None and cfg.seeds < 2:
         raise UsageError("--seeds must be at least 2")
     return cfg
 

@@ -8,8 +8,9 @@ a^{nm} = (a_1, .., a_4) per block) satisfying the conjugacy
 
 where (L1, L2) are the eigenvalue pair of the linearization: the stable pair
 (|L| < 1) for the stable branch, their reciprocals for the unstable one.
-Because f is a shift in its first three components, rows 1-3 of the
-order-(n, m) coefficient system are pure chain relations
+Only the stable branch is computed.  Because f is a shift in its first
+three components, rows 1-3 of the order-(n, m) coefficient system are pure
+chain relations
 
     a_2 = Lam a_1,   a_3 = Lam a_2,   a_4 = Lam a_3,      Lam = L1^n L2^m,
 
@@ -19,17 +20,25 @@ third-component series:
     a_1 = R / D(Lam),  R = [a_3^3]_{nm} / (eps A),  D(Lam) = -k0(Lam),
 
 with k0 the characteristic polynomial at the origin.  The recursion is
-triangular in total degree n+m; order 1 is seeded with the scaled Vandermonde
-eigenvectors g_i (1, L_i, L_i^2, L_i^3).  The map is odd, so every block of
+triangular in total degree n+m; order 1 is seeded with the Vandermonde
+eigenvectors (1, L_i, L_i^2, L_i^3).  The map is odd, so every block of
 even total degree vanishes identically.
 
 The scales (g1, g2) are a pure gauge: (u, v) -> (g1 u, g2 v) rescales block
-(n, m) by g1^n g2^m without moving the manifold.  The default gauge is chosen
-so that the truncation is trustworthy on the whole unit box [-1, 1]^2 --
-largest box with conjugacy residual below a target -- subject to maximizing
-the covered parameter area; see _default_gauge.  The unstable series is
-gauged so that P_u = sigma5 o P_s, which the reversor structure makes exact:
-reversing a Vandermonde vector for L gives L^3 times the one for 1/L.
+(n, m) by g1^n g2^m without moving the manifold.  The recursion runs once, at
+unit gauge, and every gauge -- explicit or automatic -- is reached by that
+rescaling.  The default gauge is chosen so that the truncation is
+trustworthy on the whole unit box [-1, 1]^2 -- largest box with conjugacy
+residual below a target -- subject to maximizing the covered parameter
+area; see _default_gauge.
+
+The unstable series is transported, not recomputed.  The reversor
+sigma5(x, y, z, w) = (w, z, y, x) conjugates f to its inverse, and reversing
+a Vandermonde vector for L gives L^3 times the one for 1/L, so
+P_u = sigma5 o P_s solves the unstable conjugacy at rates (1/l1, 1/l2) and
+scale (g1 l1^3, g2 l2^3).  The parametrization is unique once its linear
+part is fixed, so this is the unstable series, and its coefficient table is
+the stable one with the four components in reverse order, bit for bit.
 
 One evaluator, two entry points.  Scattered points (evaluate_series,
 series_jacobian; Newton, residual checks, profile tails) take a two-stage
@@ -64,7 +73,6 @@ __all__ = [
     "ResonanceError",
     "SeriesOverflowError",
     "GaugeError",
-    "compute_manifold",
     "compute_manifold_pair",
     "rescale_series",
     "evaluate_series",
@@ -124,14 +132,14 @@ class ManifoldSeries:
     params: ModelParams
 
 
-def _build_coeffs(p: ModelParams, L1, L2, N, g1, g2):
-    """Dense (4, N+1, N+1) coefficient table by anti-diagonal recursion."""
+def _build_coeffs(p: ModelParams, L1, L2, N):
+    """Dense (4, N+1, N+1) unit-gauge table by anti-diagonal recursion."""
     A, eps = p.A, p.epsilon
     a, b = 1.0 / A, -2.0 / A
     C = np.zeros((4, N + 1, N + 1))
     if N >= 1:
-        C[:, 1, 0] = g1 * np.array([1.0, L1, L1**2, L1**3])
-        C[:, 0, 1] = g2 * np.array([1.0, L2, L2**2, L2**3])
+        C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
+        C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
     pw1 = L1 ** np.arange(N + 1)
     pw2 = L2 ** np.arange(N + 1)
     # anti-diagonal views of the third component: d3[k][j] = C[2, j, k-j]
@@ -369,17 +377,17 @@ def _default_gauge(unit: ManifoldSeries, tau):
 
 
 def _rescale_table(C, f1, f2):
+    """C with block (n, m) multiplied by f1^n f2^m.  Zero blocks stay zero
+    (the weights above the truncation order may overflow); a nonzero block
+    that leaves the recursion's range raises at its total degree."""
     N = C.shape[1] - 1
-    w = (f1 ** np.arange(N + 1))[:, None] * (f2 ** np.arange(N + 1))[None, :]
-    out = C * w[None, :, :]
-    if not np.all(np.isfinite(out)):
-        k_bad = min(
-            n + m
-            for n in range(N + 1)
-            for m in range(N + 1)
-            if not np.all(np.isfinite(out[:, n, m]))
-        )
-        raise SeriesOverflowError(k_bad)
+    k = np.arange(N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (f1**k)[:, None] * (f2**k)[None, :]
+        out = np.where(C == 0.0, C, C * w)
+    bad = ~np.all(np.abs(out) <= OVERFLOW_LIMIT, axis=0)
+    if np.any(bad):
+        raise SeriesOverflowError(int(np.min(np.add.outer(k, k)[bad])))
     return out
 
 
@@ -397,47 +405,28 @@ def rescale_series(ms: ManifoldSeries, scale):
     )
 
 
-def compute_manifold(p: ModelParams, branch="stable", order=DEFAULT_ORDER,
-                     scale=None, gauge_residual=GAUGE_RESIDUAL):
-    """Build one branch up to total degree `order`.
+def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
+    """Stable and unstable series up to total degree `order`, one recursion.
 
-    scale=None runs the automatic gauge policy (resolved on the stable
-    series; the unstable branch inherits the reversor-adapted scale
-    (g1 l1^3, g2 l2^3), making P_u = sigma5 o P_s).  Pass an explicit
-    (g1, g2) to fix the gauge directly.
+    The stable series is built at unit gauge and rescaled to `scale`, an
+    explicit (g1, g2) or, for None, the automatic gauge policy.  The
+    unstable series is its sigma5 image: P_u = sigma5 o P_s at rates
+    (1/l1, 1/l2) and scale (g1 l1^3, g2 l2^3), whose coefficient table is
+    the stable one with its four components in reverse order.
     """
-    if branch not in ("stable", "unstable"):
-        raise ValueError("branch must be 'stable' or 'unstable'")
     order = int(order)
     if order < 1:
         raise ValueError("order must be >= 1")
-    es = _stable_eigensystem(p)
-    l1, l2 = es.stable_pair()
+    l1, l2 = _stable_eigensystem(p).stable_pair()
+    unit = ManifoldSeries("stable", order, (l1, l2), (1.0, 1.0),
+                          _build_coeffs(p, l1, l2, order), p)
     if scale is None:
-        unit = ManifoldSeries("stable", order, (l1, l2), (1.0, 1.0),
-                              _build_coeffs(p, l1, l2, order, 1.0, 1.0), p)
-        g1, g2 = _default_gauge(unit, gauge_residual)
-        if branch == "stable":
-            return rescale_series(unit, (g1, g2))
-        scale = (g1 * l1**3, g2 * l2**3)
-    g1, g2 = float(scale[0]), float(scale[1])
-    if branch == "stable":
-        rates = (l1, l2)
-    else:
-        rates = (1.0 / l1, 1.0 / l2)
-    C = _build_coeffs(p, rates[0], rates[1], order, g1, g2)
-    return ManifoldSeries(branch, order, rates, (g1, g2), C, p)
-
-
-def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None,
-                          gauge_residual=GAUGE_RESIDUAL):
-    """Both branches in matched gauges (one policy run, shared by both)."""
-    stable = compute_manifold(p, "stable", order, scale, gauge_residual)
-    l1, l2 = stable.rates
-    g1, g2 = stable.scale
-    unstable = compute_manifold(p, "unstable", order,
-                                scale=(g1 * l1**3, g2 * l2**3))
-    return stable, unstable
+        scale = _default_gauge(unit, GAUGE_RESIDUAL)
+    Ps = rescale_series(unit, scale)
+    g1, g2 = Ps.scale
+    Pu = ManifoldSeries("unstable", order, (1.0 / l1, 1.0 / l2),
+                        (g1 * l1**3, g2 * l2**3), Ps.coeffs[::-1].copy(), p)
+    return Ps, Pu
 
 
 def series_to_dict(ms: ManifoldSeries):

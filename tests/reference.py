@@ -45,8 +45,10 @@ def cubic_convolution(coeffs3, n, m):
 def solve_order_block(ms: ManifoldSeries, n, m):
     """One coefficient quadruple a^{nm} from the already-filled lower orders.
 
-    compute_manifold fills whole anti-diagonals at once with the same
-    arithmetic.
+    compute_manifold_pair fills whole anti-diagonals of the stable table at
+    once with the same arithmetic; for an unstable series this block is the
+    independent recursion at rates (1/l1, 1/l2) that its sigma5 transport
+    replaces.
     """
     n, m = int(n), int(m)
     k = n + m

@@ -85,11 +85,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "--box", "not,numbers"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "1,2,3"],
+        # non-finite numbers: a NaN threshold would certify every converged
+        # Newton point and write invalid JSON
+        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
+         "--threshold", "nan", "--out", str(tmp_path)],
+        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
+         "--threshold", "inf", "--out", str(tmp_path)],
+        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+         "--box", "nan,1", "--out", str(tmp_path)],
+        ["portrait", "--seeds", "1", "--out", str(tmp_path)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_seeds_is_resolved_for_portrait_only(tmp_path):
+    rc = main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+               "--seeds", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert read_json(tmp_path / "eigen.json")["config"]["seeds"] is None
 
 
 def test_domain_refusal_names_the_classification(capsys):

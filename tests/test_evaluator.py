@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dnls_nnn.manifold import (
-    compute_manifold,
+    compute_manifold_pair,
     evaluate_grid,
     evaluate_series,
     series_jacobian,
@@ -31,7 +31,7 @@ EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
 @pytest.fixture(scope="module")
 def floor_unit():
-    return compute_manifold(FLOOR_CELL, scale=(1.0, 1.0))
+    return compute_manifold_pair(FLOOR_CELL, scale=(1.0, 1.0))[0]
 
 
 def floor_probe_grid():

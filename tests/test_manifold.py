@@ -1,14 +1,16 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from dnls_nnn import manifold
 from dnls_nnn.manifold import (
+    OVERFLOW_LIMIT,
     GaugeError,
     ResonanceError,
     SeriesOverflowError,
     _build_coeffs,
-    compute_manifold,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
@@ -179,16 +181,15 @@ def test_functional_equation_along_orbits(pair_ill):
 
 def test_unstable_is_reversed_stable(pair_ill):
     Ps, Pu = pair_ill
-    # coefficient-level transport
-    denom = np.max(np.abs(Ps.coeffs))
-    assert np.max(np.abs(Pu.coeffs - Ps.coeffs[::-1])) < 1e-9 * denom
-    # pointwise: sigma5 o P_s == P_u
+    # coefficient-level transport, exact
+    assert np.array_equal(Pu.coeffs, Ps.coeffs[::-1])
+    assert not np.shares_memory(Pu.coeffs, Ps.coeffs)
+    # pointwise: sigma5 o P_s == P_u, exact
     rng = np.random.default_rng(34)
     u, v = rng.uniform(-1, 1, size=(2, 25))
     qs = evaluate_series(Ps, u, v)
     qu = evaluate_series(Pu, u, v)
-    assert np.max(np.abs(apply_symmetry("sigma5", qs) - qu)) < 1e-9 * (
-        1.0 + np.max(np.abs(qs)))
+    assert np.array_equal(apply_symmetry("sigma5", qs), qu)
 
 
 def test_series_is_odd(pair_ill):
@@ -213,10 +214,10 @@ def test_rescale_moves_gauge_not_manifold(pair_ill):
 
 def test_truncation_error_shrinks_with_order():
     # residual at the production gauge must fall as more orders are kept
-    base = compute_manifold(P, order=80)
+    base, _ = compute_manifold_pair(P, order=80)
     res = {}
     for N in (10, 20, 40, 80):
-        C = _build_coeffs(P, *base.rates, N, 1.0, 1.0)
+        C = _build_coeffs(P, *base.rates, N)
         ms = type(base)(branch="stable", order=N, rates=base.rates,
                         scale=(1.0, 1.0), coeffs=C, params=P)
         res[N] = conjugacy_residual(rescale_series(ms, base.scale))
@@ -227,7 +228,7 @@ def test_truncation_error_shrinks_with_order():
 
 
 def test_explicit_scale_is_honored():
-    ms = compute_manifold(P, order=40, scale=(0.01, 0.02))
+    ms, _ = compute_manifold_pair(P, order=40, scale=(0.01, 0.02))
     assert ms.scale == (0.01, 0.02)
     l1 = ms.rates[0]
     assert np.allclose(ms.coeffs[:, 1, 0],
@@ -235,7 +236,7 @@ def test_explicit_scale_is_honored():
 
 
 def test_order_one_series_is_linear():
-    ms = compute_manifold(P, order=1, scale=(1.0, 1.0))
+    ms, _ = compute_manifold_pair(P, order=1, scale=(1.0, 1.0))
     l1, l2 = ms.rates
     rng = np.random.default_rng(37)
     u, v = rng.uniform(-1, 1, size=(2, 10))
@@ -247,14 +248,12 @@ def test_order_one_series_is_linear():
 
 def test_compute_manifold_argument_validation():
     with pytest.raises(ValueError):
-        compute_manifold(P, branch="sideways")
-    with pytest.raises(ValueError):
-        compute_manifold(P, order=0)
+        compute_manifold_pair(P, order=0)
     with pytest.raises(NonHyperbolicError) as err:
-        compute_manifold(ModelParams(0.0004, -0.2))
+        compute_manifold_pair(ModelParams(0.0004, -0.2))
     assert "two-pairs-complex" in str(err.value)
     with pytest.raises(NonHyperbolicError) as err2:
-        compute_manifold(ModelParams(0.0004, 0.5))
+        compute_manifold_pair(ModelParams(0.0004, 0.5))
     assert "mixed" in str(err2.value)
 
 
@@ -264,7 +263,7 @@ def test_resonance_guard_raises_on_true_resonance():
     es = eig(P)
     l1, _ = es.stable_pair()
     with pytest.raises(ResonanceError) as err:
-        _build_coeffs(P, l1, 1.0 / l1, 10, 1.0, 1.0)
+        _build_coeffs(P, l1, 1.0 / l1, 10)
     assert err.value.order is not None
 
 
@@ -280,19 +279,41 @@ def test_zero_numerator_rides_through_exact_resonance():
     lam = l2 * l2
     k0 = ((lam + a) * lam + b) * lam * lam + a * lam + 1.0
     assert abs(k0) < 1e-8  # the guard would fire if the numerator were != 0
-    ms = compute_manifold(p, order=80)
+    ms, _ = compute_manifold_pair(p, order=80)
     assert conjugacy_residual(ms) < 1e-9
 
 
 def test_overflow_guard():
     with pytest.raises(SeriesOverflowError) as err:
-        compute_manifold(P, order=80, scale=(1e6, 1e6))
+        compute_manifold_pair(P, order=80, scale=(1e6, 1e6))
     assert err.value.order > 1
 
 
-def test_gauge_policy_failure_is_reported():
+def test_rescale_checks_only_the_kept_blocks():
+    # order 30 at gauge 1e6: every kept coefficient stays far inside double
+    # range, while the weights of the zero blocks above order 30 overflow
+    unit, _ = compute_manifold_pair(P, order=30, scale=(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = rescale_series(unit, (1e6, 1e6))
+    assert np.all(np.isfinite(big.coeffs))
+    assert 1e100 < np.max(np.abs(big.coeffs)) < 1e200
+    assert np.array_equal(big.coeffs == 0.0, unit.coeffs == 0.0)
+    # a kept block past the recursion's limit reports the lowest such degree
+    # (only odd degrees carry coefficients)
+    deg = np.add.outer(np.arange(31), np.arange(31))
+    lowest = min(k for k in range(1, 31, 2)
+                 if np.log10(np.max(np.abs(unit.coeffs[:, deg == k])))
+                 + 12 * k > np.log10(OVERFLOW_LIMIT))
+    with pytest.raises(SeriesOverflowError) as err:
+        rescale_series(unit, (1e12, 1e12))
+    assert err.value.order == lowest <= 30
+
+
+def test_gauge_policy_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(manifold, "GAUGE_RESIDUAL", 1e-30)
     with pytest.raises(GaugeError):
-        compute_manifold(P, order=20, gauge_residual=1e-30)
+        compute_manifold_pair(P, order=20)
 
 
 def test_serialization_round_trip(tmp_path, pair_ill):
