@@ -56,7 +56,6 @@ from .homoclinic import (  # noqa: F401
     MatchFailure,
     ScanCell,
     det_curve_fit,
-    newton_match,
     scan_parameters,
     symmetric_search,
     transversality_det,

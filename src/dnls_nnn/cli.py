@@ -146,7 +146,8 @@ def _build_parser():
         sp.add_argument("--out", type=str, default=None,
                         help="output directory (default .)")
         sp.add_argument("--workers", type=int, default=None,
-                        help="process count for scans")
+                        help="process count for scans, at most one per "
+                             "cell (default 0: serial)")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with defaults for any flag")
     return ap
@@ -219,6 +220,8 @@ def _resolve(args):
         raise UsageError("--threshold must be positive and finite")
     if cfg.seeds is not None and cfg.seeds < 2:
         raise UsageError("--seeds must be at least 2")
+    if cfg.workers < 0:
+        raise UsageError("--workers must be non-negative")
     return cfg
 
 
@@ -390,15 +393,18 @@ def cmd_scan(cfg):
 def cmd_transversality(cfg):
     if len(cfg.epsilon) != 1:
         raise UsageError("transversality sweeps A at a single --epsilon")
+    for A in cfg.A:
+        _require_manifold_domain(A)
     cells = scan_parameters(cfg.epsilon, cfg.A, order=cfg.order,
                             threshold=cfg.threshold,
                             workers=cfg.workers or None)
     missing = [c for c in cells if not c.found]
     if missing:
+        causes = ", ".join(f"A={c.A:g}: {c.error or 'none'}" for c in missing)
         raise MatchFailure(
             "no-convergence",
             f"{len(missing)} of {len(cells)} sweep cells found no "
-            "intersection; the determinant curve is incomplete"
+            f"intersection ({causes}); the determinant curve is incomplete"
         )
     A_vals = np.array([c.A for c in cells])
     dets = np.array([c.solution.det for c in cells])

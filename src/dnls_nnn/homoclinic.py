@@ -11,15 +11,16 @@ the reversor's fixed plane {(x, y, y, x)} is a homoclinic point with
 G = (P_1 - P_4, P_2 - P_3).  The two zero curves are nearly parallel along
 the manifold's fold, so roots are seeded from a fine census of sign-change
 cells (both components changing sign in the same cell) rather than from a
-coarse multistart.  Each root is then certified on the full 4-d matching
-system by newton_match.
+coarse multistart.  Since P_u = sigma5 o P_s holds bit for bit, the 4-d
+matching defect at such a point is (-G1, -G2, G2, G1), so each root is
+certified where the 2-d Newton leaves it, on both series at once.
 
-Both polish stages run one batched damped-Newton engine with a strict
-failure taxonomy (singular-jacobian / left-box / no-convergence /
-trivial-solution / above-threshold).  Transversality of a certified
-intersection is measured by the determinant of the four tangent columns
-[dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2], stored as its det; its
-magnitude is gauge dependent, but its vanishing (a tangency) is not.
+The polish runs a batched damped-Newton engine with a strict failure
+taxonomy (singular-jacobian / left-box / no-convergence).  Transversality
+of a certified intersection is measured by the determinant of the four
+tangent columns [dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2], stored as its
+det; its magnitude is gauge dependent, but its vanishing (a tangency) is
+not.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "ScanCell",
     "FitResult",
     "MatchFailure",
-    "newton_match",
     "symmetric_search",
     "transversality_det",
     "scan_parameters",
@@ -61,15 +61,12 @@ DEDUPE_TOL = 1e-8
 
 # damped-Newton status codes
 _RUNNING, _CONVERGED, _SINGULAR, _LEFT_BOX, _NO_CONV = -1, 0, 1, 2, 3
-_REASONS = {
-    _SINGULAR: "singular-jacobian",
-    _LEFT_BOX: "left-box",
-    _NO_CONV: "no-convergence",
-}
 
 
 class MatchFailure(RuntimeError):
-    """Newton matching failed; .reason carries the taxonomy label."""
+    """A homoclinic computation could not be completed; .reason carries a
+    short label (the CLI raises it when a transversality sweep misses
+    cells)."""
 
     def __init__(self, reason, detail=""):
         self.reason = reason
@@ -83,7 +80,7 @@ class HomoclinicSolution:
     (u1, v1) are unstable-series parameters, (u2, v2) stable ones; point is
     the common image (midpoint of the two evaluations) and residual their
     Euclidean mismatch.  det is the transversality determinant, filled
-    by newton_match when it certifies the solution.
+    by symmetric_search when it certifies the solution.
     """
 
     u1: float
@@ -202,55 +199,6 @@ def _damped_newton_batch(fun, fun_jac, X0, *, box_limit=None, tol_step=1e-13,
     return X, gn, status
 
 
-def _match_funs(Pu: ManifoldSeries, Ps: ManifoldSeries):
-    def fun(X):
-        return (evaluate_series(Pu, X[:, 0], X[:, 1])
-                - evaluate_series(Ps, X[:, 2], X[:, 3]))
-
-    def fun_jac(X):
-        G = fun(X)
-        Ju = series_jacobian(Pu, X[:, 0], X[:, 1])
-        Js = series_jacobian(Ps, X[:, 2], X[:, 3])
-        return G, np.concatenate([Ju, -Js], axis=-1)
-
-    return fun, fun_jac
-
-
-def _make_solution(Pu, Ps, row, residual):
-    u1, v1, u2, v2 = (float(c) for c in row)
-    qu = evaluate_series(Pu, u1, v1)
-    qs = evaluate_series(Ps, u2, v2)
-    return HomoclinicSolution(
-        u1=u1, v1=v1, u2=u2, v2=v2,
-        point=0.5 * (qu + qs),
-        residual=float(residual),
-        params=Ps.params,
-        series_order=Ps.order,
-    )
-
-
-def newton_match(Pu: ManifoldSeries, Ps: ManifoldSeries, guess,
-                 threshold=MATCH_THRESHOLD):
-    """Polish one 4-d matching guess (u1, v1, u2, v2) into a certified
-    solution carrying its transversality det; raise MatchFailure with a
-    taxonomy reason if it cannot be certified."""
-    X0 = np.asarray(guess, dtype=float).reshape(1, 4)
-    if np.max(np.abs(X0)) > 1.0:
-        raise MatchFailure("left-box", "starting guess outside the unit boxes")
-    fun, fun_jac = _match_funs(Pu, Ps)
-    X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.0)
-    if status[0] != _CONVERGED:
-        raise MatchFailure(_REASONS[int(status[0])])
-    sol = _make_solution(Pu, Ps, X[0], gn[0])
-    if np.linalg.norm(sol.point) <= TRIVIAL_NORM:
-        raise MatchFailure("trivial-solution",
-                           f"image norm {np.linalg.norm(sol.point):.2e}")
-    if sol.residual > threshold:
-        raise MatchFailure("above-threshold",
-                           f"residual {sol.residual:.2e} > {threshold:.1e}")
-    return replace(sol, det=transversality_det(Pu, Ps, sol))
-
-
 def _dedupe(solutions, tol=DEDUPE_TOL):
     kept = []
     for sol in sorted(solutions, key=lambda s: s.residual):
@@ -277,9 +225,11 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
     the box.  A root is accepted only if it is nontrivial, inside the box,
     within the amplitude filter, has ||G|| below threshold, and sits where
     the series itself is trusted (pointwise conjugacy residual below
-    threshold).  Accepted roots are mirrored through the sign symmetry,
-    deduplicated and re-certified through the full 4-d newton_match, so
-    each returned solution carries its det.
+    threshold).  Each accepted root (u, v) is certified where it lands:
+    with u1 = u2 = u and v1 = v2 = v, its residual is ||P_u - P_s|| and
+    its point the midpoint of the two images, and roots with residual
+    above threshold are dropped.  The survivors carry their det, are
+    mirrored through the sign symmetry and deduplicated.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
@@ -319,31 +269,28 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
         return G, J
 
     X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.5)
+    X = X[(status == _CONVERGED) & (gn <= threshold)
+          & (np.max(np.abs(X), axis=-1) <= 1.0)]
+    qs = evaluate_series(Ps, X[:, 0], X[:, 1])
+    ok = ((np.linalg.norm(qs, axis=-1) > TRIVIAL_NORM)
+          & (np.max(np.abs(qs), axis=-1) <= bound))
+    X = X[ok]
+    X = X[pointwise_conjugacy_residual(Ps, X[:, 0], X[:, 1]) <= threshold]
     sols = []
-    for row, res, st in zip(X, gn, status):
-        if st != _CONVERGED or res > threshold:
+    for u, v in X.tolist():
+        # one point per call: the scattered evaluator's rounding depends on
+        # the batch size, and a certified point must read back bit for bit
+        # from evaluate_series(P, sol.u1, sol.v1)
+        qu, qs = evaluate_series(Pu, u, v), evaluate_series(Ps, u, v)
+        res = float(np.linalg.norm(qu - qs))
+        if res > threshold:
             continue
-        u, v = float(row[0]), float(row[1])
-        if max(abs(u), abs(v)) > 1.0:
-            continue
-        q = evaluate_series(Ps, u, v)
-        if np.linalg.norm(q) <= TRIVIAL_NORM or np.max(np.abs(q)) > bound:
-            continue
-        if float(pointwise_conjugacy_residual(Ps, u, v)) > threshold:
-            continue
-        sol = HomoclinicSolution(u1=u, v1=v, u2=u, v2=v, point=q.copy(),
-                                 residual=float(res), params=p,
+        sol = HomoclinicSolution(u1=u, v1=v, u2=u, v2=v, point=0.5 * (qu + qs),
+                                 residual=res, params=p,
                                  series_order=Ps.order)
-        sols.append(sol)
-        sols.append(_mirror(sol))
-    certified = []
-    for sol in _dedupe(sols):
-        try:
-            certified.append(newton_match(
-                Pu, Ps, (sol.u1, sol.v1, sol.u2, sol.v2), threshold=threshold))
-        except MatchFailure:
-            continue
-    return _dedupe(certified)
+        sol = replace(sol, det=transversality_det(Pu, Ps, sol))
+        sols += [sol, _mirror(sol)]
+    return _dedupe(sols)
 
 
 def transversality_det(Pu: ManifoldSeries, Ps: ManifoldSeries,
@@ -372,14 +319,17 @@ def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER,
                     threshold=MATCH_THRESHOLD, workers=None):
     """Search every (epsilon, A) cell of the grid; row-major cell order.
 
-    Cells run independently (optionally across processes); a cell that
-    raises is recorded with its error string instead of aborting the scan.
+    Cells run independently (optionally across processes, at most one per
+    cell); a cell that raises is recorded with its error string instead of
+    aborting the scan.
     """
     tasks = [(float(e), float(A), int(order), float(threshold))
              for e in np.atleast_1d(eps_values)
              for A in np.atleast_1d(A_values)]
-    if workers is not None and int(workers) > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+    # a fork pool starts all its workers at once: never more than cells
+    workers = min(int(workers or 1), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_scan_cell, tasks))
     return [_scan_cell(t) for t in tasks]
 

@@ -1,6 +1,7 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, a long-double grid evaluator, and a multistart
-homoclinic search that does not rely on the reversor."""
+homoclinic search that polishes the full 4-d matching system without the
+reversor that symmetric_search reduces the problem with."""
 
 import numpy as np
 
@@ -8,13 +9,18 @@ from dnls_nnn.homoclinic import (
     _CONVERGED,
     MATCH_THRESHOLD,
     TRIVIAL_NORM,
+    HomoclinicSolution,
     _damped_newton_batch,
     _dedupe,
-    _make_solution,
-    _match_funs,
     _mirror,
 )
-from dnls_nnn.manifold import RESONANCE_TOL, ManifoldSeries, ResonanceError
+from dnls_nnn.manifold import (
+    RESONANCE_TOL,
+    ManifoldSeries,
+    ResonanceError,
+    evaluate_series,
+    series_jacobian,
+)
 
 
 def _k0_at(A, x):
@@ -89,6 +95,33 @@ def horner_longdouble(C, gu, gv):
     for n in range(N, -1, -1):
         out = out * gu[:, None] + W[:, n, None, :]
     return np.moveaxis(out, 0, -1)
+
+
+def _match_funs(Pu: ManifoldSeries, Ps: ManifoldSeries):
+    def fun(X):
+        return (evaluate_series(Pu, X[:, 0], X[:, 1])
+                - evaluate_series(Ps, X[:, 2], X[:, 3]))
+
+    def fun_jac(X):
+        G = fun(X)
+        Ju = series_jacobian(Pu, X[:, 0], X[:, 1])
+        Js = series_jacobian(Ps, X[:, 2], X[:, 3])
+        return G, np.concatenate([Ju, -Js], axis=-1)
+
+    return fun, fun_jac
+
+
+def _make_solution(Pu, Ps, row, residual):
+    u1, v1, u2, v2 = (float(c) for c in row)
+    qu = evaluate_series(Pu, u1, v1)
+    qs = evaluate_series(Ps, u2, v2)
+    return HomoclinicSolution(
+        u1=u1, v1=v1, u2=u2, v2=v2,
+        point=0.5 * (qu + qs),
+        residual=float(residual),
+        params=Ps.params,
+        series_order=Ps.order,
+    )
 
 
 def multistart_search(Pu: ManifoldSeries, Ps: ManifoldSeries, grid=21,

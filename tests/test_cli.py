@@ -94,6 +94,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "nan,1", "--out", str(tmp_path)],
         ["portrait", "--seeds", "1", "--out", str(tmp_path)],
+        ["scan", "--epsilon", "0.0004", "--A", "0", "--workers", "-1",
+         "--out", str(tmp_path)],
+        # a sweep A outside the real-spectrum window is refused before any
+        # cell is computed, not reported as a missing cell
+        ["transversality", "--A", "-0.2,-0.13", "--out", str(tmp_path)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -108,10 +113,13 @@ def test_seeds_is_resolved_for_portrait_only(tmp_path):
     assert read_json(tmp_path / "eigen.json")["config"]["seeds"] is None
 
 
-def test_domain_refusal_names_the_classification(capsys):
+def test_domain_refusal_names_the_classification(tmp_path, capsys):
     assert main(["manifold", "--epsilon", "0.0004", "--A", "-0.2"]) == 2
     err = capsys.readouterr().err
     assert "two-pairs-complex" in err
+    assert main(["transversality", "--A", "-0.2,-0.13",
+                 "--out", str(tmp_path)]) == 2
+    assert "two-pairs-complex" in capsys.readouterr().err
     assert main(["manifold", "--epsilon", "0.0004", "--A", "0.5"]) == 2
     assert "mixed" in capsys.readouterr().err
 
@@ -187,7 +195,9 @@ def test_transversality_incomplete_curve_exits_3(tmp_path, capsys):
     rc = main(["transversality", "--epsilon", "-0.1", "--A", "-0.125",
                "--out", str(tmp_path)])
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "A=-0.125" in err
 
 
 def test_soliton_profile_outputs(tmp_path, capsys):

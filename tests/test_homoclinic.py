@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from dnls_nnn import homoclinic
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     _SINGULAR,
-    MatchFailure,
     _damped_newton_batch,
     det_curve_fit,
-    newton_match,
     scan_parameters,
+    symmetric_search,
     transversality_det,
 )
 from dnls_nnn.manifold import (compute_manifold_pair, evaluate_series,
@@ -31,7 +31,34 @@ def test_symmetric_search_finds_the_mirror_pair(sols_ill):
     for sol in sols_ill:
         assert sol.residual <= 1e-10
         assert _matches_reference(sol.point)
-    assert np.max(np.abs(sols_ill[0].point + sols_ill[1].point)) <= 1e-10
+    # the mirror is the sign image of the certified root, so exactly odd
+    assert np.array_equal(sols_ill[1].point, -sols_ill[0].point)
+    for sol in sols_ill:
+        assert sol.u1 == sol.u2 and sol.v1 == sol.v2
+
+
+def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
+    Ps, Pu = pair_ill
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return _damped_newton_batch(*args, **kwargs)
+
+    monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
+    assert len(symmetric_search(Ps, Pu)) == 2
+    assert len(calls) == 1
+
+
+def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
+                                                           pair_ill):
+    Ps, Pu = pair_ill
+    assert symmetric_search(Ps, Pu, threshold=1e-30) == []
+    # the matching residual alone must reject the roots, not only the
+    # series-trust gate, which compares against the same threshold
+    monkeypatch.setattr(homoclinic, "pointwise_conjugacy_residual",
+                        lambda ms, u, v: np.zeros(np.shape(u)))
+    assert symmetric_search(Ps, Pu, threshold=1e-30) == []
 
 
 def test_solutions_lie_on_both_series(pair_ill, sols_ill):
@@ -69,37 +96,6 @@ def test_damped_newton_labels_a_singular_jacobian():
     assert gn[1] <= 1e-14
 
 
-def test_newton_match_reconverges_from_perturbed_seed(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
-    ref = sols_ill[0]
-    seed = (ref.u1 + 1e-3, ref.v1 - 1e-3, ref.u2 + 5e-4, ref.v2 - 2e-4)
-    sol = newton_match(Pu, Ps, seed)
-    assert np.max(np.abs(sol.point - ref.point)) <= 1e-8
-    assert sol.residual <= 1e-10
-
-
-def test_newton_match_rejects_the_origin(pair_ill):
-    Ps, Pu = pair_ill
-    with pytest.raises(MatchFailure) as err:
-        newton_match(Pu, Ps, (0.0, 0.0, 0.0, 0.0))
-    assert err.value.reason == "trivial-solution"
-
-
-def test_newton_match_rejects_out_of_box_guess(pair_ill):
-    Ps, Pu = pair_ill
-    with pytest.raises(MatchFailure) as err:
-        newton_match(Pu, Ps, (1.2, 0.0, 0.0, 0.0))
-    assert err.value.reason == "left-box"
-
-
-def test_newton_match_reports_unreachable_threshold(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
-    ref = sols_ill[0]
-    with pytest.raises(MatchFailure) as err:
-        newton_match(Pu, Ps, (ref.u1, ref.v1, ref.u2, ref.v2), threshold=1e-30)
-    assert err.value.reason == "above-threshold"
-
-
 def test_multistart_recovers_the_symmetric_pair(pair_ill, sols_ill):
     Ps, Pu = pair_ill
     sols = multistart_search(Pu, Ps)
@@ -121,7 +117,7 @@ def test_transversality_det_is_bounded_away_from_zero(pair_ill, sols_ill):
         assert abs(d) > 1e-6
     # the tangent Jacobians are even in the parameters, so mirror images
     # carry the same determinant
-    assert dets[0] == pytest.approx(dets[1], rel=1e-9)
+    assert dets[0] == dets[1]
 
 
 def test_transversality_det_gauge_sign_invariance(pair_ill, sols_ill):
@@ -178,6 +174,30 @@ def test_scan_empty_when_no_intersection_exists():
     # the reversor-free cross-check finds nothing there either
     Ps, Pu = compute_manifold_pair(ModelParams(-0.1, -0.125))
     assert multistart_search(Pu, Ps) == []
+
+
+def test_scan_pool_is_capped_at_the_cell_count(monkeypatch):
+    # a fork pool starts every worker at the first submit; record the size
+    # asked for and map serially, so no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(homoclinic, "ProcessPoolExecutor", SerialPool)
+    cells = scan_parameters([4e-4], [0.0, 0.0], workers=64)
+    assert sizes == [2]
+    assert all("ValueError" in c.error for c in cells)
 
 
 def test_scan_worker_pool_matches_serial():
