@@ -217,10 +217,12 @@ def _horner_v(C, gv):
 
 
 def _horner_u(W, gu):
-    """Grid stage 2: P[a, i, j] = sum_n W[n, i, j] gu_a^n, Horner in u."""
-    out = np.zeros((gu.size,) + W.shape[1:])
+    """Grid stage 2: P[a, i, j] = sum_n W[n, i, j] gu_a^n, Horner in u.
+    A gu of shape (U,) + W.shape[2:] gives each column j its own u-values."""
+    g = gu.reshape(gu.shape[:1] + (1,) * (W.ndim - gu.ndim) + gu.shape[1:])
+    out = np.zeros(gu.shape[:1] + W.shape[1:])
     for n in range(W.shape[0] - 1, -1, -1):
-        out *= gu[:, None, None]
+        out *= g
         out += W[n]
     return out
 
@@ -287,22 +289,26 @@ def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
     return float(np.max(pointwise_conjugacy_residual(ms, uu, vv)))
 
 
-def _grid_residual_fn(ms: ManifoldSeries, gv):
-    """gu -> max conjugacy residual of a stable series on the grid gu x gv
-    (inf once P leaves double range).  Both v-stages depend on gv alone and
-    are computed once, so each call costs two u-stages."""
-    l1, l2 = ms.rates
-    WP, WQ = _horner_v(ms.coeffs, gv), _horner_v(ms.coeffs, l2 * gv)
+def _probe_residuals(W, gu, l1, params):
+    """Max conjugacy residual of R stacked probes, in one u-stage.
 
-    def resid(gu):
-        P = np.moveaxis(_horner_u(WP, gu), 1, -1)
-        if not np.all(np.isfinite(P)):
-            return np.inf
-        Q = np.moveaxis(_horner_u(WQ, l1 * gu), 1, -1)
-        F = map4_apply(P, ms.params)
-        return float(np.max(np.linalg.norm(F - Q, axis=-1)))
-
-    return resid
+    W (N+1, 4, R, 2V) holds each probe's v-stages: of P on its v-grid in
+    the first V columns, of Q = P(l1 u, l2 v) on the l2-scaled grid in the
+    last V.  gu (U, R) is each probe's u-grid.  Every column runs the same
+    Horner recurrence as evaluate_grid, so stacking changes no bit.
+    A probe whose P leaves double range reads inf.
+    """
+    V = W.shape[-1] // 2
+    gq = np.empty(gu.shape + (2 * V,))
+    gq[..., :V] = gu[..., None]
+    gq[..., V:] = (l1 * gu)[..., None]
+    PQ = np.moveaxis(_horner_u(W, gq), 1, -1)  # (U, R, 2V, 4)
+    P, Q = PQ[:, :, :V], PQ[:, :, V:]
+    finite = np.all(np.isfinite(P), axis=(0, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = map4_apply(P, params)
+        r = np.max(np.linalg.norm(F - Q, axis=-1), axis=(0, 2))
+    return np.where(finite, r, np.inf)
 
 
 def _stable_eigensystem(p: ModelParams):
@@ -316,15 +322,17 @@ def _stable_eigensystem(p: ModelParams):
     return es
 
 
-def _log_bisect(f, cap, tau, refine=25):
-    """Largest t <= cap with f(t) <= tau, by bisection in log t; None if none."""
+def _log_bisect(cap, refine=25):
+    """Largest t <= cap whose probe passes, by bisection in log t; None if
+    none.  A generator: it yields each probe t and is sent back whether the
+    residual at t meets the target."""
     t = cap
-    if f(t) <= tau:
+    if (yield t):
         return t
     lo, hi = None, t
     while t > 1e-14 * cap:
         t /= 4.0
-        if f(t) <= tau:
+        if (yield t):
             lo = t
             break
         hi = t
@@ -332,11 +340,30 @@ def _log_bisect(f, cap, tau, refine=25):
         return None
     for _ in range(refine):
         mid = np.sqrt(lo * hi)
-        if f(mid) <= tau:
+        if (yield mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _lockstep(count, cap, resid, tau):
+    """Run `count` log-bisections side by side.  Each round hands the
+    pending probes of all unfinished searches to resid(keys, ts) at once;
+    it returns their residuals.  Returns each search's limit."""
+    searches = [_log_bisect(cap) for _ in range(count)]
+    probes = {k: next(s) for k, s in enumerate(searches)}
+    found = [None] * count
+    while probes:
+        keys = list(probes)
+        passed = resid(keys, np.array([probes[k] for k in keys])) <= tau
+        for k, ok in zip(keys, passed.tolist()):
+            try:
+                probes[k] = searches[k].send(ok)
+            except StopIteration as stop:
+                found[k] = stop.value
+                del probes[k]
+    return found
 
 
 def _default_gauge(unit: ManifoldSeries, tau):
@@ -348,25 +375,51 @@ def _default_gauge(unit: ManifoldSeries, tau):
     covered area wins (largest v among near-ties).  Residual level sets in
     the two parameters are strongly anisotropic and the trade-off between
     them is not monotone, so neither single-edge criterion alone is safe.
-    Every probe is a grid residual of the unit-gauge stable series; a rung
-    of the ladder fixes the v-grid, so its v-stage is shared by all probes.
+    Every probe is a grid residual of the unit-gauge stable series.  A rung
+    of the ladder fixes the v-grid, so the v-stages of all twelve rungs are
+    computed once, in one call; the rungs are then bisected in lockstep,
+    each round evaluating every unfinished rung's probe, P rows and Q rows
+    together, in one stacked u-stage.  The edge bisection runs through the
+    same driver with one probe per round (its v-grid moves, its u-grid is
+    u = 0, which reads row n = 0 only).  Each rung sees the probes and the
+    bits it would see alone.
     """
-    cap = 256.0 * np.sqrt(abs(unit.params.epsilon))
+    p = unit.params
+    l1, l2 = unit.rates
+    cap = 256.0 * np.sqrt(abs(p.epsilon))
     e41 = np.linspace(-1.0, 1.0, 41)
-    z1 = np.zeros(1)
-    edge = replace(unit, coeffs=unit.coeffs[:, :1])  # u = 0 reads row n = 0 only
-    g2max = _log_bisect(lambda t: _grid_residual_fn(edge, e41 * t)(z1), cap, tau)
+    row0 = unit.coeffs[:, :1]
+
+    def edge(keys, ts):
+        gv = e41 * ts[0]
+        W = _horner_v(row0, np.concatenate([gv, l2 * gv]))
+        return _probe_residuals(W[:, :, None], np.zeros((1, 1)), l1, p)
+
+    (g2max,) = _lockstep(1, cap, edge, tau)
     if g2max is None:
         raise GaugeError("no v-extent meets the residual target")
     eu = np.linspace(-1.0, 1.0, 17)
     ev = np.linspace(-1.0, 1.0, 33)
     ladder = np.geomspace(g2max / 30.0, g2max, 12)[::-1]
-    table = []
-    for g2 in ladder:
-        resid = _grid_residual_fn(unit, ev * g2)
-        g1 = _log_bisect(lambda t: resid(eu * t), cap, tau)
-        if g1 is not None:
-            table.append((g1 * g2, g1, g2))
+    gv = ev[None, :] * ladder[:, None]
+    W = _horner_v(unit.coeffs, np.concatenate([gv, l2 * gv], axis=-1).ravel())
+    W = W.reshape(W.shape[:2] + (ladder.size, -1))
+
+    live = list(range(ladder.size))
+
+    def rungs(keys, ts):
+        # finished rungs drop out: the v-stages of the live ones move to the
+        # front in place (keys is an ordered subsequence of live), so no
+        # round copies W
+        for j, k in enumerate(keys):
+            if live[j] != k:
+                W[:, :, j] = W[:, :, live.index(k)]
+        live[:] = keys
+        return _probe_residuals(W[:, :, :len(keys)], eu[:, None] * ts, l1, p)
+
+    table = [(g1 * g2, g1, g2)
+             for g1, g2 in zip(_lockstep(ladder.size, cap, rungs, tau), ladder)
+             if g1 is not None]
     if not table:
         raise GaugeError("no u-extent meets the residual target")
     amax = max(row[0] for row in table)

@@ -1,26 +1,31 @@
 """Reference paths that check the package's fast code: block-at-a-time
-coefficient recursion, a long-double grid evaluator, and a multistart
-homoclinic search that polishes the full 4-d matching system without the
-reversor that symmetric_search reduces the problem with."""
+coefficient recursion, a long-double grid evaluator, the gauge policy with
+one log-bisection at a time, and a multistart homoclinic search that
+polishes the full 4-d matching system without the reversor that
+symmetric_search reduces the problem with."""
 
 import numpy as np
 
 from dnls_nnn.homoclinic import (
     _CONVERGED,
+    DEDUPE_TOL,
     MATCH_THRESHOLD,
     TRIVIAL_NORM,
     HomoclinicSolution,
     _damped_newton_batch,
-    _dedupe,
     _mirror,
 )
 from dnls_nnn.manifold import (
     RESONANCE_TOL,
+    GaugeError,
     ManifoldSeries,
     ResonanceError,
+    _horner_u,
+    _horner_v,
     evaluate_series,
     series_jacobian,
 )
+from dnls_nnn.maps import map4_apply
 
 
 def _k0_at(A, x):
@@ -95,6 +100,84 @@ def horner_longdouble(C, gu, gv):
     for n in range(N, -1, -1):
         out = out * gu[:, None] + W[:, n, None, :]
     return np.moveaxis(out, 0, -1)
+
+
+def _grid_residual_fn(ms: ManifoldSeries, gv):
+    """gu -> max conjugacy residual of a stable series on the grid gu x gv
+    (inf once P leaves double range); both v-stages computed once."""
+    l1, l2 = ms.rates
+    WP, WQ = _horner_v(ms.coeffs, gv), _horner_v(ms.coeffs, l2 * gv)
+
+    def resid(gu):
+        P = np.moveaxis(_horner_u(WP, gu), 1, -1)
+        if not np.all(np.isfinite(P)):
+            return np.inf
+        Q = np.moveaxis(_horner_u(WQ, l1 * gu), 1, -1)
+        F = map4_apply(P, ms.params)
+        return float(np.max(np.linalg.norm(F - Q, axis=-1)))
+
+    return resid
+
+
+def _log_bisect(f, cap, tau, refine=25):
+    """Largest t <= cap with f(t) <= tau, by bisection in log t; None if none."""
+    t = cap
+    if f(t) <= tau:
+        return t
+    lo, hi = None, t
+    while t > 1e-14 * cap:
+        t /= 4.0
+        if f(t) <= tau:
+            lo = t
+            break
+        hi = t
+    if lo is None:
+        return None
+    for _ in range(refine):
+        mid = np.sqrt(lo * hi)
+        if f(mid) <= tau:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def sequential_gauge(unit: ManifoldSeries, tau):
+    """The automatic gauge policy of _default_gauge, one probe at a time:
+    the v-edge bisection, then each rung of the ladder bisected on its own
+    with two u-stages per probe."""
+    cap = 256.0 * np.sqrt(abs(unit.params.epsilon))
+    e41 = np.linspace(-1.0, 1.0, 41)
+    z1 = np.zeros(1)
+    edge = ManifoldSeries(unit.branch, unit.order, unit.rates, unit.scale,
+                          unit.coeffs[:, :1], unit.params)
+    g2max = _log_bisect(lambda t: _grid_residual_fn(edge, e41 * t)(z1),
+                        cap, tau)
+    if g2max is None:
+        raise GaugeError("no v-extent meets the residual target")
+    eu = np.linspace(-1.0, 1.0, 17)
+    ev = np.linspace(-1.0, 1.0, 33)
+    table = []
+    for g2 in np.geomspace(g2max / 30.0, g2max, 12)[::-1]:
+        resid = _grid_residual_fn(unit, ev * g2)
+        g1 = _log_bisect(lambda t: resid(eu * t), cap, tau)
+        if g1 is not None:
+            table.append((g1 * g2, g1, g2))
+    if not table:
+        raise GaugeError("no u-extent meets the residual target")
+    amax = max(row[0] for row in table)
+    for area, g1, g2 in table:
+        if area >= 0.9 * amax:
+            return float(g1), float(g2)
+    raise GaugeError("gauge selection failed")
+
+
+def _dedupe(solutions, tol=DEDUPE_TOL):
+    kept = []
+    for sol in sorted(solutions, key=lambda s: s.residual):
+        if all(np.linalg.norm(sol.point - k.point) > tol for k in kept):
+            kept.append(sol)
+    return kept
 
 
 def _match_funs(Pu: ManifoldSeries, Ps: ManifoldSeries):

@@ -1,12 +1,19 @@
+import multiprocessing
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from dnls_nnn import homoclinic
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     _SINGULAR,
+    _census_axis,
     _damped_newton_batch,
+    _scan_cell,
     det_curve_fit,
     scan_parameters,
     symmetric_search,
@@ -48,6 +55,28 @@ def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
     assert len(symmetric_search(Ps, Pu)) == 2
     assert len(calls) == 1
+
+
+def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
+    Ps, Pu = pair_ill
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return transversality_det(*args, **kwargs)
+
+    monkeypatch.setattr(homoclinic, "transversality_det", spy)
+    assert len(symmetric_search(Ps, Pu)) == 2
+    assert len(calls) == 1  # the mirror partner is the sign image
+    # there, seeds from four components land on one root
+    calls.clear()
+    Ps, Pu = compute_manifold_pair(ModelParams(2e-4, -0.13))
+    assert len(symmetric_search(Ps, Pu)) == 2
+    assert len(calls) == 1
+    # the census mirrors its half box, which needs an exactly odd axis
+    g = _census_axis()
+    assert g.size == homoclinic.CENSUS
+    assert np.array_equal(g, -g[::-1])
 
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
@@ -191,8 +220,10 @@ def test_scan_pool_is_capped_at_the_cell_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(homoclinic, "ProcessPoolExecutor", SerialPool)
     cells = scan_parameters([4e-4], [0.0, 0.0], workers=64)
@@ -210,3 +241,25 @@ def test_scan_worker_pool_matches_serial():
         assert a.best_residual == pytest.approx(b.best_residual, rel=1e-12)
         assert np.allclose(a.solution.point, b.solution.point, rtol=1e-12)
         assert a.solution.det == pytest.approx(b.solution.det, rel=1e-9)
+
+
+def _dying_scan_cell(task):
+    # the worker dies outright, as under a segfault or the OOM killer
+    if task[1] == 0.0:
+        os._exit(1)
+    return _scan_cell(task)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_scan_survives_a_dead_worker(monkeypatch):
+    # fork, so the workers inherit the patched cell function
+    monkeypatch.setattr(homoclinic, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(homoclinic, "_scan_cell", _dying_scan_cell)
+    dead, good = scan_parameters([0.0004], [0.0, -0.125], workers=2)
+    assert dead.A == 0.0 and not dead.found
+    assert "BrokenProcessPool" in dead.error
+    assert good.error is None and good.found
+    assert _matches_reference(good.solution.point)

@@ -6,11 +6,13 @@ import pytest
 
 from dnls_nnn import manifold
 from dnls_nnn.manifold import (
+    GAUGE_RESIDUAL,
     OVERFLOW_LIMIT,
     GaugeError,
     ResonanceError,
     SeriesOverflowError,
     _build_coeffs,
+    _default_gauge,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
@@ -29,7 +31,7 @@ from dnls_nnn.spectral import (
     solve_reciprocal_quartic,
 )
 
-from reference import cubic_convolution, solve_order_block
+from reference import cubic_convolution, sequential_gauge, solve_order_block
 
 P = ModelParams(0.0004, -0.125)
 
@@ -314,6 +316,17 @@ def test_gauge_policy_failure_is_reported(monkeypatch):
     monkeypatch.setattr(manifold, "GAUGE_RESIDUAL", 1e-30)
     with pytest.raises(GaugeError):
         compute_manifold_pair(P, order=20)
+
+
+@pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.145),
+                                    (-0.5, -0.145), (1.0, -0.13)])
+def test_lockstep_gauge_matches_sequential_bisection(eps, A):
+    # lockstep rungs change how probes are batched, never their bits; at
+    # (1.0, -0.13) the chosen rung outlives others, so its v-stage has moved
+    unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
+    gauge = _default_gauge(unit, GAUGE_RESIDUAL)
+    assert gauge == sequential_gauge(unit, GAUGE_RESIDUAL)
+    assert compute_manifold_pair(ModelParams(eps, A))[0].scale == gauge
 
 
 def test_serialization_round_trip(tmp_path, pair_ill):
