@@ -6,17 +6,9 @@ __version__ = "0.1.0"
 
 from .maps import (  # noqa: F401
     ModelParams,
-    SYMMETRIES,
-    apply_symmetry,
-    conjugacy_check_2d,
-    fixed_points,
-    iterate_orbit,
     map2_apply,
-    map2_inverse,
-    map2_jacobian,
     map4_apply,
     map4_inverse,
-    map4_jacobian,
     nonwandering_bound,
 )
 from .spectral import (  # noqa: F401
@@ -30,9 +22,7 @@ from .spectral import (  # noqa: F401
     characteristic_poly,
     classify_eigenvalues,
     discriminant,
-    eigenvectors_at_origin,
     solve_reciprocal_quartic,
-    sturm_real_root_test,
 )
 from .manifold import (  # noqa: F401
     GaugeError,
@@ -43,9 +33,7 @@ from .manifold import (  # noqa: F401
     conjugacy_residual,
     evaluate_grid,
     evaluate_series,
-    load_series,
     rescale_series,
-    save_series,
     series_from_dict,
     series_jacobian,
     series_to_dict,
@@ -67,5 +55,4 @@ from .soliton import (  # noqa: F401
     build_profile,
     mirror_defect,
     portrait_2d,
-    stationary_residual,
 )

@@ -246,13 +246,27 @@ def _require_manifold_domain(A):
         )
 
 
-def _gauge_override(cfg):
-    if not cfg.box:
-        return None
-    pair = _float_list(cfg.box)
-    if len(pair) != 2 or pair[0] == 0.0 or pair[1] == 0.0:
+def _series_pair(cfg):
+    """(Ps, Pu) of the single cell of cfg, refused outside the manifold
+    domain, at the --box gauge or the automatic one."""
+    p = _single_cell(cfg)
+    _require_manifold_domain(p.A)
+    scale = _float_list(cfg.box) if cfg.box else None
+    if scale is not None and (len(scale) != 2 or 0.0 in scale):
         raise UsageError("--box must be a nonzero pair 'g1,g2'")
-    return pair
+    return compute_manifold_pair(p, order=cfg.order, scale=scale)
+
+
+def _search(cfg):
+    """(Ps, Pu, solutions) of the single cell of cfg."""
+    Ps, Pu = _series_pair(cfg)
+    return Ps, Pu, symmetric_search(Ps, Pu, threshold=cfg.threshold)
+
+
+def _scan(cfg):
+    return scan_parameters(cfg.epsilon, cfg.A, order=cfg.order,
+                           threshold=cfg.threshold,
+                           workers=cfg.workers or None)
 
 
 def _outdir(cfg):
@@ -274,28 +288,34 @@ def _solution_dict(sol):
 def cmd_eigen(cfg):
     p = _single_cell(cfg)
     eps, A = p.epsilon, p.A
-    if A == 0.0:
-        raise UsageError("A must be nonzero: the map is 4-d only for A != 0")
     payload = {"critical_A": CRITICAL_A}
     for at in ("origin", "nontrivial"):
         if at == "nontrivial" and eps * A >= 0.0:
             payload[at] = None
             continue
         q = characteristic_poly(p, at=at)
-        es = solve_reciprocal_quartic(q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = solve_reciprocal_quartic(q)
+        lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
+        try:
+            disc = discriminant(p, at=at)
+        except (ZeroDivisionError, OverflowError):  # A**5 left double range
+            disc = np.inf
+        if not np.all(np.isfinite([disc, *lams])):
+            raise UsageError(f"A={A!r} puts the {at} spectrum outside "
+                             "double range")
         entry = {
             "quartic": {"a": q.a, "b": q.b},
             "classification": es.classification,
             "hyperbolic": es.hyperbolic,
-            "eigenvalues": [es.lambda1, es.lambda2, es.lambda3, es.lambda4],
-            "discriminant": discriminant(p, at=at),
+            "eigenvalues": list(lams),
+            "discriminant": disc,
         }
         if es.hyperbolic and es.classification == ALL_REAL:
             entry["stable_pair"] = list(es.stable_pair())
         payload[at] = entry
         print(f"{at}: {es.classification}"
               + (" (hyperbolic)" if es.hyperbolic else ""))
-        lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
         if all(abs(l.imag) == 0.0 for l in map(complex, lams)):
             print("  eigenvalues: "
                   + "  ".join(f"{complex(l).real:.12g}" for l in lams))
@@ -306,10 +326,7 @@ def cmd_eigen(cfg):
 
 
 def cmd_manifold(cfg):
-    p = _single_cell(cfg)
-    _require_manifold_domain(p.A)
-    scale = _gauge_override(cfg)
-    Ps, Pu = compute_manifold_pair(p, order=cfg.order, scale=scale)
+    Ps, Pu = _series_pair(cfg)
     outdir = _outdir(cfg)
     for ms in (Ps, Pu):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -331,11 +348,7 @@ def cmd_manifold(cfg):
 
 
 def cmd_homoclinic(cfg):
-    p = _single_cell(cfg)
-    _require_manifold_domain(p.A)
-    Ps, Pu = compute_manifold_pair(p, order=cfg.order,
-                                   scale=_gauge_override(cfg))
-    sols = symmetric_search(Ps, Pu, threshold=cfg.threshold)
+    _, _, sols = _search(cfg)
     payload = {"found": bool(sols),
                "solutions": [_solution_dict(s) for s in sols]}
     out = _outdir(cfg) / "homoclinic.json"
@@ -365,9 +378,7 @@ def _cell_dict(cell):
 def cmd_scan(cfg):
     # bad cells (A = 0, non-real spectrum, ...) are recorded per cell by
     # scan_parameters rather than aborting the whole grid
-    cells = scan_parameters(cfg.epsilon, cfg.A, order=cfg.order,
-                            threshold=cfg.threshold,
-                            workers=cfg.workers or None)
+    cells = _scan(cfg)
     outdir = _outdir(cfg)
     _write_json(outdir / "scan.json",
                 {"cells": [_cell_dict(c) for c in cells]}, cfg)
@@ -395,9 +406,7 @@ def cmd_transversality(cfg):
         raise UsageError("transversality sweeps A at a single --epsilon")
     for A in cfg.A:
         _require_manifold_domain(A)
-    cells = scan_parameters(cfg.epsilon, cfg.A, order=cfg.order,
-                            threshold=cfg.threshold,
-                            workers=cfg.workers or None)
+    cells = _scan(cfg)
     missing = [c for c in cells if not c.found]
     if missing:
         causes = ", ".join(f"A={c.A:g}: {c.error or 'none'}" for c in missing)
@@ -432,11 +441,7 @@ def cmd_transversality(cfg):
 
 
 def cmd_soliton(cfg):
-    p = _single_cell(cfg)
-    _require_manifold_domain(p.A)
-    Ps, Pu = compute_manifold_pair(p, order=cfg.order,
-                                   scale=_gauge_override(cfg))
-    sols = symmetric_search(Ps, Pu, threshold=cfg.threshold)
+    Ps, Pu, sols = _search(cfg)
     if not sols:
         raise ProfileError("no homoclinic intersection to build from")
     prof = build_profile(sols[0], Pu, Ps)

@@ -55,8 +55,7 @@ most accurate grid order measured there.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +81,6 @@ __all__ = [
     "pointwise_conjugacy_residual",
     "series_to_dict",
     "series_from_dict",
-    "save_series",
-    "load_series",
 ]
 
 DEFAULT_ORDER = 80
@@ -134,8 +131,7 @@ class ManifoldSeries:
 
 def _build_coeffs(p: ModelParams, L1, L2, N):
     """Dense (4, N+1, N+1) unit-gauge table by anti-diagonal recursion."""
-    A, eps = p.A, p.epsilon
-    a, b = 1.0 / A, -2.0 / A
+    k0 = characteristic_poly(p, "origin")
     C = np.zeros((4, N + 1, N + 1))
     if N >= 1:
         C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
@@ -160,8 +156,8 @@ def _build_coeffs(p: ModelParams, L1, L2, N):
                 cube += np.convolve(sq[j2], d3[k - j2])
         idx = np.arange(k + 1)
         Lam = pw1[idx] * pw2[k - idx]
-        R = cube / (eps * A)
-        D = -(((Lam + a) * Lam + b) * Lam * Lam + a * Lam + 1.0)
+        R = cube / (p.epsilon * p.A)
+        D = -k0(Lam)
         bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL * np.maximum(1.0, np.abs(Lam) ** 4))
         if np.any(bad):
             nn = int(idx[bad][0])
@@ -502,6 +498,8 @@ def series_to_dict(ms: ManifoldSeries):
 
 
 def series_from_dict(d):
+    """Inverse of series_to_dict.  The pipeline only writes series; the
+    output checks of perfbench read them back through this."""
     N = int(d["order"])
     C = np.zeros((4, N + 1, N + 1))
     for key, val in d["coeffs"].items():
@@ -515,14 +513,3 @@ def series_from_dict(d):
         coeffs=C,
         params=ModelParams(d["params"]["epsilon"], d["params"]["A"]),
     )
-
-
-def save_series(ms: ManifoldSeries, path):
-    with open(path, "w") as fh:
-        json.dump(series_to_dict(ms), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_series(path):
-    with open(path) as fh:
-        return series_from_dict(json.load(fh))

@@ -16,8 +16,12 @@ Henon map
 
 Both maps are volume preserving with polynomial inverses, are odd
 (commute with -id), and are reversible: reversing the coordinate order
-conjugates each map to its inverse.  States are plain float arrays with the
-components on the last axis; every operation broadcasts over leading axes.
+conjugates each map to its inverse.  The pipeline needs the two forward
+maps and the 4-d inverse (the unstable conjugacy is checked through it);
+the 2-d inverse, the Jacobians and the symmetry registry that test these
+properties live with the test oracles in tests/reference.py.  States are
+plain float arrays with the components on the last axis; every operation
+broadcasts over leading axes.
 """
 
 from __future__ import annotations
@@ -28,20 +32,11 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "SymmetryId",
-    "SYMMETRIES",
     "as_state",
     "map2_apply",
-    "map2_inverse",
-    "map2_jacobian",
     "map4_apply",
     "map4_inverse",
-    "map4_jacobian",
-    "apply_symmetry",
-    "fixed_points",
     "nonwandering_bound",
-    "iterate_orbit",
-    "conjugacy_check_2d",
 ]
 
 
@@ -86,22 +81,6 @@ def map2_apply(s, p: ModelParams):
     return np.stack([y, -x + 2.0 * y - y * y * y / p.epsilon], axis=-1)
 
 
-def map2_inverse(s, p: ModelParams):
-    s = as_state(s, 2)
-    x, y = s[..., 0], s[..., 1]
-    return np.stack([2.0 * x - x * x * x / p.epsilon - y, x], axis=-1)
-
-
-def map2_jacobian(s, p: ModelParams):
-    s = as_state(s, 2)
-    y = s[..., 1]
-    J = np.zeros(s.shape[:-1] + (2, 2))
-    J[..., 0, 1] = 1.0
-    J[..., 1, 0] = -1.0
-    J[..., 1, 1] = 2.0 - 3.0 * y**2 / p.epsilon
-    return J
-
-
 def map4_apply(s, p: ModelParams):
     p.require_A()
     s = as_state(s, 4)
@@ -120,72 +99,6 @@ def map4_inverse(s, p: ModelParams):
     return np.stack([x0, x, y, z], axis=-1)
 
 
-def map4_jacobian(s, p: ModelParams):
-    """Analytic Jacobian of map4_apply; companion form, det = 1 identically."""
-    p.require_A()
-    s = as_state(s, 4)
-    z = s[..., 2]
-    A, eps = p.A, p.epsilon
-    J = np.zeros(s.shape[:-1] + (4, 4))
-    J[..., 0, 1] = 1.0
-    J[..., 1, 2] = 1.0
-    J[..., 2, 3] = 1.0
-    J[..., 3, 0] = -1.0
-    J[..., 3, 1] = -1.0 / A
-    J[..., 3, 2] = 2.0 / A - 3.0 * z**2 / (eps * A)
-    J[..., 3, 3] = -1.0 / A
-    return J
-
-
-@dataclass(frozen=True)
-class SymmetryId:
-    """One of the six involutions: tag, phase-space dimension, and whether it
-    commutes with the map (symmetry) or conjugates it to the inverse (reversor)."""
-
-    tag: str
-    dim: int
-    kind: str  # "symmetry" | "reversor"
-
-
-SYMMETRIES = {
-    sym.tag: sym
-    for sym in (
-        SymmetryId("sigma1", 2, "symmetry"),   # -id
-        SymmetryId("sigma2", 2, "reversor"),   # (x,y) -> (y,x)
-        SymmetryId("sigma3", 2, "reversor"),   # (x,y) -> (-y,-x)
-        SymmetryId("sigma4", 4, "symmetry"),   # -id
-        SymmetryId("sigma5", 4, "reversor"),   # (x,y,z,w) -> (w,z,y,x)
-        SymmetryId("sigma6", 4, "reversor"),   # (x,y,z,w) -> (-w,-z,-y,-x)
-    )
-}
-
-_NEGATES = {"sigma1": True, "sigma2": False, "sigma3": True,
-            "sigma4": True, "sigma5": False, "sigma6": True}
-_REVERSES = {"sigma1": False, "sigma2": True, "sigma3": True,
-             "sigma4": False, "sigma5": True, "sigma6": True}
-
-
-def apply_symmetry(sym, s):
-    """Apply one of sigma1..sigma6.  sym may be a SymmetryId or its tag."""
-    if isinstance(sym, str):
-        sym = SYMMETRIES[sym]
-    s = as_state(s, sym.dim)
-    out = s[..., ::-1] if _REVERSES[sym.tag] else s
-    return -out if _NEGATES[sym.tag] else np.array(out, copy=True)
-
-
-def fixed_points(p: ModelParams):
-    """Fixed points of the 4-d map: the origin, plus the pair of constant
-    quadruples (+-c, .., +-c) with c = sqrt(-2 eps A) whenever eps*A < 0."""
-    p.require_A()
-    pts = [np.zeros(4)]
-    if p.epsilon * p.A < 0.0:
-        c = np.sqrt(-2.0 * p.epsilon * p.A)
-        pts.append(np.full(4, c))
-        pts.append(np.full(4, -c))
-    return pts
-
-
 def nonwandering_bound(p: ModelParams, dim):
     """Half-width of the coordinate box that contains the non-wandering set:
     2 sqrt|eps| in 2-d, sqrt(|eps A| (2 + 4/|A|)) in 4-d."""
@@ -195,61 +108,3 @@ def nonwandering_bound(p: ModelParams, dim):
         p.require_A()
         return np.sqrt(abs(p.epsilon * p.A) * (2.0 + 4.0 / abs(p.A)))
     raise ValueError("dim must be 2 or 4")
-
-
-def iterate_orbit(s, p: ModelParams, n, direction="forward"):
-    """Iterate the map matching the state dimension for up to n steps.
-
-    Returns (states, escaped): states has shape (k+1, dim) including the
-    start; iteration stops early with escaped=True once the sup-norm exceeds
-    10 x the non-wandering bound (an orbit that leaves that box cannot
-    return and recur).
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    arr = np.asarray(s, dtype=float)
-    dim = arr.shape[-1]
-    if dim == 2:
-        step = map2_apply if direction == "forward" else map2_inverse
-    elif dim == 4:
-        step = map4_apply if direction == "forward" else map4_inverse
-    else:
-        raise ValueError("state must have 2 or 4 components")
-    thr = 10.0 * nonwandering_bound(p, dim)
-    out = [as_state(arr, dim)]
-    escaped = bool(np.max(np.abs(out[0])) > thr)
-    cur = out[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(int(n)):
-            if escaped:
-                break
-            nxt = step(cur, p)
-            if not np.all(np.isfinite(nxt)):
-                escaped = True
-                break
-            out.append(nxt)
-            cur = nxt
-            if np.max(np.abs(cur)) > thr:
-                escaped = True
-                break
-    return np.array(out), escaped
-
-
-def conjugacy_check_2d(s, p: ModelParams):
-    """Residual of the change of variables that removes the linear shear.
-
-    With psi(x,y) = (x+y, 2x+y) and
-    T(x,y) = (x - (2x+y)^3/eps, x + y + (2x+y)^3/eps),
-    the identity f0(psi(s)) = psi(T(s)) holds exactly; the returned
-    Euclidean residual is pure rounding error.
-    """
-    s = as_state(s, 2)
-    x, y = s[..., 0], s[..., 1]
-    s3 = 2.0 * x + y
-    cube = s3 * s3 * s3 / p.epsilon
-    psi_s = np.stack([x + y, 2.0 * x + y], axis=-1)
-    T_s = np.stack([x - cube, x + y + cube], axis=-1)
-    lhs = map2_apply(psi_s, p)
-    rhs = np.stack([T_s[..., 0] + T_s[..., 1],
-                    2.0 * T_s[..., 0] + T_s[..., 1]], axis=-1)
-    return np.linalg.norm(lhs - rhs, axis=-1)

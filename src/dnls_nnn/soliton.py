@@ -35,7 +35,6 @@ __all__ = [
     "ProfileError",
     "Orbit2D",
     "build_profile",
-    "stationary_residual",
     "mirror_defect",
     "portrait_2d",
 ]
@@ -125,23 +124,18 @@ def build_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
 
 
 def _residual_of_values(values, p: ModelParams):
-    u = np.concatenate([np.zeros(4), np.asarray(values, dtype=float),
-                        np.zeros(4)])
-    c = u[2:-2]
-    r = (c * c * c + p.epsilon * (u[3:-1] - 2.0 * c + u[1:-3]
-                             + p.A * (u[4:] + u[:-4])))
-    return float(np.max(np.abs(r)))
-
-
-def stationary_residual(profile: SolitonProfile, p: ModelParams = None):
     """Sup-norm defect of the stationary lattice equation over the window.
 
     The profile is zero outside its window, so the defect is evaluated on
     the window extended by two sites each way; beyond that every term is
     identically zero.
     """
-    return _residual_of_values(profile.values,
-                               profile.params if p is None else p)
+    u = np.concatenate([np.zeros(4), np.asarray(values, dtype=float),
+                        np.zeros(4)])
+    c = u[2:-2]
+    r = (c * c * c + p.epsilon * (u[3:-1] - 2.0 * c + u[1:-3]
+                             + p.A * (u[4:] + u[:-4])))
+    return float(np.max(np.abs(r)))
 
 
 def mirror_defect(profile: SolitonProfile):

@@ -13,20 +13,14 @@ quartic to
     s^2 + a s + (b - 2) = 0,
 
 after which each s yields a pair from x^2 - s x + 1 = 0.  Solving this way
-keeps the pairing exact in floating point: one root of each quadratic is taken
-with the numerically stable sign, the partner is its literal reciprocal.
-
-Whether all four roots are real is decided by a Sturm-chain criterion in the
-(a, b) plane: four real roots iff one of
-  1. b < -2        and  -sqrt(4+4b+b^2)/2 < a < sqrt(4+4b+b^2)/2
-  2. b > 6         and  -sqrt(4+4b+b^2)/2 < a < -sqrt(4b-8)
-  3. b > 6         and   sqrt(4b-8)       < a < sqrt(4+4b+b^2)/2
+keeps the pairing exact in floating point: the large root of each quadratic
+is taken with the numerically stable sign, its partner from the product of
+the roots (for x, its literal reciprocal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +32,9 @@ __all__ = [
     "EigenSystem",
     "NonHyperbolicError",
     "characteristic_poly",
-    "sturm_real_root_test",
     "discriminant",
     "classify_eigenvalues",
     "solve_reciprocal_quartic",
-    "eigenvectors_at_origin",
 ]
 
 # lower edge of the all-real window of the origin's spectrum
@@ -66,11 +58,7 @@ class ReciprocalQuartic:
 
     def __call__(self, x):
         x = np.asarray(x)
-        return ((x + self.a) * x + self.b) * x**2 + self.a * x + 1.0
-
-    def coefficients(self):
-        """Monic coefficient vector, highest degree first."""
-        return np.array([1.0, self.a, self.b, self.a, 1.0])
+        return ((x + self.a) * x + self.b) * x * x + self.a * x + 1.0
 
 
 @dataclass(frozen=True)
@@ -78,8 +66,7 @@ class EigenSystem:
     """Reciprocal-paired eigenvalues: lambda3 = 1/lambda1, lambda4 = 1/lambda2.
 
     When hyperbolic, (lambda1, lambda2) are the stable pair ordered by
-    modulus.  Eigenvectors (filled by eigenvectors_at_origin) are Vandermonde:
-    w_i proportional to (1, l_i, l_i^2, l_i^3).
+    modulus.
     """
 
     lambda1: complex
@@ -88,10 +75,6 @@ class EigenSystem:
     lambda4: complex
     classification: str
     hyperbolic: bool
-    w1: Optional[np.ndarray] = None
-    w2: Optional[np.ndarray] = None
-    w3: Optional[np.ndarray] = None
-    w4: Optional[np.ndarray] = None
 
     def stable_pair(self):
         """The two real stable eigenvalues as floats, |l1| <= |l2|."""
@@ -111,35 +94,6 @@ def characteristic_poly(p: ModelParams, at="origin"):
             raise ValueError("nontrivial fixed points exist only for eps*A < 0")
         return ReciprocalQuartic(1.0 / p.A, -(6.0 + 2.0 / p.A))
     raise ValueError("at must be 'origin' or 'nontrivial'")
-
-
-def _four_real_conditions(a, b, strict):
-    lt = (lambda u, v: u < v) if strict else (lambda u, v: u <= v)
-    conds = []
-    if b < -2.0 or (not strict and b <= -2.0):
-        h = 0.5 * np.sqrt(4.0 + 4.0 * b + b * b)
-        conds.append(lt(-h, a) and lt(a, h))
-    if b > 6.0 or (not strict and b >= 6.0):
-        h = 0.5 * np.sqrt(4.0 + 4.0 * b + b * b)
-        r = np.sqrt(4.0 * b - 8.0)
-        conds.append(lt(-h, a) and lt(a, -r))
-        conds.append(lt(r, a) and lt(a, h))
-    return any(conds)
-
-
-def sturm_real_root_test(q: ReciprocalQuartic):
-    """True iff the quartic has four real roots; None on a boundary equality.
-
-    The three lemma conditions use strict inequalities; a point where the
-    strict and non-strict evaluations disagree sits exactly on a boundary
-    curve, where the root count is ambiguous (multiple roots), and is
-    reported as indeterminate.
-    """
-    strict = _four_real_conditions(q.a, q.b, strict=True)
-    loose = _four_real_conditions(q.a, q.b, strict=False)
-    if strict != loose:
-        return None
-    return strict
 
 
 def discriminant(p: ModelParams, at="origin"):
@@ -172,10 +126,9 @@ def classify_eigenvalues(A, at="origin"):
     raise ValueError("at must be 'origin' or 'nontrivial'")
 
 
-def _quadratic_pair(s):
-    """Roots of x^2 - s x + 1: the large root by the stable formula, partner
-    its exact reciprocal."""
-    disc = s * s - 4.0
+def _quadratic_pair(s, disc):
+    """Roots of x^2 - s x + 1, given disc = s^2 - 4: the large root by the
+    stable formula, partner its exact reciprocal."""
     sq = np.sqrt(complex(disc))
     xp = (s + sq) / 2.0
     xm = (s - sq) / 2.0
@@ -192,10 +145,17 @@ def _realify(z, tol=1e-12):
 def solve_reciprocal_quartic(q: ReciprocalQuartic):
     """Eigenvalues via the palindromic reduction; pairing exact by construction."""
     a, b = q.a, q.b
-    sdisc = a * a - 4.0 * (b - 2.0)
-    sq = np.sqrt(complex(sdisc))
-    s_roots = ((-a - sq) / 2.0, (-a + sq) / 2.0)
-    pairs = [_quadratic_pair(s) for s in s_roots]
+    sq = np.sqrt(complex(a * a - 4.0 * (b - 2.0)))
+    s = [(-a - sq) / 2.0, (-a + sq) / 2.0]
+    # the large s-root i keeps its form, which does not cancel; the small
+    # one j comes from s_i s_j = b - 2, and its disc s_j^2 - 4 from
+    # (s_i - 2)(s_j - 2) = q(1) = 2a + b + 2.  As A -> 0- the small pair
+    # closes on x = 1, where s_j - 2 is all that separates it.
+    i, j = (0, 1) if abs(s[0]) >= abs(s[1]) else (1, 0)
+    s[j] = (b - 2.0) / s[i]
+    disc = [s[i] * s[i] - 4.0] * 2
+    disc[j] = (2.0 * a + b + 2.0) / (s[i] - 2.0) * (s[j] + 2.0)
+    pairs = [_quadratic_pair(sk, dk) for sk, dk in zip(s, disc)]
     roots = [_realify(r) for pair in pairs for r in pair]
 
     n_real = sum(1 for r in roots if r.imag == 0.0)
@@ -219,24 +179,4 @@ def solve_reciprocal_quartic(q: ReciprocalQuartic):
         lambda4=1.0 / complex(l2),
         classification=classification,
         hyperbolic=hyperbolic,
-    )
-
-
-def eigenvectors_at_origin(p: ModelParams, es: EigenSystem):
-    """Fill in the Vandermonde eigenvectors (1, l, l^2, l^3) of the companion
-    Jacobian at the origin, at unit scale."""
-    if not es.hyperbolic:
-        raise NonHyperbolicError("eigenvectors requested for non-hyperbolic spectrum")
-    p.require_A()
-
-    def vand(l):
-        w = np.array([1.0, l, l * l, l**3], dtype=complex)
-        return w.real.copy() if np.all(w.imag == 0.0) else w
-
-    return replace(
-        es,
-        w1=vand(es.lambda1),
-        w2=vand(es.lambda2),
-        w3=vand(es.lambda3),
-        w4=vand(es.lambda4),
     )

@@ -2,7 +2,15 @@
 coefficient recursion, a long-double grid evaluator, the gauge policy with
 one log-bisection at a time, and a multistart homoclinic search that
 polishes the full 4-d matching system without the reversor that
-symmetric_search reduces the problem with."""
+symmetric_search reduces the problem with.
+
+It also holds the structure of the maps and of their spectra that the
+pipeline does not call but the tests check it against: the 2-d inverse,
+the Jacobians, the symmetry registry, orbit iteration, the shear
+conjugacy of the 2-d map, the fixed points, and the four-real-roots lemma
+for the characteristic quartic."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +33,193 @@ from dnls_nnn.manifold import (
     evaluate_series,
     series_jacobian,
 )
-from dnls_nnn.maps import map4_apply
+from dnls_nnn.maps import (
+    ModelParams,
+    as_state,
+    map2_apply,
+    map4_apply,
+    map4_inverse,
+    nonwandering_bound,
+)
+from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
 
 
-def _k0_at(A, x):
-    a, b = 1.0 / A, -2.0 / A
-    return ((x + a) * x + b) * x * x + a * x + 1.0
+def map2_inverse(s, p: ModelParams):
+    s = as_state(s, 2)
+    x, y = s[..., 0], s[..., 1]
+    return np.stack([2.0 * x - x * x * x / p.epsilon - y, x], axis=-1)
+
+
+def map2_jacobian(s, p: ModelParams):
+    s = as_state(s, 2)
+    y = s[..., 1]
+    J = np.zeros(s.shape[:-1] + (2, 2))
+    J[..., 0, 1] = 1.0
+    J[..., 1, 0] = -1.0
+    J[..., 1, 1] = 2.0 - 3.0 * y**2 / p.epsilon
+    return J
+
+
+def map4_jacobian(s, p: ModelParams):
+    """Analytic Jacobian of map4_apply; companion form, det = 1 identically."""
+    p.require_A()
+    s = as_state(s, 4)
+    z = s[..., 2]
+    A, eps = p.A, p.epsilon
+    J = np.zeros(s.shape[:-1] + (4, 4))
+    J[..., 0, 1] = 1.0
+    J[..., 1, 2] = 1.0
+    J[..., 2, 3] = 1.0
+    J[..., 3, 0] = -1.0
+    J[..., 3, 1] = -1.0 / A
+    J[..., 3, 2] = 2.0 / A - 3.0 * z**2 / (eps * A)
+    J[..., 3, 3] = -1.0 / A
+    return J
+
+
+@dataclass(frozen=True)
+class SymmetryId:
+    """One of the six involutions: tag, phase-space dimension, and whether it
+    commutes with the map (symmetry) or conjugates it to the inverse (reversor)."""
+
+    tag: str
+    dim: int
+    kind: str  # "symmetry" | "reversor"
+
+
+SYMMETRIES = {
+    sym.tag: sym
+    for sym in (
+        SymmetryId("sigma1", 2, "symmetry"),   # -id
+        SymmetryId("sigma2", 2, "reversor"),   # (x,y) -> (y,x)
+        SymmetryId("sigma3", 2, "reversor"),   # (x,y) -> (-y,-x)
+        SymmetryId("sigma4", 4, "symmetry"),   # -id
+        SymmetryId("sigma5", 4, "reversor"),   # (x,y,z,w) -> (w,z,y,x)
+        SymmetryId("sigma6", 4, "reversor"),   # (x,y,z,w) -> (-w,-z,-y,-x)
+    )
+}
+
+_NEGATES = {"sigma1": True, "sigma2": False, "sigma3": True,
+            "sigma4": True, "sigma5": False, "sigma6": True}
+_REVERSES = {"sigma1": False, "sigma2": True, "sigma3": True,
+             "sigma4": False, "sigma5": True, "sigma6": True}
+
+
+def apply_symmetry(sym, s):
+    """Apply one of sigma1..sigma6.  sym may be a SymmetryId or its tag."""
+    if isinstance(sym, str):
+        sym = SYMMETRIES[sym]
+    s = as_state(s, sym.dim)
+    out = s[..., ::-1] if _REVERSES[sym.tag] else s
+    return -out if _NEGATES[sym.tag] else np.array(out, copy=True)
+
+
+def fixed_points(p: ModelParams):
+    """Fixed points of the 4-d map: the origin, plus the pair of constant
+    quadruples (+-c, .., +-c) with c = sqrt(-2 eps A) whenever eps*A < 0."""
+    p.require_A()
+    pts = [np.zeros(4)]
+    if p.epsilon * p.A < 0.0:
+        c = np.sqrt(-2.0 * p.epsilon * p.A)
+        pts.append(np.full(4, c))
+        pts.append(np.full(4, -c))
+    return pts
+
+
+def iterate_orbit(s, p: ModelParams, n, direction="forward"):
+    """Iterate the map matching the state dimension for up to n steps.
+
+    Returns (states, escaped): states has shape (k+1, dim) including the
+    start; iteration stops early with escaped=True once the sup-norm exceeds
+    10 x the non-wandering bound (an orbit that leaves that box cannot
+    return and recur).
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    arr = np.asarray(s, dtype=float)
+    dim = arr.shape[-1]
+    if dim == 2:
+        step = map2_apply if direction == "forward" else map2_inverse
+    elif dim == 4:
+        step = map4_apply if direction == "forward" else map4_inverse
+    else:
+        raise ValueError("state must have 2 or 4 components")
+    thr = 10.0 * nonwandering_bound(p, dim)
+    out = [as_state(arr, dim)]
+    escaped = bool(np.max(np.abs(out[0])) > thr)
+    cur = out[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(n)):
+            if escaped:
+                break
+            nxt = step(cur, p)
+            if not np.all(np.isfinite(nxt)):
+                escaped = True
+                break
+            out.append(nxt)
+            cur = nxt
+            if np.max(np.abs(cur)) > thr:
+                escaped = True
+                break
+    return np.array(out), escaped
+
+
+def conjugacy_check_2d(s, p: ModelParams):
+    """Residual of the change of variables that removes the linear shear.
+
+    With psi(x,y) = (x+y, 2x+y) and
+    T(x,y) = (x - (2x+y)^3/eps, x + y + (2x+y)^3/eps),
+    the identity f0(psi(s)) = psi(T(s)) holds exactly; the returned
+    Euclidean residual is pure rounding error.
+    """
+    s = as_state(s, 2)
+    x, y = s[..., 0], s[..., 1]
+    s3 = 2.0 * x + y
+    cube = s3 * s3 * s3 / p.epsilon
+    psi_s = np.stack([x + y, 2.0 * x + y], axis=-1)
+    T_s = np.stack([x - cube, x + y + cube], axis=-1)
+    lhs = map2_apply(psi_s, p)
+    rhs = np.stack([T_s[..., 0] + T_s[..., 1],
+                    2.0 * T_s[..., 0] + T_s[..., 1]], axis=-1)
+    return np.linalg.norm(lhs - rhs, axis=-1)
+
+
+def quartic_coefficients(q: ReciprocalQuartic):
+    """Monic coefficient vector of q, highest degree first (np.roots order)."""
+    return np.array([1.0, q.a, q.b, q.a, 1.0])
+
+
+def _four_real_conditions(a, b, strict):
+    lt = (lambda u, v: u < v) if strict else (lambda u, v: u <= v)
+    conds = []
+    if b < -2.0 or (not strict and b <= -2.0):
+        h = 0.5 * np.sqrt(4.0 + 4.0 * b + b * b)
+        conds.append(lt(-h, a) and lt(a, h))
+    if b > 6.0 or (not strict and b >= 6.0):
+        h = 0.5 * np.sqrt(4.0 + 4.0 * b + b * b)
+        r = np.sqrt(4.0 * b - 8.0)
+        conds.append(lt(-h, a) and lt(a, -r))
+        conds.append(lt(r, a) and lt(a, h))
+    return any(conds)
+
+
+def sturm_real_root_test(q: ReciprocalQuartic):
+    """True iff the quartic has four real roots; None on a boundary equality.
+
+    A Sturm-chain criterion in the (a, b) plane: four real roots iff one of
+      1. b < -2   and  -sqrt(4+4b+b^2)/2 < a < sqrt(4+4b+b^2)/2
+      2. b > 6    and  -sqrt(4+4b+b^2)/2 < a < -sqrt(4b-8)
+      3. b > 6    and   sqrt(4b-8)       < a < sqrt(4+4b+b^2)/2
+    The three conditions use strict inequalities; a point where the
+    strict and non-strict evaluations disagree sits exactly on a boundary
+    curve, where the root count is ambiguous (multiple roots), and is
+    reported as indeterminate.
+    """
+    strict = _four_real_conditions(q.a, q.b, strict=True)
+    loose = _four_real_conditions(q.a, q.b, strict=False)
+    if strict != loose:
+        return None
+    return strict
 
 
 def cubic_convolution(coeffs3, n, m):
@@ -76,7 +265,7 @@ def solve_order_block(ms: ManifoldSeries, n, m):
     Lam = L1**n * L2**m
     if R == 0.0:
         return np.zeros(4)
-    D = -_k0_at(p.A, Lam)
+    D = -characteristic_poly(p, "origin")(Lam)
     if abs(D) <= RESONANCE_TOL * max(1.0, abs(Lam) ** 4):
         raise ResonanceError((n, m), abs(D))
     a1 = R / D

@@ -99,11 +99,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # a sweep A outside the real-spectrum window is refused before any
         # cell is computed, not reported as a missing cell
         ["transversality", "--A", "-0.2,-0.13", "--out", str(tmp_path)],
+        # the single-cell series commands share one preamble
+        *([cmd, "--epsilon", eps, "--A", A, "--out", str(tmp_path)]
+          for cmd in ("homoclinic", "soliton")
+          for eps, A in (("0.0004", "-0.2"), ("0.0004", "0"),
+                         ("0.0004,0.01", "-0.125"))),
+        # the discriminant leaves double range (A**5 overflows to -inf,
+        # then underflows to zero)
+        *(["eigen", "--epsilon", "0.0004", "--A", A, "--out", str(tmp_path)]
+          for A in ("-1e-62", "-1e-70")),
     ]
     for argv in cases:
         assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "A=-1e-62" in err and "A=-1e-70" in err
+    assert not (tmp_path / "eigen.json").exists()
 
 
 def test_seeds_is_resolved_for_portrait_only(tmp_path):
@@ -114,14 +125,17 @@ def test_seeds_is_resolved_for_portrait_only(tmp_path):
 
 
 def test_domain_refusal_names_the_classification(tmp_path, capsys):
-    assert main(["manifold", "--epsilon", "0.0004", "--A", "-0.2"]) == 2
-    err = capsys.readouterr().err
-    assert "two-pairs-complex" in err
+    refusals = (("0.0004", "-0.2", "two-pairs-complex"),
+                ("0.0004", "0.5", "mixed"),
+                ("0.0004", "0", "A must be nonzero"),
+                ("0.0004,0.01", "-0.125", "single --epsilon"))
+    for cmd in ("manifold", "homoclinic", "soliton"):
+        for eps, A, words in refusals:
+            assert main([cmd, "--epsilon", eps, "--A", A]) == 2, (cmd, eps, A)
+            assert words in capsys.readouterr().err, (cmd, eps, A)
     assert main(["transversality", "--A", "-0.2,-0.13",
                  "--out", str(tmp_path)]) == 2
     assert "two-pairs-complex" in capsys.readouterr().err
-    assert main(["manifold", "--epsilon", "0.0004", "--A", "0.5"]) == 2
-    assert "mixed" in capsys.readouterr().err
 
 
 def test_series_overflow_exits_3(tmp_path, capsys):

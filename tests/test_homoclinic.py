@@ -21,10 +21,10 @@ from dnls_nnn.homoclinic import (
 )
 from dnls_nnn.manifold import (compute_manifold_pair, evaluate_series,
                                rescale_series)
-from dnls_nnn.maps import ModelParams, apply_symmetry
+from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
-from reference import multistart_search
+from reference import apply_symmetry, multistart_search
 
 
 def _matches_reference(point, tol=1e-8):

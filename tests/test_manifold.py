@@ -16,22 +16,26 @@ from dnls_nnn.manifold import (
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
-    load_series,
     pointwise_conjugacy_residual,
     rescale_series,
-    save_series,
     series_from_dict,
     series_jacobian,
     series_to_dict,
 )
-from dnls_nnn.maps import ModelParams, apply_symmetry, map4_apply, map4_inverse
+from dnls_nnn.maps import ModelParams, map4_apply, map4_inverse
 from dnls_nnn.spectral import (
     NonHyperbolicError,
     characteristic_poly,
     solve_reciprocal_quartic,
 )
 
-from reference import cubic_convolution, sequential_gauge, solve_order_block
+from reference import (
+    apply_symmetry,
+    cubic_convolution,
+    map4_jacobian,
+    sequential_gauge,
+    solve_order_block,
+)
 
 P = ModelParams(0.0004, -0.125)
 
@@ -57,6 +61,12 @@ def test_order_one_blocks_are_scaled_eigenvectors(pair_ill):
     h1, h2 = Pu.scale
     assert np.allclose(Pu.coeffs[:, 1, 0], h1 * np.array([1, L1, L1**2, L1**3]),
                        rtol=1e-14)
+    # each order-1 block is an eigenvector of the Jacobian at the origin
+    J = map4_jacobian(np.zeros(4), Ps.params)
+    for w, lam in ((Ps.coeffs[:, 1, 0], l1), (Ps.coeffs[:, 0, 1], l2),
+                   (Pu.coeffs[:, 1, 0], L1), (Pu.coeffs[:, 0, 1], L2)):
+        assert np.max(np.abs(J @ w - lam * w)) \
+            < 1e-10 * max(1.0, abs(lam)) * np.max(np.abs(w))
 
 
 def test_even_total_degree_blocks_vanish(pair_ill):
@@ -329,7 +339,7 @@ def test_lockstep_gauge_matches_sequential_bisection(eps, A):
     assert compute_manifold_pair(ModelParams(eps, A))[0].scale == gauge
 
 
-def test_serialization_round_trip(tmp_path, pair_ill):
+def test_serialization_round_trip(pair_ill):
     Ps, _ = pair_ill
     d = series_to_dict(Ps)
     # zeros are skipped: every stored key has odd total degree
@@ -340,14 +350,10 @@ def test_serialization_round_trip(tmp_path, pair_ill):
     assert np.array_equal(back.coeffs, Ps.coeffs)
     assert back.rates == Ps.rates and back.scale == Ps.scale
     assert back.params == Ps.params and back.branch == Ps.branch
-    path = tmp_path / "series.json"
-    save_series(Ps, path)
-    loaded = load_series(path)
-    assert np.array_equal(loaded.coeffs, Ps.coeffs)
     # the payload is valid JSON with float-exact reprs
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = json.loads(json.dumps(d))
     assert raw["order"] == Ps.order
+    assert np.array_equal(series_from_dict(raw).coeffs, Ps.coeffs)
 
 
 def test_pair_uses_shared_gauge(pair_ill):

@@ -3,19 +3,22 @@ import pytest
 
 from dnls_nnn.maps import (
     ModelParams,
+    as_state,
+    map2_apply,
+    map4_apply,
+    map4_inverse,
+    nonwandering_bound,
+)
+
+from reference import (
     SYMMETRIES,
     apply_symmetry,
-    as_state,
     conjugacy_check_2d,
     fixed_points,
     iterate_orbit,
-    map2_apply,
     map2_inverse,
     map2_jacobian,
-    map4_apply,
-    map4_inverse,
     map4_jacobian,
-    nonwandering_bound,
 )
 
 P = ModelParams(0.0004, -0.125)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dnls_nnn.maps import ModelParams, map4_jacobian, fixed_points
+from dnls_nnn.maps import ModelParams
 from dnls_nnn.spectral import (
     ALL_REAL,
     CRITICAL_A,
@@ -12,8 +12,13 @@ from dnls_nnn.spectral import (
     characteristic_poly,
     classify_eigenvalues,
     discriminant,
-    eigenvectors_at_origin,
     solve_reciprocal_quartic,
+)
+
+from reference import (
+    fixed_points,
+    map4_jacobian,
+    quartic_coefficients,
     sturm_real_root_test,
 )
 
@@ -25,7 +30,7 @@ PRINTED_EIGS = (0.191471, 0.473395, 2.112397, 5.222742)
 
 
 def brute_real_count(q, rtol=1e-7):
-    roots = np.roots(q.coefficients())
+    roots = np.roots(quartic_coefficients(q))
     scale = np.maximum(1.0, np.abs(roots))
     return int(np.sum(np.abs(roots.imag) <= rtol * scale)), roots
 
@@ -36,7 +41,7 @@ def test_quartic_evaluation_matches_polyval():
         a, b = rng.uniform(-10, 10, size=2)
         q = ReciprocalQuartic(a, b)
         x = rng.uniform(-3, 3, size=7)
-        assert np.allclose(q(x), np.polyval(q.coefficients(), x),
+        assert np.allclose(q(x), np.polyval(quartic_coefficients(q), x),
                            rtol=1e-13, atol=1e-12)
 
 
@@ -45,15 +50,15 @@ def test_characteristic_poly_matches_jacobian():
     # polynomial of the actual linearization at each fixed point
     for p in (P, ModelParams(0.01, -0.145), ModelParams(-0.3, 0.25)):
         J = map4_jacobian(np.zeros(4), p)
-        assert np.allclose(np.poly(J),
-                           characteristic_poly(p, "origin").coefficients(),
+        q = characteristic_poly(p, "origin")
+        assert np.allclose(np.poly(J), quartic_coefficients(q),
                            rtol=1e-12, atol=1e-12)
     for p in (P, ModelParams(0.01, -0.145), ModelParams(-0.02, 0.3)):
         if p.epsilon * p.A < 0.0:
             q_nt = characteristic_poly(p, "nontrivial")
             nt = fixed_points(p)[1]
             Jn = map4_jacobian(nt, p)
-            assert np.allclose(np.poly(Jn), q_nt.coefficients(),
+            assert np.allclose(np.poly(Jn), quartic_coefficients(q_nt),
                                rtol=1e-10, atol=1e-12)
         else:
             with pytest.raises(ValueError):
@@ -75,7 +80,7 @@ def test_real_root_test_against_brute_force():
         for b in grid:
             q = ReciprocalQuartic(a, b)
             verdict = sturm_real_root_test(q)
-            roots = np.roots(q.coefficients())
+            roots = np.roots(quartic_coefficients(q))
             rel = np.abs(roots.imag) / np.maximum(1.0, np.abs(roots))
             if verdict is None or np.any((rel > 1e-9) & (rel < 1e-4)):
                 skipped += 1
@@ -138,7 +143,7 @@ def test_discriminant_closed_form_against_root_product():
         for at in ("origin", "nontrivial"):
             p = ModelParams(-0.1 if A > 0 else 0.1, A)
             q = characteristic_poly(p, at)
-            roots = np.roots(q.coefficients())
+            roots = np.roots(quartic_coefficients(q))
             prod = 1.0 + 0.0j
             for i in range(4):
                 for j in range(i + 1, 4):
@@ -177,6 +182,23 @@ def test_solver_root_quality_and_pairing():
     assert np.allclose(np.sort(lams.real), brute, rtol=1e-10)
 
 
+def test_solver_is_accurate_as_A_approaches_zero():
+    # the small pair closes on x = 1: its s-root and its eigenvalue must
+    # follow the closed forms, and the spectrum must stay the hyperbolic
+    # all-real one that classify_eigenvalues reports
+    for A in -np.logspace(-2, -20, 19):
+        es = solve_reciprocal_quartic(characteristic_poly(ModelParams(0.1, A)))
+        assert es.classification == classify_eigenvalues(A) == ALL_REAL, A
+        assert es.hyperbolic, A
+        r = np.sqrt(1.0 + 8.0 * A * (1.0 + A))
+        s = 4.0 * (1.0 + A) / (1.0 + r)
+        d = (4.0 * A - 16.0 * A * (1.0 + A) / (1.0 + r)) / (1.0 + r)  # s - 2
+        l2 = es.lambda2.real
+        assert l2 + 1.0 / l2 == pytest.approx(s, rel=1e-15), A
+        lam2 = 1.0 + d / 2.0 - np.sqrt(d * (4.0 + d)) / 2.0
+        assert l2 == pytest.approx(lam2, rel=1e-15), A
+
+
 def test_stable_pair_is_inside_unit_circle():
     es = solve_reciprocal_quartic(characteristic_poly(P, "origin"))
     l1, l2 = es.stable_pair()
@@ -195,18 +217,3 @@ def test_solver_handles_complex_classes():
     assert es2.classification == TWO_PAIRS_COMPLEX
     # complex eigenvalues of a reciprocal quartic: still reciprocal-paired
     assert abs(es2.lambda1 * es2.lambda3 - 1.0) < 1e-10
-
-
-def test_eigenvectors_satisfy_eigenproblem():
-    es = eigenvectors_at_origin(
-        P, solve_reciprocal_quartic(characteristic_poly(P, "origin")))
-    J = map4_jacobian(np.zeros(4), P)
-    for lam, w in ((es.lambda1, es.w1), (es.lambda2, es.w2),
-                   (es.lambda3, es.w3), (es.lambda4, es.w4)):
-        assert w is not None
-        assert np.max(np.abs(J @ w - lam * w)) < 1e-10 * max(1.0, abs(lam))
-    with pytest.raises(NonHyperbolicError):
-        eigenvectors_at_origin(
-            ModelParams(0.1, 1.0),
-            solve_reciprocal_quartic(
-                characteristic_poly(ModelParams(0.1, 1.0), "origin")))
