@@ -24,6 +24,7 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +235,25 @@ def _single_cell(cfg):
     return ModelParams(cfg.epsilon[0], cfg.A[0])
 
 
-def _require_manifold_domain(A):
+def _refuse_overflow(p, at, *values):
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"A={p.A!r} puts the {at} spectrum outside "
+                         "double range")
+
+
+def _spectrum(p, at):
+    """Characteristic quartic and eigen system of one fixed point, refused
+    where an eigenvalue leaves double range (1/A squared overflows for
+    |A| below about 1e-154)."""
+    q = characteristic_poly(p, at=at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        es = solve_reciprocal_quartic(q)
+    _refuse_overflow(p, at, es.lambda1, es.lambda2, es.lambda3, es.lambda4)
+    return q, es
+
+
+def _require_manifold_domain(p):
+    A = p.A
     if A == 0.0:
         raise UsageError("A must be nonzero: the map is 4-d only for A != 0")
     kind = classify_eigenvalues(A, at="origin")
@@ -244,13 +263,14 @@ def _require_manifold_domain(A):
             f"is '{kind}' there, and the manifold construction needs four "
             "real hyperbolic eigenvalues"
         )
+    _spectrum(p, "origin")
 
 
 def _series_pair(cfg):
     """(Ps, Pu) of the single cell of cfg, refused outside the manifold
     domain, at the --box gauge or the automatic one."""
     p = _single_cell(cfg)
-    _require_manifold_domain(p.A)
+    _require_manifold_domain(p)
     scale = _float_list(cfg.box) if cfg.box else None
     if scale is not None and (len(scale) != 2 or 0.0 in scale):
         raise UsageError("--box must be a nonzero pair 'g1,g2'")
@@ -293,17 +313,13 @@ def cmd_eigen(cfg):
         if at == "nontrivial" and eps * A >= 0.0:
             payload[at] = None
             continue
-        q = characteristic_poly(p, at=at)
-        with np.errstate(over="ignore", invalid="ignore"):
-            es = solve_reciprocal_quartic(q)
+        q, es = _spectrum(p, at)
         lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
         try:
             disc = discriminant(p, at=at)
         except (ZeroDivisionError, OverflowError):  # A**5 left double range
             disc = np.inf
-        if not np.all(np.isfinite([disc, *lams])):
-            raise UsageError(f"A={A!r} puts the {at} spectrum outside "
-                             "double range")
+        _refuse_overflow(p, at, disc)
         entry = {
             "quartic": {"a": q.a, "b": q.b},
             "classification": es.classification,
@@ -405,7 +421,7 @@ def cmd_transversality(cfg):
     if len(cfg.epsilon) != 1:
         raise UsageError("transversality sweeps A at a single --epsilon")
     for A in cfg.A:
-        _require_manifold_domain(A)
+        _require_manifold_domain(ModelParams(cfg.epsilon[0], A))
     cells = _scan(cfg)
     missing = [c for c in cells if not c.found]
     if missing:
@@ -478,6 +494,8 @@ def cmd_portrait(cfg):
             raise UsageError("--box must be a single positive half-width "
                              "for portrait")
         half = pair[0]
+    if 0.0 in cfg.epsilon:  # checked before any file is written
+        raise UsageError("epsilon must be nonzero")
     g = np.linspace(-half, half, cfg.seeds)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     outdir = _outdir(cfg)
@@ -485,8 +503,6 @@ def cmd_portrait(cfg):
     manifest = {"steps": PORTRAIT_STEPS, "stride": stride,
                 "files": [], "summary": []}
     for eps in cfg.epsilon:
-        if eps == 0.0:
-            raise UsageError("epsilon must be nonzero")
         p = ModelParams(eps, 0.0)
         orbits = portrait_2d(p, seeds, steps=PORTRAIT_STEPS)
         fname = f"portrait_eps{eps:g}.csv"
@@ -494,11 +510,14 @@ def cmd_portrait(cfg):
             w = csv.writer(fh)
             w.writerow(["seed_index", "step", "x", "y"])
             for i, orb in enumerate(orbits):
+                # every stride-th step and the last; csv writes floats
+                # as repr
                 last = len(orb.points) - 1
-                kept = sorted(set(range(0, last + 1, stride)) | {last})
-                for k in kept:
-                    x, y = orb.points[k]
-                    w.writerow([i, k, repr(float(x)), repr(float(y))])
+                kept = np.arange(0, last + 1, stride)
+                if kept[-1] != last:
+                    kept = np.append(kept, last)
+                x, y = orb.points[kept].T.tolist()
+                w.writerows(zip(repeat(i), kept.tolist(), x, y))
         escaped = sum(o.escaped for o in orbits)
         manifest["files"].append(fname)
         manifest["summary"].append({

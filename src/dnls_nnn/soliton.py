@@ -28,7 +28,7 @@ import numpy as np
 
 from .homoclinic import HomoclinicSolution
 from .manifold import ManifoldSeries, evaluate_series
-from .maps import ModelParams, map2_apply, nonwandering_bound
+from .maps import ModelParams, as_state, nonwandering_bound
 
 __all__ = [
     "SolitonProfile",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 FLOOR = 1e-14
+BLOCK = 64  # portrait steps between escape tests
 
 
 class ProfileError(RuntimeError):
@@ -161,39 +162,58 @@ class Orbit2D:
 def portrait_2d(p: ModelParams, seeds, steps=10000):
     """Iterate the 2-d map from many seeds at once.
 
-    A seed escapes when its orbit leaves ten times the non-wandering ball
-    (such orbits blow up in a handful of further steps) or goes non-finite;
-    its stored orbit stops at the escape step.  Returns one Orbit2D per
-    seed, in seed order.
+    The map f0(x, y) = (y, -x + 2 y - y^3/eps) is a shift register, so all
+    orbits are run as the scalar recurrence
+
+        s_{k+1} = -s_{k-1} + 2 s_k - s_k^3/eps,    (s_0, s_1) = seed,
+
+    on one (steps + 2, nseed) array, with the operations in map2_apply's
+    order: point k of an orbit is (s_k, s_{k+1}), bit for bit the k-th
+    iterate of map2_apply.  The seeds are validated once (as_state: real,
+    finite, two components); steps must be non-negative.
+
+    A seed escapes at the first step k >= 1 whose point has sup-norm above
+    ten times the non-wandering bound, or is non-finite (such orbits blow
+    up in a handful of further steps); its stored orbit stops there, and
+    a non-finite escape point is dropped.  Escaped columns are iterated on
+    unmasked (they overflow to inf/nan and are never read).  Escapes are
+    found over blocks of BLOCK steps, and iteration stops after the block
+    in which the last seed escapes.  Returns one Orbit2D per seed, in seed
+    order.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[-1] != 2:
-        raise ValueError("seeds must have two components")
+    seeds = as_state(np.atleast_2d(seeds), 2)
     steps = int(steps)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     limit = 10.0 * nonwandering_bound(p, dim=2)
+    eps = p.epsilon
     nseed = seeds.shape[0]
-    alive = np.ones(nseed, dtype=bool)
-    esc = np.zeros(nseed, dtype=bool)
-    cut = np.full(nseed, steps)  # index of each seed's last stored point
-    trail = np.empty((steps + 1, nseed, 2))
-    trail[0] = seeds
-    x = seeds.copy()
+    s = np.empty((steps + 2, nseed))
+    s[:2] = seeds.T
+    # first j >= 1 with |s_j| above the limit or non-finite; point k holds
+    # s_k and s_{k+1}, so the escape step is max(1, j - 1)
+    never = steps + 2
+    first_bad = np.full(nseed, never)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            x[alive] = map2_apply(x[alive], p)
-            trail[k] = x  # rows of dead seeds are stale but never read
-            sup = np.max(np.abs(x), axis=-1)
-            bad = alive & (~np.isfinite(sup) | (sup > limit))
-            cut[bad] = k
-            esc |= bad
-            alive &= ~bad
-            if not alive.any():
+        for lo in range(0, steps, BLOCK):
+            hi = min(lo + BLOCK, steps)
+            for k in range(lo, hi):
+                x, y = s[k], s[k + 1]
+                s[k + 2] = -x + 2.0 * y - y * y * y / eps
+            # rows lo+1 .. hi+1; row lo+1 was already tested unless lo = 0
+            bad = ~(np.abs(s[lo + 1:hi + 2]) <= limit)
+            hit = bad.any(axis=0) & (first_bad == never)
+            first_bad[hit] = lo + 1 + bad[:, hit].argmax(axis=0)
+            if np.all(first_bad < never):
                 break
+    escaped = first_bad < never
+    cut = np.where(escaped, np.maximum(first_bad - 1, 1), steps)
     out = []
     for i in range(nseed):
-        pts = trail[: cut[i] + 1, i].copy()
-        if esc[i] and not np.all(np.isfinite(pts[-1])):
+        n = cut[i] + 1
+        pts = np.stack((s[:n, i], s[1:n + 1, i]), axis=-1)
+        if escaped[i] and not np.all(np.isfinite(pts[-1])):
             pts = pts[:-1]  # keep only finite states in the stored orbit
         out.append(Orbit2D(seed=seeds[i].copy(), points=pts,
-                           escaped=bool(esc[i])))
+                           escaped=bool(escaped[i])))
     return out

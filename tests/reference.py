@@ -1,8 +1,9 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, a long-double grid evaluator, the gauge policy with
-one log-bisection at a time, and a multistart homoclinic search that
-polishes the full 4-d matching system without the reversor that
-symmetric_search reduces the problem with.
+one log-bisection at a time, a multistart homoclinic search that polishes
+the full 4-d matching system without the reversor that symmetric_search
+reduces the problem with, and the phase portrait stepped one masked
+map2_apply call at a time.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d inverse,
@@ -41,6 +42,7 @@ from dnls_nnn.maps import (
     map4_inverse,
     nonwandering_bound,
 )
+from dnls_nnn.soliton import Orbit2D
 from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
 
 
@@ -162,6 +164,39 @@ def iterate_orbit(s, p: ModelParams, n, direction="forward"):
                 escaped = True
                 break
     return np.array(out), escaped
+
+
+def reference_portrait(p: ModelParams, seeds, steps=10000):
+    """portrait_2d one masked map2_apply step at a time: the live seeds
+    are stepped through the public map and tested after every step."""
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    limit = 10.0 * nonwandering_bound(p, dim=2)
+    nseed = seeds.shape[0]
+    alive = np.ones(nseed, dtype=bool)
+    esc = np.zeros(nseed, dtype=bool)
+    cut = np.full(nseed, steps)  # index of each seed's last stored point
+    trail = np.empty((steps + 1, nseed, 2))
+    trail[0] = seeds
+    x = seeds.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            x[alive] = map2_apply(x[alive], p)
+            trail[k] = x  # rows of dead seeds are stale but never read
+            sup = np.max(np.abs(x), axis=-1)
+            bad = alive & (~np.isfinite(sup) | (sup > limit))
+            cut[bad] = k
+            esc |= bad
+            alive &= ~bad
+            if not alive.any():
+                break
+    out = []
+    for i in range(nseed):
+        pts = trail[: cut[i] + 1, i].copy()
+        if esc[i] and not np.all(np.isfinite(pts[-1])):
+            pts = pts[:-1]
+        out.append(Orbit2D(seed=seeds[i].copy(), points=pts,
+                           escaped=bool(esc[i])))
+    return out
 
 
 def conjugacy_check_2d(s, p: ModelParams):

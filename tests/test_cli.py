@@ -1,12 +1,16 @@
 import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from dnls_nnn.cli import main
+from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
+from reference import reference_portrait
 
 
 def read_json(path):
@@ -108,13 +112,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # then underflows to zero)
         *(["eigen", "--epsilon", "0.0004", "--A", A, "--out", str(tmp_path)]
           for A in ("-1e-62", "-1e-70")),
+        # inside the real window by classification, but 1/A squared
+        # overflows in the spectrum solve
+        ["homoclinic", "--epsilon", "0.0004", "--A", "-1e-200",
+         "--out", str(tmp_path)],
     ]
-    for argv in cases:
-        assert main(argv) == 2, argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv in cases:
+            assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert "error:" in err
     assert "A=-1e-62" in err and "A=-1e-70" in err
+    assert "A=-1e-200 puts the origin spectrum outside double range" in err
     assert not (tmp_path / "eigen.json").exists()
+    assert not (tmp_path / "homoclinic.json").exists()
 
 
 def test_seeds_is_resolved_for_portrait_only(tmp_path):
@@ -296,3 +308,32 @@ def test_numerical_failure_outranks_value_error(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "eigen", fail)
     assert main(["eigen", "--epsilon", "0.0004", "--A", "-0.125"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_portrait_csv_matches_the_reference_rows(tmp_path):
+    rc = main(["portrait", "--epsilon", "-0.1,0.1", "--seeds", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    g = np.linspace(-0.1, 0.1, 3)
+    seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    for eps in (-0.1, 0.1):
+        # one writerow per kept point, as the writer did before it wrote
+        # each orbit in bulk
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["seed_index", "step", "x", "y"])
+        orbits = reference_portrait(ModelParams(eps, 0.0), seeds, 10000)
+        for i, orb in enumerate(orbits):
+            last = len(orb.points) - 1
+            for k in sorted(set(range(0, last + 1, 10)) | {last}):
+                x, y = orb.points[k]
+                w.writerow([i, k, repr(float(x)), repr(float(y))])
+        with open(tmp_path / f"portrait_eps{eps:g}.csv", newline="") as fh:
+            assert fh.read() == buf.getvalue()
+
+
+def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):
+    assert main(["portrait", "--epsilon", "0.1,0", "--seeds", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert "epsilon must be nonzero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

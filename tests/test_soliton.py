@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from dnls_nnn import soliton
 from dnls_nnn.homoclinic import HomoclinicSolution
 from dnls_nnn.maps import ModelParams, map2_apply
 from dnls_nnn.soliton import (
@@ -12,6 +13,8 @@ from dnls_nnn.soliton import (
     mirror_defect,
     portrait_2d,
 )
+
+from reference import reference_portrait
 
 PEAK_REF = 1.327385e-2  # largest site amplitude at eps=4e-4, A=-1/8
 LAMBDA2 = 0.47339771836588446  # slow stable rate at A=-1/8
@@ -124,3 +127,55 @@ def test_portrait_seed_validation():
     assert len(orbits) == 1 and orbits[0].points.shape == (11, 2)
     with pytest.raises(ValueError):
         portrait_2d(p, [[0.1, 0.2, 0.3]], steps=10)
+    # the seeds are validated once, not at every map2_apply step
+    for bad in ([[0.01, np.nan]], [[np.inf, 0.0]], [[0.01 + 1e-3j, 0.02]]):
+        with pytest.raises(ValueError):
+            portrait_2d(p, bad, steps=10)
+    with pytest.raises(ValueError):
+        portrait_2d(p, [[0.01, 0.02]], steps=-1)
+    (orb,) = portrait_2d(p, [[0.01, 0.02]], steps=0)
+    assert np.array_equal(orb.points, [[0.01, 0.02]]) and not orb.escaped
+
+
+def _grid(half, n):
+    g = np.linspace(-half, half, n)
+    return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("eps, seeds", [
+    (-0.1, _grid(0.1, 11)),
+    (0.1, _grid(0.1, 11)),
+    # escapes at many different steps, some through a non-finite point
+    (-0.3, _grid(0.4, 17)),
+    (0.05, _grid(0.4, 17)),
+    (1.7, _grid(0.4, 17)),
+    # every seed escapes within the first block
+    (-0.1, _grid(0.1, 4)),
+    # escapes at step 1, through a finite point and through a dropped
+    # non-finite one (y^3 overflows)
+    (0.1, [[1e200, 0.0], [0.0, 1e100], [0.0, 1e103], [0.0, 1e200]]),
+])
+def test_portrait_matches_masked_reference(eps, seeds):
+    p = ModelParams(eps, 0.0)
+    fast = portrait_2d(p, seeds, steps=10000)
+    ref = reference_portrait(p, seeds, steps=10000)
+    assert len(fast) == len(ref) == len(seeds)
+    for f, r in zip(fast, ref):
+        assert f.escaped == r.escaped
+        assert f.points.shape == r.points.shape
+        assert np.array_equal(f.points, r.points)  # bit for bit
+        assert np.array_equal(f.seed, r.seed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_portrait_escapes_across_block_edges(monkeypatch, block):
+    # short blocks put block edges on the escape steps (2 to 21 here), and
+    # short runs put escapes on the last step
+    monkeypatch.setattr(soliton, "BLOCK", block)
+    p = ModelParams(-0.3, 0.0)
+    seeds = _grid(0.4, 17)
+    for steps in (2, 3, 5, 40):
+        for f, r in zip(portrait_2d(p, seeds, steps=steps),
+                        reference_portrait(p, seeds, steps=steps)):
+            assert f.escaped == r.escaped
+            assert np.array_equal(f.points, r.points)
