@@ -24,7 +24,6 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -507,17 +506,17 @@ def cmd_portrait(cfg):
         orbits = portrait_2d(p, seeds, steps=PORTRAIT_STEPS)
         fname = f"portrait_eps{eps:g}.csv"
         with open(outdir / fname, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seed_index", "step", "x", "y"])
+            # the excel-dialect CSV text, floats as repr; one write per orbit
+            fh.write("seed_index,step,x,y\r\n")
             for i, orb in enumerate(orbits):
-                # every stride-th step and the last; csv writes floats
-                # as repr
+                # every stride-th step and the last
                 last = len(orb.points) - 1
                 kept = np.arange(0, last + 1, stride)
                 if kept[-1] != last:
                     kept = np.append(kept, last)
                 x, y = orb.points[kept].T.tolist()
-                w.writerows(zip(repeat(i), kept.tolist(), x, y))
+                fh.write("".join(f"{i},{k},{a!r},{b!r}\r\n"
+                                 for k, a, b in zip(kept.tolist(), x, y)))
         escaped = sum(o.escaped for o in orbits)
         manifest["files"].append(fname)
         manifest["summary"].append({

@@ -30,7 +30,8 @@ unit gauge, and every gauge -- explicit or automatic -- is reached by that
 rescaling.  The default gauge is chosen so that the truncation is
 trustworthy on the whole unit box [-1, 1]^2 -- largest box with conjugacy
 residual below a target -- subject to maximizing the covered parameter
-area; see _default_gauge.
+area; see _default_gauge.  Its probes read half the box (the residual is
+even), and its bisections stop once they cannot change the pick.
 
 The unstable series is transported, not recomputed.  The reversor
 sigma5(x, y, z, w) = (w, z, y, x) conjugates f to its inverse, and reversing
@@ -298,17 +299,23 @@ def _probe_residuals(W, gu, l1, params):
     gq = np.empty(gu.shape + (2 * V,))
     gq[..., :V] = gu[..., None]
     gq[..., V:] = (l1 * gu)[..., None]
-    PQ = np.moveaxis(_horner_u(W, gq), 1, -1)  # (U, R, 2V, 4)
-    P, Q = PQ[:, :, :V], PQ[:, :, V:]
-    finite = np.all(np.isfinite(P), axis=(0, 2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
+        PQ = np.moveaxis(_horner_u(W, gq), 1, -1)  # (U, R, 2V, 4)
+        P, Q = PQ[:, :, :V], PQ[:, :, V:]
+        finite = np.all(np.isfinite(P), axis=(0, 2, 3))
+        P[:, ~finite] = 0.0  # map4_apply admits finite states only
         F = map4_apply(P, params)
         r = np.max(np.linalg.norm(F - Q, axis=-1), axis=(0, 2))
     return np.where(finite, r, np.inf)
 
 
 def _stable_eigensystem(p: ModelParams):
-    es = solve_reciprocal_quartic(characteristic_poly(p, "origin"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        es = solve_reciprocal_quartic(characteristic_poly(p, "origin"))
+    if not np.all(np.isfinite([es.lambda1, es.lambda2, es.lambda3, es.lambda4])):
+        # 1/A squared overflows for |A| below about 1e-154
+        raise ValueError(f"A={p.A!r} puts the origin spectrum outside "
+                         "double range")
     if not es.hyperbolic or es.classification != ALL_REAL:
         raise NonHyperbolicError(
             "manifold construction needs four real hyperbolic eigenvalues; "
@@ -343,23 +350,49 @@ def _log_bisect(cap, refine=25):
     return lo
 
 
-def _lockstep(count, cap, resid, tau):
-    """Run `count` log-bisections side by side.  Each round hands the
-    pending probes of all unfinished searches to resid(keys, ts) at once;
-    it returns their residuals.  Returns each search's limit."""
-    searches = [_log_bisect(cap) for _ in range(count)]
+def _lockstep(cap, extents, resid, tau):
+    """Pick the gauge rule's winner among log-bisections run side by side.
+
+    Search k bisects its limit t_k for the fixed extent g_k; the rule picks
+    the first k (in the given order) whose area t_k * g_k is >= 0.9 times
+    the largest area.  Returns (k, t_k), or None if every search ends
+    without a passing probe.  Each round hands the pending probes of all
+    searches still in contention to resid(keys, ts) at once; it returns
+    their residuals.  A search whose largest passing probe so far is lo and
+    smallest failing one hi ends in [lo, hi), whatever the residual's
+    shape, so lo * g <= t * g <= hi * g in the rule's own float products.
+    After each round a search drops out once hi * g < 0.9 * max(lo * g):
+    it cannot win.  Once the first search standing has lo * g >= 0.9 *
+    max(hi * g), it is the winner and finishes alone.
+    """
+    searches = [_log_bisect(cap) for _ in extents]
     probes = {k: next(s) for k, s in enumerate(searches)}
-    found = [None] * count
+    lo = [0.0] * len(extents)
+    hi = [np.inf] * len(extents)
+    live = list(probes)
     while probes:
         keys = list(probes)
         passed = resid(keys, np.array([probes[k] for k in keys])) <= tau
         for k, ok in zip(keys, passed.tolist()):
+            if ok:
+                lo[k] = probes[k]
+            else:
+                hi[k] = probes[k]
             try:
                 probes[k] = searches[k].send(ok)
             except StopIteration as stop:
-                found[k] = stop.value
                 del probes[k]
-    return found
+                if stop.value is None:
+                    live.remove(k)
+                else:
+                    lo[k] = hi[k] = stop.value
+        floor = 0.9 * max((lo[k] * extents[k] for k in live), default=0.0)
+        live = [k for k in live if hi[k] * extents[k] >= floor]
+        if live and lo[live[0]] * extents[live[0]] >= 0.9 * max(
+                hi[k] * extents[k] for k in live):
+            live = live[:1]
+        probes = {k: probes[k] for k in live if k in probes}
+    return (live[0], lo[live[0]]) if live else None
 
 
 def _default_gauge(unit: ManifoldSeries, tau):
@@ -368,17 +401,27 @@ def _default_gauge(unit: ManifoldSeries, tau):
     Two-stage log-bisection: the v-extent is first pushed to its residual
     cliff along the v-edge, then for a descending ladder of v-extents the
     u-extent is bisected against the full-box residual; the pair maximizing
-    covered area wins (largest v among near-ties).  Residual level sets in
-    the two parameters are strongly anisotropic and the trade-off between
-    them is not monotone, so neither single-edge criterion alone is safe.
-    Every probe is a grid residual of the unit-gauge stable series.  A rung
-    of the ladder fixes the v-grid, so the v-stages of all twelve rungs are
-    computed once, in one call; the rungs are then bisected in lockstep,
-    each round evaluating every unfinished rung's probe, P rows and Q rows
-    together, in one stacked u-stage.  The edge bisection runs through the
-    same driver with one probe per round (its v-grid moves, its u-grid is
-    u = 0, which reads row n = 0 only).  Each rung sees the probes and the
-    bits it would see alone.
+    covered area wins (largest v among near-ties: the first rung whose area
+    is >= 0.9 of the largest).  Residual level sets in the two parameters
+    are strongly anisotropic and the trade-off between them is not
+    monotone, so neither single-edge criterion alone is safe.
+
+    Every probe is a grid residual of the unit-gauge stable series, on
+    17 x 33 points of the box.  P and map4_apply are exactly odd and both
+    grids are exactly symmetric (steps 1/8 and 1/16 times one factor), so
+    the residual at (-u, -v) is the one at (u, v) bit for bit: a rung probe
+    evaluates the rows u >= 0 only (9 of 17), with the full grid's max and
+    finiteness.  A rung of the ladder fixes the v-grid, so the v-stages of
+    all twelve rungs are computed once, in one call; _lockstep then bisects
+    the rungs side by side, each round evaluating every rung still in
+    contention (P rows and Q rows together) in one stacked u-stage, and
+    stops bisecting a rung as soon as the [lo, hi) bounds on the areas show
+    it cannot be the rule's pick.  The pruning is the 0.9 rule restated on
+    those bounds: a change to the rule must change _lockstep with it.  The
+    edge bisection runs through the same driver as a single search (its
+    v-grid moves, its u-grid is u = 0, which reads row n = 0 only).  Each
+    rung sees the probes and the bits it would see alone, so the gauge is
+    the one of bisecting every rung to the end on the full grid.
     """
     p = unit.params
     l1, l2 = unit.rates
@@ -391,10 +434,11 @@ def _default_gauge(unit: ManifoldSeries, tau):
         W = _horner_v(row0, np.concatenate([gv, l2 * gv]))
         return _probe_residuals(W[:, :, None], np.zeros((1, 1)), l1, p)
 
-    (g2max,) = _lockstep(1, cap, edge, tau)
-    if g2max is None:
+    found = _lockstep(cap, [1.0], edge, tau)
+    if found is None:
         raise GaugeError("no v-extent meets the residual target")
-    eu = np.linspace(-1.0, 1.0, 17)
+    g2max = found[1]
+    eu = np.linspace(0.0, 1.0, 9)  # rows u >= 0 of linspace(-1, 1, 17)
     ev = np.linspace(-1.0, 1.0, 33)
     ladder = np.geomspace(g2max / 30.0, g2max, 12)[::-1]
     gv = ev[None, :] * ladder[:, None]
@@ -404,25 +448,20 @@ def _default_gauge(unit: ManifoldSeries, tau):
     live = list(range(ladder.size))
 
     def rungs(keys, ts):
-        # finished rungs drop out: the v-stages of the live ones move to the
-        # front in place (keys is an ordered subsequence of live), so no
-        # round copies W
+        # rungs out of contention drop out: the v-stages of the others move
+        # to the front in place (keys is an ordered subsequence of live), so
+        # no round copies W
         for j, k in enumerate(keys):
             if live[j] != k:
                 W[:, :, j] = W[:, :, live.index(k)]
         live[:] = keys
         return _probe_residuals(W[:, :, :len(keys)], eu[:, None] * ts, l1, p)
 
-    table = [(g1 * g2, g1, g2)
-             for g1, g2 in zip(_lockstep(ladder.size, cap, rungs, tau), ladder)
-             if g1 is not None]
-    if not table:
+    found = _lockstep(cap, ladder, rungs, tau)
+    if found is None:
         raise GaugeError("no u-extent meets the residual target")
-    amax = max(row[0] for row in table)
-    for area, g1, g2 in table:  # ladder is v-descending: first near-tie = largest v
-        if area >= 0.9 * amax:
-            return float(g1), float(g2)
-    raise GaugeError("gauge selection failed")  # pragma: no cover
+    k, g1 = found
+    return float(g1), float(ladder[k])
 
 
 def _rescale_table(C, f1, f2):

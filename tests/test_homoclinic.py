@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -194,6 +195,15 @@ def test_scan_records_errors_and_continues():
     assert good.found and good.best_residual <= 1e-10
     assert good.solution.det is not None and abs(good.solution.det) > 1e-6
     assert _matches_reference(good.solution.point)
+
+
+def test_scan_refuses_a_spectrum_outside_double_range():
+    # 1/A squared overflows: the cell names the range, not a spectrum type
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (cell,) = scan_parameters([0.0004], [-1e-200])
+    assert not cell.found
+    assert "double range" in cell.error and "complex" not in cell.error
 
 
 def test_scan_empty_when_no_intersection_exists():

@@ -13,6 +13,8 @@ from dnls_nnn.manifold import (
     SeriesOverflowError,
     _build_coeffs,
     _default_gauge,
+    _horner_v,
+    _lockstep,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
@@ -29,6 +31,7 @@ from dnls_nnn.spectral import (
     solve_reciprocal_quartic,
 )
 
+from reference import _log_bisect as log_bisect
 from reference import (
     apply_symmetry,
     cubic_convolution,
@@ -329,14 +332,132 @@ def test_gauge_policy_failure_is_reported(monkeypatch):
 
 
 @pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.145),
-                                    (-0.5, -0.145), (1.0, -0.13)])
+                                    (-0.5, -0.145), (1.0, -0.13),
+                                    (0.1, -0.145), (-0.5, -0.13)])
 def test_lockstep_gauge_matches_sequential_bisection(eps, A):
-    # lockstep rungs change how probes are batched, never their bits; at
-    # (1.0, -0.13) the chosen rung outlives others, so its v-stage has moved
+    # lockstep rungs on half the box change how probes are batched and how
+    # many are made, never their bits; at (1.0, -0.13) the chosen rung
+    # outlives others, so its v-stage has moved
     unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
     gauge = _default_gauge(unit, GAUGE_RESIDUAL)
     assert gauge == sequential_gauge(unit, GAUGE_RESIDUAL)
     assert compute_manifold_pair(ModelParams(eps, A))[0].scale == gauge
+
+
+def test_gauge_rungs_probe_half_the_box_and_stop_early(monkeypatch):
+    unit, _ = compute_manifold_pair(ModelParams(1.0, -0.145),
+                                    scale=(1.0, 1.0))
+    grids = []
+    real = manifold._probe_residuals
+
+    def spy(W, gu, l1, params):
+        grids.append(gu.copy())
+        return real(W, gu, l1, params)
+
+    monkeypatch.setattr(manifold, "_probe_residuals", spy)
+    _default_gauge(unit, GAUGE_RESIDUAL)
+    assert all(np.all(gu >= 0.0) for gu in grids)
+    rungs = [gu for gu in grids if gu.shape[0] > 1]  # the edge probes u = 0
+    assert all(gu.shape[0] == 9 for gu in rungs)
+    # bisecting all twelve rungs to the end takes 323 probes here
+    assert sum(gu.shape[1] for gu in rungs) < 100
+
+
+def test_gauge_without_a_passing_rung_is_reported(monkeypatch):
+    real = manifold._probe_residuals
+
+    def no_rung_passes(W, gu, l1, params):
+        r = real(W, gu, l1, params)
+        return r if gu.shape[0] == 1 else np.full_like(r, np.inf)
+
+    monkeypatch.setattr(manifold, "_probe_residuals", no_rung_passes)
+    unit, _ = compute_manifold_pair(P, order=20, scale=(1.0, 1.0))
+    with pytest.raises(GaugeError, match="^no u-extent meets the residual "
+                                         "target$"):
+        _default_gauge(unit, GAUGE_RESIDUAL)
+
+
+def test_probe_residuals_read_an_overflowing_probe_as_inf():
+    unit, _ = compute_manifold_pair(P, order=20, scale=(1.0, 1.0))
+    l1, l2 = unit.rates
+    gv = np.linspace(-1.0, 1.0, 5) * 1e-3
+    W = _horner_v(unit.coeffs, np.concatenate([gv, l2 * gv]))
+    W = np.stack([W, W], axis=2)  # two probes on one v-grid
+    gu = np.linspace(0.0, 1.0, 3)[:, None] * np.array([1e-3, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = manifold._probe_residuals(W, gu, l1, P)
+        alone = manifold._probe_residuals(W[:, :, :1], gu[:, :1], l1, P)
+    assert np.isfinite(r[0]) and r[0] == alone[0]
+    assert r[1] == np.inf
+
+
+def _passes_between(rng, cap, cuts):
+    """t -> whether t passes, flipping at `cuts` random points in log t:
+    a pass/fail pattern with no monotonicity."""
+    edges = np.sort(cap * np.exp(-rng.uniform(0.0, 35.0, cuts)))
+    small_passes = bool(rng.integers(2))
+    return lambda t: (int(np.searchsorted(edges, t)) % 2 == 0) == small_passes
+
+
+def _rule_on_full_bisections(cap, extents, tests):
+    """The gauge rule on every search bisected to the end on its own."""
+    table = []
+    for k, (g, ok) in enumerate(zip(extents, tests)):
+        t = log_bisect(lambda t: 0.0 if ok(t) else 1.0, cap, 0.5)
+        if t is not None:
+            table.append((t * g, k, t))
+    if not table:
+        return None
+    amax = max(row[0] for row in table)
+    return next((k, t) for area, k, t in table if area >= 0.9 * amax)
+
+
+def _lockstep_on(cap, extents, tests):
+    def resid(keys, ts):
+        return np.array([0.0 if tests[k](t) else 1.0
+                         for k, t in zip(keys, ts.tolist())])
+
+    return _lockstep(cap, extents, resid, 0.5)
+
+
+def test_lockstep_pruning_picks_the_rules_winner():
+    rng = np.random.default_rng(2024)
+    cap = 256.0 * np.sqrt(0.3)
+    ladder = np.geomspace(1.0 / 30.0, 1.0, 12)[::-1]
+    for _ in range(300):
+        extents = ladder * rng.uniform(0.5, 50.0)
+        tests = [_passes_between(rng, cap, int(rng.integers(0, 5)))
+                 for _ in extents]
+        assert _lockstep_on(cap, extents, tests) == \
+            _rule_on_full_bisections(cap, extents, tests)
+
+
+def test_lockstep_pruning_edge_cases():
+    rng = np.random.default_rng(7)
+
+    def never(t):
+        return False
+
+    def always(t):
+        return True
+
+    bumpy = _passes_between(rng, 1.0, 3)
+    t1 = log_bisect(lambda t: 0.0 if bumpy(t) else 1.0, 1.0, 0.5)
+    assert t1 is not None and t1 < 1.0
+    # rung 0 passes at cap = 1 with an area exactly at 0.9 * amax; one ulp
+    # less and the bisected rung 1 wins
+    tie = 0.9 * (t1 * 2.0)
+    cases = [
+        ([tie, 2.0], [always, bumpy], (0, 1.0)),
+        ([np.nextafter(tie, 0.0), 2.0], [always, bumpy], (1, t1)),
+        ([3.0, 2.0], [never, bumpy], (1, t1)),
+        ([3.0, 2.0], [never, never], None),
+        ([3.0, 2.0, 1.0], [always, always, always], (0, 1.0)),
+    ]
+    for extents, tests, want in cases:
+        assert _rule_on_full_bisections(1.0, extents, tests) == want, extents
+        assert _lockstep_on(1.0, extents, tests) == want, extents
 
 
 def test_serialization_round_trip(pair_ill):
