@@ -20,7 +20,8 @@ where the 2-d Newton leaves it, on both series at once.  Roots are
 deduplicated in (u, v) modulo sign first, so each is certified once, and
 its mirror image is the sign flip.
 
-The polish runs a batched damped-Newton engine with a strict failure
+The polish is batched Newton whose steps are capped at STEP_CAP in
+sup-norm, one Jacobian evaluation per iteration, with a strict failure
 taxonomy (singular-jacobian / left-box / no-convergence).  Transversality
 of a certified intersection is measured by the determinant of the four
 tangent columns [dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2], stored as its
@@ -65,7 +66,11 @@ CENSUS = 321  # census grid points per axis of the unit box
 TRIVIAL_NORM = 1e-6
 DEDUPE_TOL = 1e-8  # roots this close in (u, v), modulo sign, are one root
 
-# damped-Newton status codes
+# Newton: sup-norm cap on a step (a tenth of the unit box), convergence
+# tolerance on the step, iteration budget, and the status codes
+STEP_CAP = 0.1
+TOL_STEP = 1e-13
+MAX_ITER = 50
 _RUNNING, _CONVERGED, _SINGULAR, _LEFT_BOX, _NO_CONV = -1, 0, 1, 2, 3
 
 
@@ -121,90 +126,52 @@ class FitResult:
     ill_conditioned: bool
 
 
-def _damped_newton_batch(fun, fun_jac, X0, *, box_limit=None, tol_step=1e-13,
-                         max_iter=50, max_halvings=20):
-    """Damped Newton on a batch of square systems.
+def _damped_newton_batch(fun_jac, X0, *, box_limit=np.inf):
+    """Newton on a batch of square systems, each step capped at STEP_CAP.
 
-    fun(X) -> G and fun_jac(X) -> (G, J) are evaluated on (P, d) batches;
-    after the first call, fun_jac sees only the rows that just moved.
-    A step is accepted only if it strictly decreases ||G||; the step is
-    halved up to max_halvings times otherwise.  Per-point termination:
-    accepted step below tol_step * (1 + ||x||)  -> _CONVERGED (caller judges
-    the residual), |det J| collapse -> _SINGULAR, sup-norm beyond box_limit
-    -> _LEFT_BOX, iteration budget or a dead-end line search -> _NO_CONV.
+    fun_jac(X) -> (G, J) is evaluated on (P, d) batches: once on X0, then
+    once per iteration on the rows that took a step.  Each running row
+    takes the full Newton step, scaled down to sup-norm STEP_CAP if it is
+    longer; the cap is the damping.  Per-point termination: step below
+    TOL_STEP * (1 + ||x||) -> _CONVERGED (the caller judges the residual),
+    |det J| collapse -> _SINGULAR, sup-norm beyond box_limit -> _LEFT_BOX,
+    non-finite G or MAX_ITER steps without converging -> _NO_CONV.
 
-    Returns (X, resnorm, status) full-size arrays.
+    Returns (X, resnorm, status) full-size arrays; resnorm is ||G|| at X.
     """
     X = np.array(X0, dtype=float)
     status = np.full(X.shape[0], _RUNNING)
+    act = np.arange(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         G, J = fun_jac(X)
         gn = np.linalg.norm(G, axis=-1)
-        status[~np.isfinite(gn)] = _NO_CONV
-        for _ in range(max_iter):
-            act = status == _RUNNING
-            if box_limit is not None:
-                out = act & (np.max(np.abs(X), axis=-1) > box_limit)
-                status[out] = _LEFT_BOX
-                act &= ~out
-            if not act.any():
+        for it in range(MAX_ITER + 1):
+            status[act[~np.isfinite(gn[act])]] = _NO_CONV
+            out = np.max(np.abs(X[act]), axis=-1) > box_limit
+            status[act[out]] = _LEFT_BOX
+            act = act[status[act] == _RUNNING]
+            if it == MAX_ITER:
                 break
             det = np.linalg.det(J[act])
             ok = np.isfinite(det) & (np.abs(det) > 1e-280)
-            act_idx = np.where(act)[0]
-            status[act_idx[~ok]] = _SINGULAR
-            act_idx = act_idx[ok]
-            if act_idx.size == 0:
-                continue
+            status[act[~ok]] = _SINGULAR
+            act = act[ok]
+            if act.size == 0:
+                break
             # the det test above leaves only systems with nonzero pivots,
             # so the batched solve cannot raise
-            dx = np.linalg.solve(J[act_idx], G[act_idx][..., None])[..., 0]
-            # a proposed step below tolerance means the seed already sits on
-            # the root; the strict-decrease search cannot certify that at the
-            # machine floor, so accept it directly
-            scale0 = 1.0 + np.max(np.abs(X[act_idx]), axis=-1)
-            tiny = np.linalg.norm(dx, axis=-1) <= tol_step * scale0
-            status[act_idx[tiny]] = _CONVERGED
-            act_idx, dx = act_idx[~tiny], dx[~tiny]
-            if act_idx.size == 0:
-                continue
-            t = np.ones(act_idx.size)
-            pending = np.ones(act_idx.size, dtype=bool)
-            for _h in range(max_halvings + 1):
-                if not pending.any():
-                    break
-                rows = np.where(pending)[0]
-                cand = X[act_idx[rows]] - t[rows, None] * dx[rows]
-                gc = np.linalg.norm(fun(cand), axis=-1)
-                better = np.isfinite(gc) & (gc < gn[act_idx[rows]])
-                acc = rows[better]
-                X[act_idx[acc]] = cand[better]
-                pending[acc] = False
-                t[rows[~better]] *= 0.5
-            dead = np.where(pending)[0]
-            if dead.size:
-                # exhausted line search: if even the fully damped increment is
-                # below tolerance the iterate has stalled on the root (the
-                # residual check is the caller's), otherwise it truly failed
-                stepn = t[dead] * np.linalg.norm(dx[dead], axis=-1)
-                scale_d = 1.0 + np.max(np.abs(X[act_idx[dead]]), axis=-1)
-                ok_d = stepn <= tol_step * scale_d
-                status[act_idx[dead[ok_d]]] = _CONVERGED
-                status[act_idx[dead[~ok_d]]] = _NO_CONV
-            moved = act_idx[~pending]
-            if moved.size:
-                stepn = np.linalg.norm(t[~pending, None] * dx[~pending], axis=-1)
-                scale = 1.0 + np.max(np.abs(X[moved]), axis=-1)
-                done = stepn <= tol_step * scale
-                status[moved[done]] = _CONVERGED
-                # only moved rows are re-evaluated; every other row's G and J
-                # still belong to its X
-                G[moved], J[moved] = fun_jac(X[moved])
-                gn[moved] = np.linalg.norm(G[moved], axis=-1)
+            dx = np.linalg.solve(J[act], G[act][..., None])[..., 0]
+            size = np.max(np.abs(dx), axis=-1, keepdims=True)
+            dx *= STEP_CAP / np.maximum(STEP_CAP, size)
+            X[act] -= dx
+            scale = 1.0 + np.max(np.abs(X[act]), axis=-1)
+            done = np.linalg.norm(dx, axis=-1) <= TOL_STEP * scale
+            status[act[done]] = _CONVERGED
+            # a row that converged on this step is evaluated once more, so
+            # that resnorm belongs to its X; the next pass drops it
+            G[act], J[act] = fun_jac(X[act])
+            gn[act] = np.linalg.norm(G[act], axis=-1)
         status[status == _RUNNING] = _NO_CONV
-        if box_limit is not None:
-            out = (status == _CONVERGED) & (np.max(np.abs(X), axis=-1) > box_limit)
-            status[out] = _LEFT_BOX
     return X, gn, status
 
 
@@ -298,26 +265,23 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
     relevant intersections cannot sit farther out) and both components of
     G = (P_1 - P_4, P_2 - P_3) change sign, and each 8-connected component
     of flagged cells gives one seed in the half box u > 0.  Polish stage:
-    batched damped Newton on G, wander guard at 1.5x the box.  A root is
-    accepted only if it is nontrivial, inside the box, within the amplitude
-    filter, has ||G|| below threshold, and sits where the series itself is
-    trusted (pointwise conjugacy residual below threshold).  Accepted roots
-    are deduplicated in (u, v) modulo sign, keeping the smallest ||G||, and
-    each survivor (u, v) is certified once, where it lands: with
-    u1 = u2 = u and v1 = v2 = v, its residual is ||P_u - P_s|| and its
-    point the midpoint of the two images; roots with residual above
-    threshold are dropped.  Each certified root carries its det and is
-    returned followed by its mirror image, pairs sorted by residual.
+    batched Newton on G with steps capped at STEP_CAP, wander guard at 1.5x
+    the box.  A root is accepted only if it is nontrivial, inside the box,
+    within the amplitude filter, has ||G|| below threshold, and sits where
+    the series itself is trusted (pointwise conjugacy residual below
+    threshold).  Accepted roots are deduplicated in (u, v) modulo sign,
+    keeping the smallest ||G||, and each survivor (u, v) is certified once,
+    where it lands: with u1 = u2 = u and v1 = v2 = v, its residual is
+    ||P_u - P_s|| and its point the midpoint of the two images; roots with
+    residual above threshold are dropped.  Each certified root carries its
+    det and is returned followed by its mirror image, pairs sorted by
+    residual.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
     X0 = _census_seeds(Ps, bound)
     if X0.size == 0:
         return []
-
-    def fun(X):
-        Q = evaluate_series(Ps, X[:, 0], X[:, 1])
-        return np.stack([Q[:, 0] - Q[:, 3], Q[:, 1] - Q[:, 2]], axis=-1)
 
     def fun_jac(X):
         Q = evaluate_series(Ps, X[:, 0], X[:, 1])
@@ -326,7 +290,7 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
         J = np.stack([Jq[:, 0] - Jq[:, 3], Jq[:, 1] - Jq[:, 2]], axis=-2)
         return G, J
 
-    X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.5)
+    X, gn, status = _damped_newton_batch(fun_jac, X0, box_limit=1.5)
     X = X[(status == _CONVERGED) & (gn <= threshold)
           & (np.max(np.abs(X), axis=-1) <= 1.0)]
     # one point per call: the scattered evaluator's rounding depends on the

@@ -404,18 +404,15 @@ def _dedupe(solutions, tol=DEDUPE_TOL):
     return kept
 
 
-def _match_funs(Pu: ManifoldSeries, Ps: ManifoldSeries):
-    def fun(X):
-        return (evaluate_series(Pu, X[:, 0], X[:, 1])
-                - evaluate_series(Ps, X[:, 2], X[:, 3]))
-
+def _match_fun_jac(Pu: ManifoldSeries, Ps: ManifoldSeries):
     def fun_jac(X):
-        G = fun(X)
+        G = (evaluate_series(Pu, X[:, 0], X[:, 1])
+             - evaluate_series(Ps, X[:, 2], X[:, 3]))
         Ju = series_jacobian(Pu, X[:, 0], X[:, 1])
         Js = series_jacobian(Ps, X[:, 2], X[:, 3])
         return G, np.concatenate([Ju, -Js], axis=-1)
 
-    return fun, fun_jac
+    return fun_jac
 
 
 def _make_solution(Pu, Ps, row, residual):
@@ -448,8 +445,8 @@ def multistart_search(Pu: ManifoldSeries, Ps: ManifoldSeries, grid=21,
     keep = (uu > 0.0) | ((uu == 0.0) & (vv >= 0.0))
     uu, vv = uu[keep], vv[keep]
     X0 = np.stack([uu, vv, uu, vv], axis=-1)
-    fun, fun_jac = _match_funs(Pu, Ps)
-    X, gn, status = _damped_newton_batch(fun, fun_jac, X0, box_limit=1.0)
+    X, gn, status = _damped_newton_batch(_match_fun_jac(Pu, Ps), X0,
+                                         box_limit=1.0)
     sols = []
     for row, res, st in zip(X, gn, status):
         if st != _CONVERGED or res > threshold:

@@ -11,7 +11,11 @@ import pytest
 from dnls_nnn import homoclinic
 from dnls_nnn.homoclinic import (
     _CONVERGED,
+    _LEFT_BOX,
+    _NO_CONV,
     _SINGULAR,
+    MAX_ITER,
+    STEP_CAP,
     _census_axis,
     _damped_newton_batch,
     _scan_cell,
@@ -56,6 +60,37 @@ def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
     assert len(symmetric_search(Ps, Pu)) == 2
     assert len(calls) == 1
+
+
+def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
+                                                               pair_ill):
+    # inside Newton, each series evaluation belongs to one fun_jac call
+    Ps, Pu = pair_ill
+    log, inside = [], []
+
+    def logged(name, f):
+        def wrapped(*args):
+            if inside:
+                log.append(name)
+            return f(*args)
+        return wrapped
+
+    def spy(fun_jac, X0, **kwargs):
+        inside.append(True)
+        try:
+            return _damped_newton_batch(logged("fun_jac", fun_jac), X0,
+                                        **kwargs)
+        finally:
+            inside.clear()
+
+    for name in ("evaluate_series", "series_jacobian"):
+        monkeypatch.setattr(homoclinic, name,
+                            logged(name, getattr(homoclinic, name)))
+    monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
+    assert len(symmetric_search(Ps, Pu)) == 2
+    calls = log.count("fun_jac")
+    assert 1 <= calls <= MAX_ITER + 1
+    assert log == ["fun_jac", "evaluate_series", "series_jacobian"] * calls
 
 
 def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
@@ -120,10 +155,71 @@ def test_damped_newton_labels_a_singular_jacobian():
         return fun(X), J
 
     X0 = np.array([[0.0, 0.0], [3.0, 0.0]])
-    X, gn, status = _damped_newton_batch(fun, fun_jac, X0)
+    X, gn, status = _damped_newton_batch(fun_jac, X0)
     assert list(status) == [_SINGULAR, _CONVERGED]
     assert np.allclose(X[1], [1.0, 2.0], rtol=0, atol=1e-14)
     assert gn[1] <= 1e-14
+
+
+def test_damped_newton_takes_capped_steps_on_running_rows():
+    # G = (x^2 - 2, y - 2): from (3, 0) the Newton steps are far longer
+    # than the cap, the float nearest the root converges in one tiny step,
+    # and (0, 0) is singular; no float squares to 2, so ||G|| at a
+    # converged row is rounding, not 0
+    def fun(X):
+        return np.stack([X[:, 0] ** 2 - 2.0, X[:, 1] - 2.0], axis=-1)
+
+    calls = []
+
+    def fun_jac(X):
+        calls.append(X.copy())
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0] = 2.0 * X[:, 0]
+        J[:, 1, 1] = 1.0
+        return fun(X), J
+
+    X0 = np.array([[3.0, 0.0], [np.sqrt(2.0), 2.0], [0.0, 0.0]])
+    X, gn, status = _damped_newton_batch(fun_jac, X0)
+    assert list(status) == [_CONVERGED, _CONVERGED, _SINGULAR]
+    assert np.array_equal(calls[0], X0)
+    # after the first call only the rows that stepped are evaluated, once
+    # per iteration: the second row takes one step and drops out, the
+    # singular row takes none, and each iterate of the first row is the
+    # capped Newton step from the last
+    assert [len(c) for c in calls[1:]] == [2] + [1] * (len(calls) - 2)
+    assert np.array_equal(X[1], calls[1][1])
+    path = [calls[0][0]] + [c[0] for c in calls[1:]]
+    assert len(path) > 10
+    for x, y in zip(path, path[1:]):
+        dx = np.array([(x[0] ** 2 - 2.0) / (2.0 * x[0]), x[1] - 2.0])
+        cap = STEP_CAP / max(STEP_CAP, np.max(np.abs(dx)))
+        assert np.array_equal(y, x - cap * dx)
+        assert np.max(np.abs(y - x)) <= STEP_CAP * (1.0 + 1e-12)
+    assert np.array_equal(X[0], path[-1])
+    assert np.allclose(X[:2], [np.sqrt(2.0), 2.0], rtol=0, atol=1e-14)
+    assert np.all(gn[:2] > 0.0)
+    assert np.array_equal(gn, np.linalg.norm(fun(X), axis=-1))
+
+
+def test_damped_newton_labels_left_box_and_no_convergence():
+    # G = x - 10: capped steps of 0.1 leave a box of 1.5 after 16 steps,
+    # and need 100 steps, twice the budget, to reach the root
+    calls = []
+
+    def fun_jac(X):
+        calls.append(len(X))
+        return X - 10.0, np.ones((len(X), 1, 1))
+
+    X0 = np.zeros((1, 1))
+    X, gn, status = _damped_newton_batch(fun_jac, X0, box_limit=1.5)
+    assert list(status) == [_LEFT_BOX]
+    assert 1.5 < X[0, 0] <= 1.5 + STEP_CAP
+    calls.clear()
+    X, gn, status = _damped_newton_batch(fun_jac, X0)
+    assert list(status) == [_NO_CONV]
+    assert len(calls) == MAX_ITER + 1
+    assert np.isclose(X[0, 0], MAX_ITER * STEP_CAP, rtol=1e-12)
+    assert gn[0] == abs(X[0, 0] - 10.0)
 
 
 def test_multistart_recovers_the_symmetric_pair(pair_ill, sols_ill):
