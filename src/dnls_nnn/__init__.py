@@ -46,7 +46,6 @@ from .homoclinic import (  # noqa: F401
     det_curve_fit,
     scan_parameters,
     symmetric_search,
-    transversality_det,
 )
 from .soliton import (  # noqa: F401
     Orbit2D,

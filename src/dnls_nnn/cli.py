@@ -177,7 +177,7 @@ def _resolve(args):
     if cmd == "transversality":
         eps_default = str(DEFAULT_TRANSVERSALITY_EPS)
         lo, hi, k = DEFAULT_TRANSVERSALITY_WINDOW
-        A_default = ",".join(repr(a) for a in np.linspace(lo, hi, k))
+        A_default = ",".join(map(repr, np.linspace(lo, hi, k).tolist()))
     elif cmd == "portrait":
         eps_default, A_default = "-0.1,0.1", ""
     else:
@@ -277,9 +277,9 @@ def _series_pair(cfg):
 
 
 def _search(cfg):
-    """(Ps, Pu, solutions) of the single cell of cfg."""
-    Ps, Pu = _series_pair(cfg)
-    return Ps, Pu, symmetric_search(Ps, Pu, threshold=cfg.threshold)
+    """(Ps, solutions) of the single cell of cfg."""
+    Ps, _ = _series_pair(cfg)
+    return Ps, symmetric_search(Ps, threshold=cfg.threshold)
 
 
 def _scan(cfg):
@@ -363,7 +363,7 @@ def cmd_manifold(cfg):
 
 
 def cmd_homoclinic(cfg):
-    _, _, sols = _search(cfg)
+    _, sols = _search(cfg)
     payload = {"found": bool(sols),
                "solutions": [_solution_dict(s) for s in sols]}
     out = _outdir(cfg) / "homoclinic.json"
@@ -456,10 +456,10 @@ def cmd_transversality(cfg):
 
 
 def cmd_soliton(cfg):
-    Ps, Pu, sols = _search(cfg)
+    Ps, sols = _search(cfg)
     if not sols:
         raise ProfileError("no homoclinic intersection to build from")
-    prof = build_profile(sols[0], Pu, Ps)
+    prof = build_profile(sols[0], Ps)
     outdir = _outdir(cfg)
     with open(outdir / "soliton.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -14,19 +14,20 @@ cells (both components changing sign in the same cell) rather than from a
 coarse multistart.  G is odd and the census axis exactly symmetric, so the
 census is evaluated on the half box u >= 0 and mirrored; its flagged cells
 are grouped into 8-connected components, and each component is seeded
-once, on the half box.  Since P_u = sigma5 o P_s holds bit for bit, the 4-d
-matching defect at a root is (-G1, -G2, G2, G1), so each root is certified
-where the 2-d Newton leaves it, on both series at once.  Roots are
-deduplicated in (u, v) modulo sign first, so each is certified once, and
-its mirror image is the sign flip.
+once, on the half box.  Roots are deduplicated in (u, v) modulo sign and
+each is certified once, where the 2-d Newton leaves it; its mirror image is
+the sign flip.  Everything is read from P_s alone: as P_u = sigma5 o P_s
+holds bit for bit, the matching defect at a root is sigma5 q - q for
+q = P_s(u, v), and the unstable tangent columns are the stable ones with
+their rows reversed.
 
 The polish is batched Newton whose steps are capped at STEP_CAP in
 sup-norm, one Jacobian evaluation per iteration, with a strict failure
 taxonomy (singular-jacobian / left-box / no-convergence).  Transversality
-of a certified intersection is measured by the determinant of the four
-tangent columns [dP_u/du1, dP_u/dv1, dP_s/du2, dP_s/dv2], stored as its
-det; its magnitude is gauge dependent, but its vanishing (a tangency) is
-not.
+of a certified intersection is the determinant of the four tangent columns
+[dP_u/du, dP_u/dv, dP_s/du, dP_s/dv]; the sigma5 splitting factors it as
+-det(DG) det(DH), H = (P_1 + P_4, P_2 + P_3).  Its magnitude is gauge
+dependent, but its vanishing (a tangency) is not.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "FitResult",
     "MatchFailure",
     "symmetric_search",
-    "transversality_det",
     "scan_parameters",
     "det_curve_fit",
 ]
@@ -90,8 +90,10 @@ class HomoclinicSolution:
 
     (u1, v1) are unstable-series parameters, (u2, v2) stable ones; point is
     the common image (midpoint of the two evaluations) and residual their
-    Euclidean mismatch.  det is the transversality determinant, filled
-    by symmetric_search when it certifies the solution.
+    Euclidean mismatch.  symmetric_search sets (u1, v1) = (u2, v2) and,
+    with q = P_s(u2, v2), point = (q + sigma5 q)/2 and residual
+    ||sigma5 q - q||.  det is the transversality determinant, filled by
+    symmetric_search when it certifies the solution.
     """
 
     u1: float
@@ -255,9 +257,9 @@ def _census_seeds(Ps: ManifoldSeries, bound):
                      g[cells[:, 1]] + 0.5 * step], axis=-1)
 
 
-def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
-                     threshold=MATCH_THRESHOLD):
-    """Find the reversor-symmetric homoclinic points of a series pair.
+def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
+    """Find the reversor-symmetric homoclinic points of the stable series
+    and its sigma5 image.
 
     Census stage (_census_seeds): P_s on a CENSUS x CENSUS grid of the unit
     box, evaluated on the half box u >= 0 and mirrored; a cell is flagged
@@ -271,11 +273,11 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
     the series itself is trusted (pointwise conjugacy residual below
     threshold).  Accepted roots are deduplicated in (u, v) modulo sign,
     keeping the smallest ||G||, and each survivor (u, v) is certified once,
-    where it lands: with u1 = u2 = u and v1 = v2 = v, its residual is
-    ||P_u - P_s|| and its point the midpoint of the two images; roots with
+    where it lands: with q = P_s(u, v), u1 = u2 = u and v1 = v2 = v, its
+    residual is ||sigma5 q - q|| and its point (q + sigma5 q)/2; roots with
     residual above threshold are dropped.  Each certified root carries its
-    det and is returned followed by its mirror image, pairs sorted by
-    residual.
+    det, -det(DG) det(DH) from one Jacobian of P_s, and is returned
+    followed by its mirror image, pairs sorted by residual.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
@@ -314,32 +316,26 @@ def symmetric_search(Ps: ManifoldSeries, Pu: ManifoldSeries,
     sols = []
     for k in roots:
         u, v = X[k].tolist()
-        qu = evaluate_series(Pu, u, v)
-        res = float(np.linalg.norm(qu - qs[k]))
+        q = qs[k]
+        res = float(np.linalg.norm(q[::-1] - q))
         if res > threshold:
             continue
-        sol = HomoclinicSolution(u1=u, v1=v, u2=u, v2=v,
-                                 point=0.5 * (qu + qs[k]), residual=res,
-                                 params=p, series_order=Ps.order)
-        sols.append(replace(sol, det=transversality_det(Pu, Ps, sol)))
+        J = series_jacobian(Ps, u, v)
+        det = -(np.linalg.det(J[[0, 1]] - J[[3, 2]])
+                * np.linalg.det(J[[0, 1]] + J[[3, 2]]))
+        sols.append(HomoclinicSolution(
+            u1=u, v1=v, u2=u, v2=v, point=0.5 * (q[::-1] + q), residual=res,
+            params=p, series_order=Ps.order, det=float(det)))
     sols.sort(key=lambda s: s.residual)
     return [s for sol in sols for s in (sol, _mirror(sol))]
-
-
-def transversality_det(Pu: ManifoldSeries, Ps: ManifoldSeries,
-                       sol: HomoclinicSolution):
-    """Determinant of the four tangent columns at a matched intersection."""
-    Ju = series_jacobian(Pu, sol.u1, sol.v1)
-    Js = series_jacobian(Ps, sol.u2, sol.v2)
-    return float(np.linalg.det(np.concatenate([Ju, Js], axis=-1)))
 
 
 def _scan_cell(task):
     eps, A, order, threshold = task
     try:
         p = ModelParams(eps, A)
-        Ps, Pu = compute_manifold_pair(p, order=order)
-        sols = symmetric_search(Ps, Pu, threshold=threshold)
+        Ps, _ = compute_manifold_pair(p, order=order)
+        sols = symmetric_search(Ps, threshold=threshold)
         if not sols:
             return ScanCell(eps, A, False, None, None)
         return ScanCell(eps, A, True, sols[0].residual, sols[0])

@@ -42,7 +42,8 @@ part is fixed, so this is the unstable series, and its coefficient table is
 the stable one with the four components in reverse order, bit for bit.
 
 One evaluator, two entry points.  Scattered points (evaluate_series,
-series_jacobian; Newton, residual checks, profile tails) take a two-stage
+series_jacobian; all on the stable series: Newton, certification and its
+det, residual checks, the profile's right tail) take a two-stage
 contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
 the Jacobian contracts the same coefficients against the tables k U^{k-1}
 and k V^{k-1}.  Tensor grids (evaluate_grid; the homoclinic census and every

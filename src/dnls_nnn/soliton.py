@@ -17,7 +17,10 @@ parameters, which is uniformly accurate all the way down to underflow.
 
 For reversor-symmetric homoclinic points the profile obeys the mirror
 symmetry u_n = u_{1-n} (centered between sites 0 and 1), and both tails
-decay at the rate of the largest stable eigenvalue.
+decay at the rate of the largest stable eigenvalue.  Since
+P_u = sigma5 o P_s holds bit for bit, the unstable series' left tail is the
+stable right tail reversed; only the right tail is evaluated, and the left
+one is its mirror image.
 """
 
 from __future__ import annotations
@@ -78,43 +81,39 @@ def _tail_ratio(n, vals, floor, peak):
     return float(np.exp(slope))
 
 
-def build_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
-                  Ps: ManifoldSeries, floor=FLOOR, max_steps=500):
-    """Materialize the lattice profile of a homoclinic orbit.
+def build_profile(sol: HomoclinicSolution, Ps: ManifoldSeries,
+                  floor=FLOOR, max_steps=500):
+    """Materialize the lattice profile of a reversor-symmetric homoclinic
+    orbit.
 
     Core sites come from the matched point itself; the right tail is the
-    stable series at parameters shrunk k times, the left tail the unstable
-    series likewise (its conjugacy contracts under the inverse map).  Each
-    tail extends until the whole window state drops below the floor in
+    stable series at parameters shrunk k times, and the left tail its
+    mirror image u_{-n} = u_{n+1} (what the unstable series, whose
+    conjugacy contracts under the inverse map, reads there).  The tail
+    extends until the whole window state drops below the floor in
     sup-norm; a tail that cannot reach the floor within max_steps raises
     ProfileError.
     """
-    l1s, l2s = Ps.rates
-    l1u, l2u = 1.0 / Pu.rates[0], 1.0 / Pu.rates[1]
+    l1, l2 = Ps.rates
     ks = np.arange(1, int(max_steps) + 1)
-    fw_states = evaluate_series(Ps, sol.u2 * l1s**ks, sol.v2 * l2s**ks)
-    bw_states = evaluate_series(Pu, sol.u1 * l1u**ks, sol.v1 * l2u**ks)
-    fw_sup = np.max(np.abs(fw_states), axis=-1)
-    bw_sup = np.max(np.abs(bw_states), axis=-1)
-    fw_stop = np.nonzero(fw_sup < floor)[0]
-    bw_stop = np.nonzero(bw_sup < floor)[0]
-    if fw_stop.size == 0 or bw_stop.size == 0:
+    states = evaluate_series(Ps, sol.u2 * l1**ks, sol.v2 * l2**ks)
+    stop = np.nonzero(np.max(np.abs(states), axis=-1) < floor)[0]
+    if stop.size == 0:
         raise ProfileError(
             f"tail above floor {floor:g} after {max_steps} steps; "
             "the matched point does not decay (or max_steps is too small)"
         )
-    kf = int(fw_stop[0])  # number of right-tail samples kept
-    kb = int(bw_stop[0])
-    # window at step k: f^k(q) = (u_{k-1}, u_k, u_{k+1}, u_{k+2})
-    right = fw_states[:kf, 3]            # u_3 .. u_{kf+2}
-    left = bw_states[:kb, 0][::-1]       # u_{-kb-1} .. u_{-2}
+    k = int(stop[0])  # number of samples kept in each tail
+    # window at step j: f^j(q) = (u_{j-1}, u_j, u_{j+1}, u_{j+2})
+    right = states[:k, 3]                # u_3 .. u_{k+2}
+    left = right[::-1]                   # u_{-k-1} .. u_{-2}
     core = np.asarray(sol.point, dtype=float)  # u_{-1} .. u_2
     values = np.concatenate([left, core, right])
-    indices = np.arange(-kb - 1, kf + 3)
+    indices = np.arange(-k - 1, k + 3)
     peak = float(np.max(np.abs(values)))
     # decay ratios vs distance from the center on each side
-    decay = (_tail_ratio(-indices[:kb], values[:kb], floor, peak),
-             _tail_ratio(indices[kb + 4:], values[kb + 4:], floor, peak))
+    decay = (_tail_ratio(-indices[:k], values[:k], floor, peak),
+             _tail_ratio(indices[k + 4:], values[k + 4:], floor, peak))
     return SolitonProfile(
         params=sol.params,
         indices=indices,

@@ -29,8 +29,8 @@ def pair_ill(p_ill):
 
 @pytest.fixture(scope="session")
 def sols_ill(pair_ill):
-    Ps, Pu = pair_ill
-    return symmetric_search(Ps, Pu)
+    Ps, _ = pair_ill
+    return symmetric_search(Ps)
 
 
 # verdict lines recorded by the acceptance suite; emitted after the run so

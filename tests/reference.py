@@ -2,7 +2,9 @@
 coefficient recursion, a long-double grid evaluator, the gauge policy with
 one log-bisection at a time, a multistart homoclinic search that polishes
 the full 4-d matching system without the reversor that symmetric_search
-reduces the problem with, and the phase portrait stepped one masked
+reduces the problem with, the 4x4 transversality determinant and the
+two-series profile tails that symmetric_search and build_profile read off
+the stable series alone, and the phase portrait stepped one masked
 map2_apply call at a time.
 
 It also holds the structure of the maps and of their spectra that the
@@ -42,7 +44,13 @@ from dnls_nnn.maps import (
     map4_inverse,
     nonwandering_bound,
 )
-from dnls_nnn.soliton import Orbit2D
+from dnls_nnn.soliton import (
+    Orbit2D,
+    ProfileError,
+    SolitonProfile,
+    _residual_of_values,
+    _tail_ratio,
+)
 from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
 
 
@@ -457,3 +465,39 @@ def multistart_search(Pu: ManifoldSeries, Ps: ManifoldSeries, grid=21,
         sols.append(sol)
         sols.append(_mirror(sol))
     return _dedupe(sols)
+
+
+def transversality_det(Pu: ManifoldSeries, Ps: ManifoldSeries,
+                       sol: HomoclinicSolution):
+    """Determinant of the four tangent columns at a matched intersection."""
+    Ju = series_jacobian(Pu, sol.u1, sol.v1)
+    Js = series_jacobian(Ps, sol.u2, sol.v2)
+    return float(np.linalg.det(np.concatenate([Ju, Js], axis=-1)))
+
+
+def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
+                     Ps: ManifoldSeries, floor=1e-14, max_steps=500):
+    """The lattice profile with each tail read from its own series: the
+    right tail from Ps at parameters shrunk by its rates, the left from Pu
+    at parameters shrunk by the reciprocals of its rates."""
+    l1s, l2s = Ps.rates
+    l1u, l2u = 1.0 / Pu.rates[0], 1.0 / Pu.rates[1]
+    ks = np.arange(1, int(max_steps) + 1)
+    fw_states = evaluate_series(Ps, sol.u2 * l1s**ks, sol.v2 * l2s**ks)
+    bw_states = evaluate_series(Pu, sol.u1 * l1u**ks, sol.v1 * l2u**ks)
+    fw_stop = np.nonzero(np.max(np.abs(fw_states), axis=-1) < floor)[0]
+    bw_stop = np.nonzero(np.max(np.abs(bw_states), axis=-1) < floor)[0]
+    if fw_stop.size == 0 or bw_stop.size == 0:
+        raise ProfileError(f"tail above floor {floor:g}")
+    kf, kb = int(fw_stop[0]), int(bw_stop[0])
+    right = fw_states[:kf, 3]            # u_3 .. u_{kf+2}
+    left = bw_states[:kb, 0][::-1]       # u_{-kb-1} .. u_{-2}
+    values = np.concatenate([left, np.asarray(sol.point, dtype=float),
+                             right])
+    indices = np.arange(-kb - 1, kf + 3)
+    peak = float(np.max(np.abs(values)))
+    decay = (_tail_ratio(-indices[:kb], values[:kb], floor, peak),
+             _tail_ratio(indices[kb + 4:], values[kb + 4:], floor, peak))
+    return SolitonProfile(params=sol.params, indices=indices, values=values,
+                          residual_max=_residual_of_values(values, sol.params),
+                          tail_decay=decay)

@@ -14,7 +14,6 @@ from dnls_nnn.homoclinic import (
     det_curve_fit,
     scan_parameters,
     symmetric_search,
-    transversality_det,
 )
 from dnls_nnn.manifold import compute_manifold_pair, conjugacy_residual
 from dnls_nnn.maps import ModelParams, map2_apply, map4_apply, map4_inverse
@@ -58,8 +57,8 @@ def test_criterion_1_illustrative_point():
                       "intersection in under a minute"):
         t0 = time.perf_counter()
         p = ModelParams(0.0004, -0.125)
-        Ps, Pu = compute_manifold_pair(p, order=80)
-        sols = symmetric_search(Ps, Pu)
+        Ps, _ = compute_manifold_pair(p, order=80)
+        sols = symmetric_search(Ps)
         elapsed = time.perf_counter() - t0
         assert sols, "no intersection found"
         best = sols[0]
@@ -187,12 +186,12 @@ def test_criterion_7_soliton_profiles(pair_ill, sols_ill):
         jobs = [(pair_ill, sols_ill)]
         p2 = ModelParams(0.01, -0.13)
         pair2 = compute_manifold_pair(p2, order=80)
-        jobs.append((pair2, symmetric_search(pair2[0], pair2[1])))
-        for (Ps, Pu), sols in jobs:
+        jobs.append((pair2, symmetric_search(pair2[0])))
+        for (Ps, _), sols in jobs:
             assert sols
             lam2 = max(Ps.rates)
             for sol in sols:
-                prof = build_profile(sol, Pu, Ps)
+                prof = build_profile(sol, Ps)
                 assert prof.residual_max <= 1e-9
                 assert mirror_defect(prof) <= 1e-10
                 left, right = prof.tail_decay

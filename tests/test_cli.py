@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dnls_nnn.cli import main
+from dnls_nnn.cli import _build_parser, _resolve, main
 from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
@@ -215,6 +215,14 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     assert len(doc["det"]) == 5
     assert len(doc["fit_coefficients"]) == 5
     assert isinstance(doc["ill_conditioned"], bool)
+
+
+def test_transversality_default_window_parses():
+    # the default A list is written out as text and parsed back: it must
+    # read as the 13 window values, whatever repr numpy gives its scalars
+    cfg = _resolve(_build_parser().parse_args(["transversality"]))
+    assert cfg.epsilon == (2e-4,)
+    assert cfg.A == tuple(np.linspace(-0.145, -0.115, 13).tolist())
 
 
 def test_transversality_incomplete_curve_exits_3(tmp_path, capsys):

@@ -22,14 +22,13 @@ from dnls_nnn.homoclinic import (
     det_curve_fit,
     scan_parameters,
     symmetric_search,
-    transversality_det,
 )
 from dnls_nnn.manifold import (compute_manifold_pair, evaluate_series,
-                               rescale_series)
+                               rescale_series, series_jacobian)
 from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
-from reference import apply_symmetry, multistart_search
+from reference import apply_symmetry, multistart_search, transversality_det
 
 
 def _matches_reference(point, tol=1e-8):
@@ -50,7 +49,7 @@ def test_symmetric_search_finds_the_mirror_pair(sols_ill):
 
 
 def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
-    Ps, Pu = pair_ill
+    Ps, _ = pair_ill
     calls = []
 
     def spy(*args, **kwargs):
@@ -58,14 +57,14 @@ def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
         return _damped_newton_batch(*args, **kwargs)
 
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
-    assert len(symmetric_search(Ps, Pu)) == 2
+    assert len(symmetric_search(Ps)) == 2
     assert len(calls) == 1
 
 
 def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
                                                                pair_ill):
     # inside Newton, each series evaluation belongs to one fun_jac call
-    Ps, Pu = pair_ill
+    Ps, _ = pair_ill
     log, inside = [], []
 
     def logged(name, f):
@@ -87,27 +86,30 @@ def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
         monkeypatch.setattr(homoclinic, name,
                             logged(name, getattr(homoclinic, name)))
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
-    assert len(symmetric_search(Ps, Pu)) == 2
+    assert len(symmetric_search(Ps)) == 2
     calls = log.count("fun_jac")
     assert 1 <= calls <= MAX_ITER + 1
     assert log == ["fun_jac", "evaluate_series", "series_jacobian"] * calls
 
 
 def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
-    Ps, Pu = pair_ill
+    # a root is certified by one one-point Jacobian, for its det
+    Ps, _ = pair_ill
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return transversality_det(*args, **kwargs)
+    def spy(ms, u, v):
+        if np.ndim(u) == 0:
+            calls.append((u, v))
+        return series_jacobian(ms, u, v)
 
-    monkeypatch.setattr(homoclinic, "transversality_det", spy)
-    assert len(symmetric_search(Ps, Pu)) == 2
-    assert len(calls) == 1  # the mirror partner is the sign image
+    monkeypatch.setattr(homoclinic, "series_jacobian", spy)
+    sols = symmetric_search(Ps)
+    assert len(sols) == 2
+    assert calls == [(sols[0].u2, sols[0].v2)]  # the mirror is its sign image
     # there, seeds from four components land on one root
     calls.clear()
-    Ps, Pu = compute_manifold_pair(ModelParams(2e-4, -0.13))
-    assert len(symmetric_search(Ps, Pu)) == 2
+    Ps, _ = compute_manifold_pair(ModelParams(2e-4, -0.13))
+    assert len(symmetric_search(Ps)) == 2
     assert len(calls) == 1
     # the census mirrors its half box, which needs an exactly odd axis
     g = _census_axis()
@@ -117,13 +119,13 @@ def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
                                                            pair_ill):
-    Ps, Pu = pair_ill
-    assert symmetric_search(Ps, Pu, threshold=1e-30) == []
+    Ps, _ = pair_ill
+    assert symmetric_search(Ps, threshold=1e-30) == []
     # the matching residual alone must reject the roots, not only the
     # series-trust gate, which compares against the same threshold
     monkeypatch.setattr(homoclinic, "pointwise_conjugacy_residual",
                         lambda ms, u, v: np.zeros(np.shape(u)))
-    assert symmetric_search(Ps, Pu, threshold=1e-30) == []
+    assert symmetric_search(Ps, threshold=1e-30) == []
 
 
 def test_solutions_lie_on_both_series(pair_ill, sols_ill):
@@ -236,26 +238,32 @@ def test_multistart_recovers_the_symmetric_pair(pair_ill, sols_ill):
 
 
 def test_transversality_det_is_bounded_away_from_zero(pair_ill, sols_ill):
+    # the det filled at certification, -det(DG) det(DH) from the stable
+    # Jacobian, is the 4x4 det of the four tangent columns
     Ps, Pu = pair_ill
     dets = [transversality_det(Pu, Ps, sol) for sol in sols_ill]
-    assert [sol.det for sol in sols_ill] == dets  # filled at certification
-    for d in dets:
+    for sol, d in zip(sols_ill, dets):
+        assert sol.det == pytest.approx(d, rel=1e-10, abs=0.0)
         assert abs(d) > 1e-6
     # the tangent Jacobians are even in the parameters, so mirror images
     # carry the same determinant
     assert dets[0] == dets[1]
+    assert sols_ill[0].det == sols_ill[1].det
 
 
 def test_transversality_det_gauge_sign_invariance(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
-    sol = sols_ill[0]
-    d0 = transversality_det(Pu, Ps, sol)
+    # flipping both gauge signs maps root (u, v) to (-u, -v) and negates
+    # both tangent columns of each series: the image and the det stay put
+    Ps, _ = pair_ill
     Ps2 = rescale_series(Ps, (-Ps.scale[0], -Ps.scale[1]))
-    Pu2 = rescale_series(Pu, (-Pu.scale[0], -Pu.scale[1]))
-    sol2 = replace(sol, u1=-sol.u1, v1=-sol.v1, u2=-sol.u2, v2=-sol.v2)
-    assert np.max(np.abs(evaluate_series(Pu2, sol2.u1, sol2.v1)
-                         - evaluate_series(Pu, sol.u1, sol.v1))) < 1e-14
-    assert transversality_det(Pu2, Ps2, sol2) == pytest.approx(d0, rel=1e-9)
+    sols2 = symmetric_search(Ps2)
+    assert len(sols2) == 2
+    for sol in sols_ill:
+        (twin,) = [s for s in sols2
+                   if np.max(np.abs(s.point - sol.point)) < 1e-14]
+        assert twin.u2 == pytest.approx(-sol.u2, abs=1e-12)
+        assert twin.v2 == pytest.approx(-sol.v2, abs=1e-12)
+        assert twin.det == pytest.approx(sol.det, rel=1e-9)
 
 
 def test_transversality_det_vanishes_for_repeated_columns(pair_ill, sols_ill):

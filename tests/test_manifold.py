@@ -205,6 +205,15 @@ def test_unstable_is_reversed_stable(pair_ill):
     qs = evaluate_series(Ps, u, v)
     qu = evaluate_series(Pu, u, v)
     assert np.array_equal(apply_symmetry("sigma5", qs), qu)
+    # the Jacobian rows reverse with the image, batched and at one point:
+    # symmetric_search and build_profile read P_u off P_s through these
+    assert np.array_equal(series_jacobian(Pu, u, v),
+                          series_jacobian(Ps, u, v)[..., ::-1, :])
+    for a, b in zip(u.tolist(), v.tolist()):
+        assert np.array_equal(evaluate_series(Pu, a, b),
+                              evaluate_series(Ps, a, b)[::-1])
+        assert np.array_equal(series_jacobian(Pu, a, b),
+                              series_jacobian(Ps, a, b)[..., ::-1, :])
 
 
 def test_series_is_odd(pair_ill):

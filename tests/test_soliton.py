@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from dnls_nnn import soliton
-from dnls_nnn.homoclinic import HomoclinicSolution
+from dnls_nnn.homoclinic import HomoclinicSolution, symmetric_search
+from dnls_nnn.manifold import compute_manifold_pair
 from dnls_nnn.maps import ModelParams, map2_apply
 from dnls_nnn.soliton import (
     FLOOR,
@@ -14,7 +15,7 @@ from dnls_nnn.soliton import (
     portrait_2d,
 )
 
-from reference import reference_portrait
+from reference import reference_portrait, two_tail_profile
 
 PEAK_REF = 1.327385e-2  # largest site amplitude at eps=4e-4, A=-1/8
 LAMBDA2 = 0.47339771836588446  # slow stable rate at A=-1/8
@@ -22,8 +23,8 @@ LAMBDA2 = 0.47339771836588446  # slow stable rate at A=-1/8
 
 @pytest.fixture(scope="module")
 def profile(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
-    return build_profile(sols_ill[0], Pu, Ps)
+    Ps, _ = pair_ill
+    return build_profile(sols_ill[0], Ps)
 
 
 def test_profile_window_and_peak(profile):
@@ -49,6 +50,22 @@ def test_profile_mirror_symmetry(profile):
     assert profile.values[i0] == pytest.approx(profile.values[i1], rel=1e-10)
 
 
+def test_mirrored_tail_matches_the_unstable_series(pair_ill, sols_ill):
+    # the left tail mirrors the right one instead of evaluating P_u, which
+    # reads the same values bit for bit since P_u = sigma5 o P_s
+    pair2 = compute_manifold_pair(ModelParams(0.01, -0.13), order=80)
+    for (Ps, Pu), sols in ((pair_ill, sols_ill),
+                           (pair2, symmetric_search(pair2[0]))):
+        assert sols
+        for sol in sols:
+            prof = build_profile(sol, Ps)
+            ref = two_tail_profile(sol, Pu, Ps)
+            assert np.array_equal(prof.indices, ref.indices)
+            assert np.array_equal(prof.values, ref.values)
+            assert prof.tail_decay == ref.tail_decay
+            assert mirror_defect(prof) == 0.0
+
+
 def test_tails_decay_at_slow_stable_rate(profile):
     left, right = profile.tail_decay
     assert left == pytest.approx(LAMBDA2, rel=0.05)
@@ -65,26 +82,26 @@ def test_residual_detects_perturbation(profile):
 
 
 def test_step_budget_enforced(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
+    Ps, _ = pair_ill
     with pytest.raises(ProfileError):
-        build_profile(sols_ill[0], Pu, Ps, max_steps=5)
+        build_profile(sols_ill[0], Ps, max_steps=5)
 
 
 def test_mirror_solution_gives_negated_profile(pair_ill, sols_ill):
-    Ps, Pu = pair_ill
-    a = build_profile(sols_ill[0], Pu, Ps)
-    b = build_profile(sols_ill[1], Pu, Ps)
+    Ps, _ = pair_ill
+    a = build_profile(sols_ill[0], Ps)
+    b = build_profile(sols_ill[1], Ps)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.values, -b.values)
     assert a.residual_max == b.residual_max
 
 
 def test_trivial_point_gives_empty_profile(pair_ill, p_ill):
-    Ps, Pu = pair_ill
+    Ps, _ = pair_ill
     zero = HomoclinicSolution(u1=0.0, v1=0.0, u2=0.0, v2=0.0,
                               point=np.zeros(4), residual=0.0,
                               params=p_ill, series_order=Ps.order)
-    prof = build_profile(zero, Pu, Ps)
+    prof = build_profile(zero, Ps)
     assert np.array_equal(prof.indices, np.arange(-1, 3))
     assert np.all(prof.values == 0.0)
     assert prof.residual_max == 0.0
