@@ -107,11 +107,9 @@ def _jsonable(obj):
 
 
 def _write_json(path, payload, cfg):
-    body = {"version": __version__, "config": asdict(cfg)}
-    body.update(payload)
+    body = {"version": __version__, "config": asdict(cfg), **payload}
     with open(path, "w") as fh:
-        json.dump(_jsonable(body), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(body), sort_keys=True, indent=1) + "\n")
 
 
 def _build_parser():

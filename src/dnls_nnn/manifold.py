@@ -22,7 +22,9 @@ third-component series:
 with k0 the characteristic polynomial at the origin.  The recursion is
 triangular in total degree n+m; order 1 is seeded with the Vandermonde
 eigenvectors (1, L_i, L_i^2, L_i^3).  The map is odd, so every block of
-even total degree vanishes identically.
+even total degree vanishes identically, and the recursion runs on the odd
+degrees only.  np.convolve puts the longer factor first, so the square's
+mirrored convolutions (a, b) and (b, a) are one computation.
 
 The scales (g1, g2) are a pure gauge: (u, v) -> (g1 u, g2 v) rescales block
 (n, m) by g1^n g2^m without moving the manifold.  The recursion runs once, at
@@ -47,17 +49,19 @@ det, residual checks, the profile's right tail) take a two-stage
 contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
 the Jacobian contracts the same coefficients against the tables k U^{k-1}
 and k V^{k-1}.  Tensor grids (evaluate_grid; the homoclinic census and every
-gauge probe) run Horner in v over all rows, then Horner in u.  Both are
-exactly odd (the Jacobian exactly even), agree to about 1e-15 relative, and
-are deterministic for one input shape, BLAS build and machine.  At
+gauge probe) run Horner in v over all rows, once per distinct |v| (row n
+has parity n + 1 in v), then Horner in u.  Both are exactly odd (the
+Jacobian exactly even), agree to about 1e-15 relative, and are
+deterministic for one input shape, BLAS build and machine.  At
 large-amplitude cells the gauge target sits at the float64 rounding floor,
-so the chosen gauge moves when the summation order changes; Horner is the
-most accurate grid order measured there.
+so the chosen gauge moves when the summation order changes (summing the
+recursion's convolutions pairwise moves 6 of 32 reference gauges), and no
+sum here is reordered; Horner is the most accurate grid order measured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,32 +136,36 @@ class ManifoldSeries:
 
 
 def _build_coeffs(p: ModelParams, L1, L2, N):
-    """Dense (4, N+1, N+1) unit-gauge table by anti-diagonal recursion."""
+    """Dense (4, N+1, N+1) unit-gauge table by anti-diagonal recursion, bit
+    for bit the full one of tests/reference.py.  The third component's
+    anti-diagonals d3[k] vanish at even k and its square's at odd k: the
+    terms skipped add exact zeros to sums that are never -0.0, in order,
+    and with positive rates each even block is the +0.0 of np.zeros."""
     k0 = characteristic_poly(p, "origin")
     C = np.zeros((4, N + 1, N + 1))
-    if N >= 1:
-        C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
-        C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
-    pw1 = L1 ** np.arange(N + 1)
-    pw2 = L2 ** np.arange(N + 1)
     # anti-diagonal views of the third component: d3[k][j] = C[2, j, k-j]
     d3 = [np.zeros(k + 1) for k in range(N + 1)]
     if N >= 1:
+        C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
+        C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
         d3[1] = np.array([C[2, 0, 1], C[2, 1, 0]])
+    pw1 = L1 ** np.arange(N + 1)
+    pw2 = L2 ** np.arange(N + 1)
     sq = [None] * (N + 1)  # sq[j] = anti-diagonals of the squared series
-    for k in range(2, N + 1):
+    for k in range(3, N + 1, 2):
         j = k - 1
-        if j >= 2:
-            s = np.zeros(j + 1)
-            for j1 in range(1, j):
-                s += np.convolve(d3[j1], d3[j - j1])
-            sq[j] = s
+        # convolve puts the longer factor first, so (a, b) and (b, a) agree
+        # bit for bit: each mirrored pair is convolved once
+        half = [np.convolve(d3[a], d3[j - a])
+                for a in range(1, j // 2 + 1, 2)]
+        sq[j] = np.zeros(j + 1)
+        for j1 in range(1, j, 2):
+            sq[j] += half[min(j1, j - j1) // 2]
         cube = np.zeros(k + 1)
-        for j2 in range(2, k):
-            if sq[j2] is not None:
-                cube += np.convolve(sq[j2], d3[k - j2])
+        for j2 in range(2, k, 2):
+            cube += np.convolve(sq[j2], d3[k - j2])
         idx = np.arange(k + 1)
-        Lam = pw1[idx] * pw2[k - idx]
+        Lam = pw1[: k + 1] * pw2[k::-1]
         R = cube / (p.epsilon * p.A)
         D = -k0(Lam)
         bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL * np.maximum(1.0, np.abs(Lam) ** 4))
@@ -167,14 +175,10 @@ def _build_coeffs(p: ModelParams, L1, L2, N):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             a1 = np.where(R == 0.0, 0.0, R / D)
             a4 = Lam**3 * a1
-        if (not np.all(np.isfinite(a1)) or not np.all(np.isfinite(a4))
-                or max(np.max(np.abs(a1)), np.max(np.abs(a4))) > OVERFLOW_LIMIT):
+        if not np.all(np.abs(np.concatenate([a1, a4])) <= OVERFLOW_LIMIT):
             raise SeriesOverflowError(k)
-        C[0, idx, k - idx] = a1
-        C[1, idx, k - idx] = Lam * a1
-        C[2, idx, k - idx] = Lam * Lam * a1
-        C[3, idx, k - idx] = a4
-        d3[k] = C[2, idx, k - idx]
+        d3[k] = Lam * Lam * a1
+        C[:, idx, k - idx] = [a1, Lam * a1, d3[k], a4]
     return C
 
 
@@ -204,13 +208,20 @@ def _contract(C, u, v, jac=False):
 
 def _horner_v(C, gv):
     """Grid stage 1: W[n, i, j] = sum_m C[i, n, m] gv_j^m, Horner in v over
-    all rows at once (row n stops at degree N - n)."""
+    all rows at once (row n stops at degree N - n).
+
+    Each distinct |v| runs once.  Row n holds only degrees m of parity
+    n + 1, and negation is exact, so Horner at -v is (-1)^(n+1) times
+    Horner at |v| bit for bit, up to the sign of zeros."""
     N = C.shape[2] - 1
+    av, col = np.unique(np.abs(gv), return_inverse=True)
     Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
-    W = np.zeros((C.shape[1], 4, gv.size))
+    W = np.zeros((C.shape[1], 4, av.size))
     for m in range(N, -1, -1):
-        W[: N + 1 - m] *= gv
+        W[: N + 1 - m] *= av
         W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
+    W = W[:, :, col]
+    W[::2] *= np.where(gv < 0, -1.0, 1.0)
     return W
 
 
@@ -226,10 +237,8 @@ def _horner_u(W, gu):
 
 
 def _broadcast_uv(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    return u, v
+    return np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
 
 
 def evaluate_series(ms: ManifoldSeries, u, v):
@@ -484,14 +493,8 @@ def rescale_series(ms: ManifoldSeries, scale):
     """Re-gauge to new scales; the manifold (as a set) is unchanged."""
     g1, g2 = float(scale[0]), float(scale[1])
     f1, f2 = g1 / ms.scale[0], g2 / ms.scale[1]
-    return ManifoldSeries(
-        branch=ms.branch,
-        order=ms.order,
-        rates=ms.rates,
-        scale=(g1, g2),
-        coeffs=_rescale_table(ms.coeffs, f1, f2),
-        params=ms.params,
-    )
+    return replace(ms, scale=(g1, g2),
+                   coeffs=_rescale_table(ms.coeffs, f1, f2))
 
 
 def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
@@ -519,14 +522,9 @@ def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
 
 
 def series_to_dict(ms: ManifoldSeries):
-    N = ms.order
-    table = {}
-    for i in range(4):
-        for n in range(N + 1):
-            for m in range(N + 1 - n):
-                c = ms.coeffs[i, n, m]
-                if c != 0.0:
-                    table[f"{i + 1},{n},{m}"] = c
+    idx = np.nonzero(ms.coeffs)
+    table = {f"{i + 1},{n},{m}": c for i, n, m, c in
+             zip(*(a.tolist() for a in idx), ms.coeffs[idx].tolist())}
     return {
         "branch": ms.branch,
         "order": ms.order,
@@ -539,17 +537,19 @@ def series_to_dict(ms: ManifoldSeries):
 
 def series_from_dict(d):
     """Inverse of series_to_dict.  The pipeline only writes series; the
-    output checks of perfbench read them back through this."""
+    output checks of perfbench read them back through this.  An entry of
+    even or negative total degree, of degree above the order, or of a
+    component outside 1..4 raises ValueError: the evaluators' exact
+    oddness rests on the table holding odd degrees only."""
     N = int(d["order"])
     C = np.zeros((4, N + 1, N + 1))
     for key, val in d["coeffs"].items():
         i, n, m = (int(t) for t in key.split(","))
+        if not (1 <= i <= 4 and n >= 0 and m >= 0 and n + m <= N
+                and (n + m) % 2):
+            raise ValueError(f"coefficient {key!r} is not an odd-degree "
+                             f"entry of a 4-component order-{N} series")
         C[i - 1, n, m] = val
-    return ManifoldSeries(
-        branch=d["branch"],
-        order=N,
-        rates=tuple(float(r) for r in d["rates"]),
-        scale=tuple(float(g) for g in d["scale"]),
-        coeffs=C,
-        params=ModelParams(d["params"]["epsilon"], d["params"]["A"]),
-    )
+    p = ModelParams(d["params"]["epsilon"], d["params"]["A"])
+    return ManifoldSeries(d["branch"], N, tuple(map(float, d["rates"])),
+                          tuple(map(float, d["scale"])), C, p)

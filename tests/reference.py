@@ -1,11 +1,12 @@
 """Reference paths that check the package's fast code: block-at-a-time
-coefficient recursion, a long-double grid evaluator, the gauge policy with
-one log-bisection at a time, a multistart homoclinic search that polishes
-the full 4-d matching system without the reversor that symmetric_search
-reduces the problem with, the 4x4 transversality determinant and the
-two-series profile tails that symmetric_search and build_profile read off
-the stable series alone, and the phase portrait stepped one masked
-map2_apply call at a time.
+coefficient recursion, the anti-diagonal recursion with every convolution,
+the grid v-stage on every column, a long-double grid evaluator, the gauge
+policy with one log-bisection at a time, a multistart homoclinic search
+that polishes the full 4-d matching system without the reversor that
+symmetric_search reduces the problem with, the 4x4 transversality
+determinant and the two-series profile tails that symmetric_search and
+build_profile read off the stable series alone, and the phase portrait
+stepped one masked map2_apply call at a time.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d inverse,
@@ -27,10 +28,12 @@ from dnls_nnn.homoclinic import (
     _mirror,
 )
 from dnls_nnn.manifold import (
+    OVERFLOW_LIMIT,
     RESONANCE_TOL,
     GaugeError,
     ManifoldSeries,
     ResonanceError,
+    SeriesOverflowError,
     _horner_u,
     _horner_v,
     evaluate_series,
@@ -313,6 +316,67 @@ def solve_order_block(ms: ManifoldSeries, n, m):
         raise ResonanceError((n, m), abs(D))
     a1 = R / D
     return a1 * np.array([1.0, Lam, Lam * Lam, Lam**3])
+
+
+def convolve_all_coeffs(p: ModelParams, L1, L2, N):
+    """The unit-gauge table of _build_coeffs, convolving every pair of
+    anti-diagonals of every total degree, the even ones and the mirrored
+    ones included."""
+    k0 = characteristic_poly(p, "origin")
+    C = np.zeros((4, N + 1, N + 1))
+    if N >= 1:
+        C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
+        C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
+    pw1 = L1 ** np.arange(N + 1)
+    pw2 = L2 ** np.arange(N + 1)
+    d3 = [np.zeros(k + 1) for k in range(N + 1)]
+    if N >= 1:
+        d3[1] = np.array([C[2, 0, 1], C[2, 1, 0]])
+    sq = [None] * (N + 1)
+    for k in range(2, N + 1):
+        j = k - 1
+        if j >= 2:
+            s = np.zeros(j + 1)
+            for j1 in range(1, j):
+                s += np.convolve(d3[j1], d3[j - j1])
+            sq[j] = s
+        cube = np.zeros(k + 1)
+        for j2 in range(2, k):
+            if sq[j2] is not None:
+                cube += np.convolve(sq[j2], d3[k - j2])
+        idx = np.arange(k + 1)
+        Lam = pw1[idx] * pw2[k - idx]
+        R = cube / (p.epsilon * p.A)
+        D = -k0(Lam)
+        bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL
+                            * np.maximum(1.0, np.abs(Lam) ** 4))
+        if np.any(bad):
+            nn = int(idx[bad][0])
+            raise ResonanceError((nn, k - nn), float(np.abs(D[bad][0])))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            a1 = np.where(R == 0.0, 0.0, R / D)
+            a4 = Lam**3 * a1
+        if (not np.all(np.isfinite(a1)) or not np.all(np.isfinite(a4))
+                or max(np.max(np.abs(a1)), np.max(np.abs(a4)))
+                > OVERFLOW_LIMIT):
+            raise SeriesOverflowError(k)
+        C[0, idx, k - idx] = a1
+        C[1, idx, k - idx] = Lam * a1
+        C[2, idx, k - idx] = Lam * Lam * a1
+        C[3, idx, k - idx] = a4
+        d3[k] = C[2, idx, k - idx]
+    return C
+
+
+def horner_v_full(C, gv):
+    """The v-stage of _horner_v run on every column of gv, v < 0 included."""
+    N = C.shape[2] - 1
+    Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
+    W = np.zeros((C.shape[1], 4, gv.size))
+    for m in range(N, -1, -1):
+        W[: N + 1 - m] *= gv
+        W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
+    return W
 
 
 def horner_longdouble(C, gu, gv):

@@ -35,6 +35,7 @@ from reference import (
     map4_jacobian,
     quartic_coefficients,
     sturm_real_root_test,
+    two_tail_profile,
 )
 
 POSITIVE_EPS = (0.0004, 0.01, 0.1, 1.0)
@@ -187,12 +188,18 @@ def test_criterion_7_soliton_profiles(pair_ill, sols_ill):
         p2 = ModelParams(0.01, -0.13)
         pair2 = compute_manifold_pair(p2, order=80)
         jobs.append((pair2, symmetric_search(pair2[0])))
-        for (Ps, _), sols in jobs:
+        for (Ps, Pu), sols in jobs:
             assert sols
             lam2 = max(Ps.rates)
             for sol in sols:
                 prof = build_profile(sol, Ps)
+                # the oracle reads the left tail from P_u itself
+                ref = two_tail_profile(sol, Pu, Ps)
+                assert np.array_equal(prof.indices, ref.indices)
+                assert prof.values.tobytes() == ref.values.tobytes()
                 assert prof.residual_max <= 1e-9
+                # true by construction: build_profile mirrors its right
+                # tail about a palindromic point
                 assert mirror_defect(prof) <= 1e-10
                 left, right = prof.tail_decay
                 assert abs(left - lam2) <= 0.05 * lam2

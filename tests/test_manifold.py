@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dnls_nnn import manifold
+from dnls_nnn.homoclinic import _census_axis
 from dnls_nnn.manifold import (
     GAUGE_RESIDUAL,
     OVERFLOW_LIMIT,
@@ -34,7 +35,9 @@ from dnls_nnn.spectral import (
 from reference import _log_bisect as log_bisect
 from reference import (
     apply_symmetry,
+    convolve_all_coeffs,
     cubic_convolution,
+    horner_v_full,
     map4_jacobian,
     sequential_gauge,
     solve_order_block,
@@ -283,12 +286,41 @@ def test_compute_manifold_argument_validation():
 
 def test_resonance_guard_raises_on_true_resonance():
     # inject rates whose product hits an eigenvalue at an odd block with a
-    # nonzero numerator: L1^2 L2 = L1 when L2 = 1/L1
+    # nonzero numerator: L1^2 L2 = L1 when L2 = 1/L1; the full recursion
+    # reports the same block and denominator
     es = eig(P)
     l1, _ = es.stable_pair()
-    with pytest.raises(ResonanceError) as err:
-        _build_coeffs(P, l1, 1.0 / l1, 10)
-    assert err.value.order is not None
+    seen = []
+    for build in (_build_coeffs, convolve_all_coeffs):
+        with pytest.raises(ResonanceError) as err:
+            build(P, l1, 1.0 / l1, 10)
+        seen.append((err.value.order, err.value.value))
+    assert seen[0][0] is not None and seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("eps, A", [(0.0004, -0.125), (1.0, -0.145),
+                                    (-0.5, -0.13), (0.0002, -0.1462)])
+def test_odd_degree_recursion_is_the_full_one_bit_for_bit(eps, A):
+    p = ModelParams(eps, A)
+    l1, l2 = eig(p).stable_pair()
+    for N in (1, 2, 10, 80):
+        fast = _build_coeffs(p, l1, l2, N)
+        full = convolve_all_coeffs(p, l1, l2, N)
+        # int64 views tell -0.0 from 0.0
+        assert np.array_equal(fast.view(np.int64), full.view(np.int64)), N
+
+
+def test_odd_degree_recursion_convolves_each_pair_once(monkeypatch):
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve",
+                        lambda a, b: calls.append(1) or convolve(a, b))
+    l1, l2 = eig(P).stable_pair()
+    _build_coeffs(P, l1, l2, 80)
+    # odd k = 3..79: the square at k - 1 needs ceil((k - 1) / 4) mirrored
+    # pairs, the cube (k - 1) / 2 products
+    assert len(calls) == sum(-(-(k - 1) // 4) + (k - 1) // 2
+                             for k in range(3, 81, 2)) == 1180
 
 
 def test_zero_numerator_rides_through_exact_resonance():
@@ -401,6 +433,34 @@ def test_probe_residuals_read_an_overflowing_probe_as_inf():
     assert r[1] == np.inf
 
 
+@pytest.mark.parametrize("eps, A", [(0.0004, -0.125), (1.0, -0.145)])
+def test_v_stage_mirror_is_the_full_v_stage(monkeypatch, eps, A):
+    """_horner_v runs each |v| once and negates the rows odd in v.
+
+    np.array_equal reads -0.0 == 0.0, so the sign of a zero may differ from
+    the full v-stage; no such zero reaches a result.  A gauge probe reduces
+    P to norms of F - Q, the census compares G and its cell corners with
+    0.0 (where -0.0 and 0.0 agree) and scores by |G|, and no artifact holds
+    a grid value: the series files hold the coefficient table, and the
+    residuals and solutions are read through evaluate_series.
+    """
+    unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
+    grids = []
+
+    def spy(C, gv):
+        grids.append((C, gv))
+        return _horner_v(C, gv)
+
+    monkeypatch.setattr(manifold, "_horner_v", spy)
+    _default_gauge(unit, GAUGE_RESIDUAL)
+    assert grids[-1][1].size == 12 * 66  # the twelve stacked rung grids
+    C = unit.coeffs
+    grids += [(C, _census_axis()), (C, np.linspace(-1.0, 1.0, 41)),
+              (C, np.array([0.5, -0.0, -0.25, 0.0, -0.5, 1e-3]))]
+    for C, gv in grids:
+        assert np.array_equal(_horner_v(C, gv), horner_v_full(C, gv))
+
+
 def _passes_between(rng, cap, cuts):
     """t -> whether t passes, flipping at `cuts` random points in log t:
     a pass/fail pattern with no monotonicity."""
@@ -484,6 +544,15 @@ def test_serialization_round_trip(pair_ill):
     raw = json.loads(json.dumps(d))
     assert raw["order"] == Ps.order
     assert np.array_equal(series_from_dict(raw).coeffs, Ps.coeffs)
+
+
+def test_series_from_dict_refuses_entries_off_the_odd_table(pair_ill):
+    d = series_to_dict(pair_ill[0])
+    # even degree, degree above the order, negative index, no component
+    for key in ("1,1,1", "2,0,0", "1,80,1", "3,-1,2", "0,1,0", "5,0,1"):
+        bad = dict(d, coeffs={**d["coeffs"], key: 1.0})
+        with pytest.raises(ValueError, match=key):
+            series_from_dict(bad)
 
 
 def test_pair_uses_shared_gauge(pair_ill):

@@ -44,6 +44,8 @@ def test_profile_solves_lattice_equation(profile):
 
 
 def test_profile_mirror_symmetry(profile):
+    # true by construction (the left tail is the right one mirrored); the
+    # two_tail_profile oracle below is the check that can fail
     assert mirror_defect(profile) <= 1e-10
     i0 = int(np.nonzero(profile.indices == 0)[0][0])
     i1 = int(np.nonzero(profile.indices == 1)[0][0])
