@@ -93,6 +93,8 @@ def _float_list(text):
 
 
 def _jsonable(obj):
+    if obj is None or type(obj) in (str, float, int, bool):
+        return obj  # most of a series table: no isinstance chain
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

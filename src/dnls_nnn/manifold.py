@@ -33,7 +33,8 @@ rescaling.  The default gauge is chosen so that the truncation is
 trustworthy on the whole unit box [-1, 1]^2 -- largest box with conjugacy
 residual below a target -- subject to maximizing the covered parameter
 area; see _default_gauge.  Its probes read half the box (the residual is
-even), and its bisections stop once they cannot change the pick.
+even), its edge bisection stacks five levels a round, and its rungs join
+only while their a-priori bound can win and stop once they cannot.
 
 The unstable series is transported, not recomputed.  The reversor
 sigma5(x, y, z, w) = (w, z, y, x) conjugates f to its inverse, and reversing
@@ -335,63 +336,76 @@ def _stable_eigensystem(p: ModelParams):
     return es
 
 
-def _log_bisect(cap, refine=25):
+def _log_bisect(cap, depth):
     """Largest t <= cap whose probe passes, by bisection in log t; None if
-    none.  A generator: it yields each probe t and is sent back whether the
-    residual at t meets the target."""
-    t = cap
-    if (yield t):
-        return t
-    lo, hi = None, t
-    while t > 1e-14 * cap:
-        t /= 4.0
-        if (yield t):
-            lo = t
+    none.  A generator: each round yields (ts, lo, hi), its probes and a
+    bracket that holds the answer if there is one (lo = 0 before a probe
+    passes, hi = cap before one fails), and is sent back which probes
+    passed.  A round probes the next 2**depth - 1 points of the descent
+    cap / 4**j or the next `depth` levels of the 25-level refinement tree,
+    all midpoints formed as np.sqrt(lo * hi).  Results off the path taken
+    are never read, so every depth answers as depth 1, one probe a round."""
+    chain = [cap]
+    while chain[-1] > 1e-14 * cap:
+        chain.append(chain[-1] / 4.0)
+    lo, hi, width = 0.0, cap, 2**depth - 1
+    for a in range(0, len(chain), width):
+        ok = yield chain[a:a + width], lo, hi
+        if any(ok):
+            j = a + ok.index(True)
+            if j == 0:
+                return cap
+            lo, hi = chain[j], chain[j - 1]
             break
-        hi = t
-    if lo is None:
+        hi = chain[a + len(ok) - 1]
+    else:
         return None
-    for _ in range(refine):
-        mid = np.sqrt(lo * hi)
-        if (yield mid):
-            lo = mid
-        else:
-            hi = mid
+    for left in range(25, 0, -depth):
+        d = min(depth, left)
+        b = np.empty(2**d + 1)
+        b[0], b[-1] = lo, hi
+        for s in 2 ** np.arange(d - 1, -1, -1):
+            b[s::2 * s] = np.sqrt(b[:-1:2 * s] * b[2 * s::2 * s])
+        ok = yield b[1:-1], lo, hi
+        a, z = 0, 2**d
+        while z - a > 1:
+            m = (a + z) // 2
+            a, z = (m, z) if ok[m - 1] else (a, m)
+        lo, hi = b[a], b[z]
     return lo
 
 
-def _lockstep(cap, extents, resid, tau):
+def _lockstep(cap, extents, resid, tau, depth=1):
     """Pick the gauge rule's winner among log-bisections run side by side.
 
     Search k bisects its limit t_k for the fixed extent g_k; the rule picks
     the first k (in the given order) whose area t_k * g_k is >= 0.9 times
     the largest area.  Returns (k, t_k), or None if every search ends
-    without a passing probe.  Each round hands the pending probes of all
-    searches still in contention to resid(keys, ts) at once; it returns
-    their residuals.  A search whose largest passing probe so far is lo and
-    smallest failing one hi ends in [lo, hi), whatever the residual's
-    shape, so lo * g <= t * g <= hi * g in the rule's own float products.
-    After each round a search drops out once hi * g < 0.9 * max(lo * g):
-    it cannot win.  Once the first search standing has lo * g >= 0.9 *
-    max(hi * g), it is the winner and finishes alone.
+    without a passing probe.  Each round hands the pending probes of its
+    searches to resid(keys, ts) at once (keys[i] is the search of probe
+    ts[i]); it returns their residuals.  A search's bracket [lo, hi] bounds
+    its area in the rule's own float products, lo * g <= t * g <= hi * g,
+    whatever the residual's shape.  After each round a search drops out
+    once hi * g < 0.9 * max(lo * g): it cannot win.  Once the first search
+    standing has lo * g >= 0.9 * max(hi * g), it is the winner and
+    finishes alone.  Round 1 runs the first two searches only; the others
+    join in round 2 unless their a-priori bound hi = cap has dropped them,
+    which is as sound as a probed bound.
     """
-    searches = [_log_bisect(cap) for _ in extents]
-    probes = {k: next(s) for k, s in enumerate(searches)}
-    lo = [0.0] * len(extents)
-    hi = [np.inf] * len(extents)
-    live = list(probes)
-    while probes:
-        keys = list(probes)
-        passed = resid(keys, np.array([probes[k] for k in keys])) <= tau
-        for k, ok in zip(keys, passed.tolist()):
-            if ok:
-                lo[k] = probes[k]
-            else:
-                hi[k] = probes[k]
+    searches = [_log_bisect(cap, depth) for _ in extents]
+    pending, lo, hi = map(list, zip(*(next(s) for s in searches)))
+    live = list(range(len(extents)))
+    keys = live[:2]
+    while keys:
+        ts = [pending[k] for k in keys]
+        passed = iter((resid([k for k, t in zip(keys, ts) for _ in t],
+                             np.concatenate(ts)) <= tau).tolist())
+        for k, t in zip(keys, ts):
             try:
-                probes[k] = searches[k].send(ok)
+                pending[k], lo[k], hi[k] = searches[k].send(
+                    [next(passed) for _ in t])
             except StopIteration as stop:
-                del probes[k]
+                pending[k] = None
                 if stop.value is None:
                     live.remove(k)
                 else:
@@ -401,7 +415,7 @@ def _lockstep(cap, extents, resid, tau):
         if live and lo[live[0]] * extents[live[0]] >= 0.9 * max(
                 hi[k] * extents[k] for k in live):
             live = live[:1]
-        probes = {k: probes[k] for k in live if k in probes}
+        keys = [k for k in live if pending[k] is not None]
     return (live[0], lo[live[0]]) if live else None
 
 
@@ -421,50 +435,58 @@ def _default_gauge(unit: ManifoldSeries, tau):
     grids are exactly symmetric (steps 1/8 and 1/16 times one factor), so
     the residual at (-u, -v) is the one at (u, v) bit for bit: a rung probe
     evaluates the rows u >= 0 only (9 of 17), with the full grid's max and
-    finiteness.  A rung of the ladder fixes the v-grid, so the v-stages of
-    all twelve rungs are computed once, in one call; _lockstep then bisects
-    the rungs side by side, each round evaluating every rung still in
-    contention (P rows and Q rows together) in one stacked u-stage, and
-    stops bisecting a rung as soon as the [lo, hi) bounds on the areas show
-    it cannot be the rule's pick.  The pruning is the 0.9 rule restated on
-    those bounds: a change to the rule must change _lockstep with it.  The
-    edge bisection runs through the same driver as a single search (its
-    v-grid moves, its u-grid is u = 0, which reads row n = 0 only).  Each
-    rung sees the probes and the bits it would see alone, so the gauge is
-    the one of bisecting every rung to the end on the full grid.
+    finiteness.  Both stages run through _lockstep.  The edge (v-grid
+    moving, u = 0, which reads row n = 0 only) stacks its rounds: the whole
+    descent in one call, then five refinement levels (31 probes) a call,
+    6 calls where one probe a call took 27-28.  The rungs take one probe a
+    round, every rung in contention in one stacked u-stage (P rows and Q
+    rows together), and stop once the bounds on their areas show they
+    cannot be the rule's pick; that pruning is the 0.9 rule restated, so
+    the two change together.  A rung fixes its v-grid, so its v-stage is
+    built once, when it joins.  Rungs 0 and 1 start alone: the ladder falls
+    by 0.734 < 0.9 a rung, so a pass at the cap by either drops every
+    later rung unbuilt.  Each probe sees the bits it would see alone, so
+    the gauge is that of bisecting every rung to the end, one probe at a
+    time, on the full grid.
     """
     p = unit.params
     l1, l2 = unit.rates
     cap = 256.0 * np.sqrt(abs(p.epsilon))
+
+    def v_stages(C, gv):  # [:, :, r]: the v-stages of P and Q on grid gv[r]
+        W = _horner_v(C, np.concatenate([gv, l2 * gv], axis=-1).ravel())
+        return W.reshape(W.shape[:2] + (len(gv), -1))
+
     e41 = np.linspace(-1.0, 1.0, 41)
-    row0 = unit.coeffs[:, :1]
-
-    def edge(keys, ts):
-        gv = e41 * ts[0]
-        W = _horner_v(row0, np.concatenate([gv, l2 * gv]))
-        return _probe_residuals(W[:, :, None], np.zeros((1, 1)), l1, p)
-
-    found = _lockstep(cap, [1.0], edge, tau)
+    found = _lockstep(cap, [1.0], lambda keys, ts: _probe_residuals(
+        v_stages(unit.coeffs[:, :1], e41 * ts[:, None]),
+        np.zeros((1, ts.size)), l1, p), tau, depth=5)
     if found is None:
         raise GaugeError("no v-extent meets the residual target")
     g2max = found[1]
     eu = np.linspace(0.0, 1.0, 9)  # rows u >= 0 of linspace(-1, 1, 17)
     ev = np.linspace(-1.0, 1.0, 33)
     ladder = np.geomspace(g2max / 30.0, g2max, 12)[::-1]
-    gv = ev[None, :] * ladder[:, None]
-    W = _horner_v(unit.coeffs, np.concatenate([gv, l2 * gv], axis=-1).ravel())
-    W = W.reshape(W.shape[:2] + (ladder.size, -1))
-
-    live = list(range(ladder.size))
+    W, slots = None, []  # slots[j]: the rung whose v-stages W[:, :, j] holds
 
     def rungs(keys, ts):
-        # rungs out of contention drop out: the v-stages of the others move
-        # to the front in place (keys is an ordered subsequence of live), so
-        # no round copies W
-        for j, k in enumerate(keys):
-            if live[j] != k:
-                W[:, :, j] = W[:, :, live.index(k)]
-        live[:] = keys
+        # keys is an ordered subsequence of the rungs.  A round where rungs
+        # join builds W anew in key order, in one v-stage call where each
+        # rung built before sits at v = 0 (one |v| more) and is then copied
+        # in; otherwise the rungs still in contention move up in place.
+        nonlocal W
+        built = np.isin(keys, slots)
+        if built.all():
+            for j, k in enumerate(keys):
+                if slots[j] != k:
+                    W[:, :, j] = W[:, :, slots.index(k)]
+        else:
+            V = v_stages(unit.coeffs,
+                         ev * np.where(built, 0.0, ladder[keys])[:, None])
+            for j in np.flatnonzero(built):
+                V[:, :, j] = W[:, :, slots.index(keys[j])]
+            W = V
+        slots[:] = keys
         return _probe_residuals(W[:, :, :len(keys)], eu[:, None] * ts, l1, p)
 
     found = _lockstep(cap, ladder, rungs, tau)

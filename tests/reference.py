@@ -5,8 +5,9 @@ policy with one log-bisection at a time, a multistart homoclinic search
 that polishes the full 4-d matching system without the reversor that
 symmetric_search reduces the problem with, the 4x4 transversality
 determinant and the two-series profile tails that symmetric_search and
-build_profile read off the stable series alone, and the phase portrait
-stepped one masked map2_apply call at a time.
+build_profile read off the stable series alone, the phase portrait
+stepped one masked map2_apply call at a time, and the artifacts' JSON
+conversion by isinstance checks alone.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d inverse,
@@ -565,3 +566,18 @@ def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
     return SolitonProfile(params=sol.params, indices=indices, values=values,
                           residual_max=_residual_of_values(values, sol.params),
                           tail_decay=decay)
+
+
+def jsonable_isinstance(obj):
+    """cli._jsonable without its exact-type shortcut for plain values."""
+    if isinstance(obj, dict):
+        return {k: jsonable_isinstance(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_isinstance(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable_isinstance(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj

@@ -2,15 +2,17 @@ import csv
 import io
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dnls_nnn.cli import _build_parser, _resolve, main
+from dnls_nnn import __version__
+from dnls_nnn.cli import _build_parser, _resolve, _write_json, main
 from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
-from reference import reference_portrait
+from reference import jsonable_isinstance, reference_portrait
 
 
 def read_json(path):
@@ -215,6 +217,28 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     assert len(doc["det"]) == 5
     assert len(doc["fit_coefficients"]) == 5
     assert isinstance(doc["ill_conditioned"], bool)
+
+
+def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
+    # plain values skip the isinstance chain; everything else takes it
+    cfg = _resolve(_build_parser().parse_args(
+        ["eigen", "--epsilon", "0.1", "--A", "-0.125"]))
+    payload = {
+        "scalars": [np.float64(0.1), np.float32(2.5), np.int64(-3),
+                    np.intp(7), 1e-300, -0.0, 4, True, None, "text"],
+        "array": np.linspace(-1.0, 1.0, 5).reshape(1, 5),
+        "ints": np.arange(3),
+        "pair": (np.float64(1.5), (2, np.int32(3))),
+        "complex": [complex(1.0, -2.0), np.complex128(0.5 + 0.25j)],
+        "nested": {"t": (np.float64(np.pi),), "z": {"w": np.zeros(2)}},
+    }
+    _write_json(tmp_path / "a.json", payload, cfg)
+    body = {"version": __version__, "config": asdict(cfg), **payload}
+    want = json.dumps(jsonable_isinstance(body), sort_keys=True,
+                      indent=1) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == want.encode()
+    assert read_json(tmp_path / "a.json")["complex"][1] == \
+        {"re": 0.5, "im": 0.25}
 
 
 def test_transversality_default_window_parses():

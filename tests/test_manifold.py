@@ -374,11 +374,14 @@ def test_gauge_policy_failure_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.145),
                                     (-0.5, -0.145), (1.0, -0.13),
-                                    (0.1, -0.145), (-0.5, -0.13)])
+                                    (0.1, -0.145), (-0.5, -0.13),
+                                    (2e-4, -0.1462), (0.01, -0.146),
+                                    (1.0, -0.1459)])
 def test_lockstep_gauge_matches_sequential_bisection(eps, A):
-    # lockstep rungs on half the box change how probes are batched and how
-    # many are made, never their bits; at (1.0, -0.13) the chosen rung
-    # outlives others, so its v-stage has moved
+    # lockstep rungs on half the box and stacked edge rounds change how
+    # probes are batched and how many are made, never their bits; at
+    # (1.0, -0.13) the chosen rung outlives others, so its v-stage has
+    # moved; the last three cells lie in the near-critical strip
     unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
     gauge = _default_gauge(unit, GAUGE_RESIDUAL)
     assert gauge == sequential_gauge(unit, GAUGE_RESIDUAL)
@@ -402,6 +405,29 @@ def test_gauge_rungs_probe_half_the_box_and_stop_early(monkeypatch):
     assert all(gu.shape[0] == 9 for gu in rungs)
     # bisecting all twelve rungs to the end takes 323 probes here
     assert sum(gu.shape[1] for gu in rungs) < 100
+
+
+def test_gauge_at_the_readme_cell_takes_a_handful_of_rounds(monkeypatch):
+    # the edge stacks its bisection (one descent call, then five refinement
+    # levels a call); rung 1 passes at the cap, so rungs 2-11 never join
+    unit, _ = compute_manifold_pair(P, scale=(1.0, 1.0))
+    calls, ladder_grids = [], []
+    real_probe, real_v = manifold._probe_residuals, manifold._horner_v
+
+    def probe_spy(W, gu, l1, params):
+        calls.append(gu.shape)
+        return real_probe(W, gu, l1, params)
+
+    def v_spy(C, gv):
+        if C.shape[1] > 1:  # the full table: a ladder v-stage
+            ladder_grids.append(gv.size)
+        return real_v(C, gv)
+
+    monkeypatch.setattr(manifold, "_probe_residuals", probe_spy)
+    monkeypatch.setattr(manifold, "_horner_v", v_spy)
+    _default_gauge(unit, GAUGE_RESIDUAL)
+    assert len(calls) <= 10, calls
+    assert ladder_grids == [2 * 66]
 
 
 def test_gauge_without_a_passing_rung_is_reported(monkeypatch):
@@ -445,15 +471,28 @@ def test_v_stage_mirror_is_the_full_v_stage(monkeypatch, eps, A):
     residuals and solutions are read through evaluate_series.
     """
     unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
-    grids = []
+    grids, probed = [], set()
 
     def spy(C, gv):
         grids.append((C, gv))
         return _horner_v(C, gv)
 
+    def lockstep_spy(cap, extents, resid, tau, depth=1):
+        def resid_spy(keys, ts):
+            if len(extents) > 1:  # the ladder
+                probed.update(extents[k] for k in keys)
+            return resid(keys, ts)
+
+        return _lockstep(cap, extents, resid_spy, tau, depth)
+
     monkeypatch.setattr(manifold, "_horner_v", spy)
+    monkeypatch.setattr(manifold, "_lockstep", lockstep_spy)
     _default_gauge(unit, GAUGE_RESIDUAL)
-    assert grids[-1][1].size == 12 * 66  # the twelve stacked rung grids
+    # a ladder grid holds 66 columns per rung, ev * g then l2 * ev * g, and
+    # ev[32] = 1: together the recorded grids cover every rung probed
+    built = {g for C, gv in grids if C.shape[1] > 1
+             for g in gv.reshape(-1, 66)[:, 32]}
+    assert probed and probed <= built
     C = unit.coeffs
     grids += [(C, _census_axis()), (C, np.linspace(-1.0, 1.0, 41)),
               (C, np.array([0.5, -0.0, -0.25, 0.0, -0.5, 1e-3]))]
@@ -482,12 +521,53 @@ def _rule_on_full_bisections(cap, extents, tests):
     return next((k, t) for area, k, t in table if area >= 0.9 * amax)
 
 
-def _lockstep_on(cap, extents, tests):
+def _lockstep_on(cap, extents, tests, depth=1, rounds=None):
     def resid(keys, ts):
+        if rounds is not None:
+            rounds.append(list(keys))
         return np.array([0.0 if tests[k](t) else 1.0
                          for k, t in zip(keys, ts.tolist())])
 
-    return _lockstep(cap, extents, resid, 0.5)
+    return _lockstep(cap, extents, resid, 0.5, depth)
+
+
+def _run_stacked(cap, ok, depth):
+    """Drive _log_bisect(cap, depth) against ok -> (answer, rounds), each
+    round as (probes the one-probe bisection has made by then, bracket)."""
+    search = manifold._log_bisect(cap, depth)
+    rounds, made, descending = [], 0, True
+    try:
+        ts, lo, hi = next(search)
+        while True:
+            rounds.append((made, (lo, hi)))
+            passed = [ok(t) for t in ts]
+            if descending:
+                made += passed.index(True) + 1 if any(passed) else len(ts)
+                descending = not any(passed)
+            else:  # a refinement round of d levels probes 2**d - 1 points
+                made += len(ts).bit_length()
+            ts, lo, hi = search.send(passed)
+    except StopIteration as stop:
+        return stop.value, rounds
+
+
+def test_stacked_bisection_is_the_one_probe_bisection():
+    rng = np.random.default_rng(13)
+    cap = 256.0 * np.sqrt(0.3)
+    for _ in range(300):
+        ok = _passes_between(rng, cap, int(rng.integers(0, 6)))
+        want = log_bisect(lambda t: 0.0 if ok(t) else 1.0, cap, 0.5)
+        one = _run_stacked(cap, ok, 1)
+        assert one[1][0] == (0, (0.0, cap))
+        if want is not None:
+            assert all(lo <= want <= hi for _, (lo, hi) in one[1])
+        for depth in (1, 2, 3, 5, 7):
+            got, rounds = _run_stacked(cap, ok, depth)
+            assert got == want, depth
+            # each round starts from a bracket of the one-probe bisection
+            assert all(dict(one[1])[made] == br for made, br in rounds)
+            # descent rounds, then ceil(25 / depth) refinement rounds
+            assert len(rounds) <= -(-25 // (2**depth - 1)) - (-25 // depth)
 
 
 def test_lockstep_pruning_picks_the_rules_winner():
@@ -498,8 +578,47 @@ def test_lockstep_pruning_picks_the_rules_winner():
         extents = ladder * rng.uniform(0.5, 50.0)
         tests = [_passes_between(rng, cap, int(rng.integers(0, 5)))
                  for _ in extents]
-        assert _lockstep_on(cap, extents, tests) == \
-            _rule_on_full_bisections(cap, extents, tests)
+        want = _rule_on_full_bisections(cap, extents, tests)
+        rounds = []
+        assert _lockstep_on(cap, extents, tests, rounds=rounds) == want
+        assert _lockstep_on(cap, extents, tests, depth=3) == want
+        assert rounds[0] == [0, 1]  # the others join in round 2 or never
+
+
+def test_lockstep_defers_the_ladder_past_rung_one():
+    rng = np.random.default_rng(11)
+    cap = 1.0
+    extents = np.geomspace(1.0 / 30.0, 1.0, 12)[::-1] * 3.0
+
+    def always(t):
+        return True
+
+    def never(t):
+        return False
+
+    def bumpy(t):  # fails at the cap, passes in a window below it
+        return 0.01 < t < 0.3
+
+    rest = [_passes_between(rng, cap, 3) for _ in extents[2:]]
+    cases = [
+        ([always, bumpy], (0, cap)),  # rung 0 passes at the cap
+        ([never, always], (1, cap)),  # rung 1 passes, rung 0 never does
+        ([bumpy, always], None),  # rung 1 passes, rung 0 fails at the cap
+        ([bumpy, bumpy], None),  # both fail at the cap: the rest join
+        ([never, never], None),
+    ]
+    for head, want in cases:
+        tests = head + rest
+        rule = _rule_on_full_bisections(cap, extents, tests)
+        assert want is None or rule == want
+        rounds = []
+        assert _lockstep_on(cap, extents, tests, rounds=rounds) == rule
+        assert rounds[0] == [0, 1]
+        if head[1] is always or head[0] is always:
+            # no later rung can reach 0.9 of a cap-area: none is probed
+            assert all(k < 2 for keys in rounds for k in keys), rounds
+        else:
+            assert any(k >= 2 for k in rounds[1]), rounds
 
 
 def test_lockstep_pruning_edge_cases():
