@@ -495,16 +495,20 @@ def cmd_portrait(cfg):
         half = pair[0]
     if 0.0 in cfg.epsilon:  # checked before any file is written
         raise UsageError("epsilon must be nonzero")
+    names = [f"portrait_eps{eps:g}.csv" for eps in cfg.epsilon]
+    clash = [name for name in names if names.count(name) > 1]
+    if clash:  # {eps:g} keeps 6 significant digits
+        raise UsageError(f"epsilon values share the output file {clash[0]}; "
+                         "they must differ within 6 significant digits")
     g = np.linspace(-half, half, cfg.seeds)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     outdir = _outdir(cfg)
     stride = max(1, PORTRAIT_STEPS // 1000)  # keep files a few MB at most
     manifest = {"steps": PORTRAIT_STEPS, "stride": stride,
                 "files": [], "summary": []}
-    for eps in cfg.epsilon:
+    for eps, fname in zip(cfg.epsilon, names):
         p = ModelParams(eps, 0.0)
         orbits = portrait_2d(p, seeds, steps=PORTRAIT_STEPS)
-        fname = f"portrait_eps{eps:g}.csv"
         with open(outdir / fname, "w", newline="") as fh:
             # the excel-dialect CSV text, floats as repr; one write per orbit
             fh.write("seed_index,step,x,y\r\n")

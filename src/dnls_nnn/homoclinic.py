@@ -12,14 +12,16 @@ G = (P_1 - P_4, P_2 - P_3).  The two zero curves are nearly parallel along
 the manifold's fold, so roots are seeded from a fine census of sign-change
 cells (both components changing sign in the same cell) rather than from a
 coarse multistart.  G is odd and the census axis exactly symmetric, so the
-census is evaluated on the half box u >= 0 and mirrored; its flagged cells
-are grouped into 8-connected components, and each component is seeded
-once, on the half box.  Roots are deduplicated in (u, v) modulo sign and
-each is certified once, where the 2-d Newton leaves it; its mirror image is
-the sign flip.  Everything is read from P_s alone: as P_u = sigma5 o P_s
-holds bit for bit, the matching defect at a root is sigma5 q - q for
-q = P_s(u, v), and the unstable tangent columns are the stable ones with
-their rows reversed.
+census is evaluated on the half box u >= 0 and mirrored.  A flagged cell
+has every |P_i| within the amplitude bound at its corners, so P_2..P_4 are
+evaluated only at cells whose corners pass |P_1| (Horner is elementwise:
+no bit moves).  Flagged cells are grouped into 8-connected components,
+each seeded once, on the half box.  Roots are deduplicated in (u, v)
+modulo sign and each is certified once, where the 2-d Newton leaves it;
+its mirror image is the sign flip.  Everything is read from P_s alone: as
+P_u = sigma5 o P_s holds bit for bit, the matching defect at a root is
+sigma5 q - q for q = P_s(u, v), and the unstable tangent columns are the
+stable ones with their rows reversed.
 
 The polish is batched Newton whose steps are capped at STEP_CAP in
 sup-norm, one Jacobian evaluation per iteration, with a strict failure
@@ -35,7 +37,6 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -43,8 +44,9 @@ import numpy as np
 from .manifold import (
     DEFAULT_ORDER,
     ManifoldSeries,
+    _horner_u,
+    _horner_v,
     compute_manifold_pair,
-    evaluate_grid,
     evaluate_series,
     pointwise_conjugacy_residual,
     series_jacobian,
@@ -215,45 +217,51 @@ def _census_seeds(Ps: ManifoldSeries, bound):
 
     P is evaluated on the grid rows u >= -step only: G is odd and the axis
     exactly symmetric, so the flags of the u < 0 half are the point mirror
-    of the computed ones.  Components are labelled on the whole box; each
-    is seeded at its cell in the half box u > 0 with the smallest corner
-    sum of |G1| + |G2|.  A component with no cell there mirrors one that
-    has.
+    of the computed ones.  A flagged cell has all of |P| within bound at its
+    corners, so P_1 runs on that half grid and P_2..P_4 only at the corners
+    of cells where |P_1| passes at all four.  Horner works element by
+    element, so a gathered point gets its full-grid bits, and a corner
+    where |P_1| fails or is NaN fails every cell it touches: the screen is
+    exact.  Components are labelled on the whole box; each is seeded at its
+    cell in the half box u > 0 with the smallest corner sum of |G1| + |G2|.
+    A component with no cell there mirrors one that has.
     """
     g = _census_axis()
     mid = CENSUS // 2  # g[mid] == 0
-    P = evaluate_grid(Ps, g[mid - 1:], g)
-    amp = np.max(np.abs(P), axis=-1)
-    G1 = P[..., 0] - P[..., 3]
-    G2 = P[..., 1] - P[..., 2]
-    del P
-
-    def corners(F):
-        return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
-
-    def lo(F):
-        return reduce(np.minimum, corners(F))
-
-    def hi(F):
-        return reduce(np.maximum, corners(F))
-
-    half = ((hi(amp) <= bound) & (lo(G1) <= 0.0) & (hi(G1) >= 0.0)
-            & (lo(G2) <= 0.0) & (hi(G2) >= 0.0))
+    gu, W = g[mid - 1:], _horner_v(Ps.coeffs, g)
+    P1 = _horner_u(W[:, 0], gu)
+    ok = np.abs(P1) <= bound  # False at NaN
+    cells = np.argwhere(ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:])
+    # corners c00, c10, c01, c11 of each screened cell, as flat grid indices
+    flat = (cells + [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]) @ [CENSUS, 1]
+    pts, at = np.unique(flat, return_inverse=True)
+    i, j = np.divmod(pts, CENSUS)
+    P = np.empty((4, pts.size))
+    P[0] = P1[i, j]
+    for k in range(0, pts.size, CENSUS):  # each gather at most W's size
+        part = slice(k, k + CENSUS)
+        P[1:, part] = _horner_u(W[:, 1:, j[part]], gu[None, i[part]])[0]
+    P = P[:, at.reshape(flat.shape)]  # P[:, k, c]: corner k of cell c
+    amp, G1, G2 = np.max(np.abs(P), axis=0), P[0] - P[3], P[1] - P[2]
+    flag = ((amp.max(0) <= bound) & (G1.min(0) <= 0.0) & (G1.max(0) >= 0.0)
+            & (G2.min(0) <= 0.0) & (G2.max(0) >= 0.0))
+    s = np.abs(G1) + np.abs(G2)
+    score = ((s[0] + s[1]) + s[2]) + s[3]
     n = CENSUS - 1  # cells per axis; cell (i, j) mirrors (n-1-i, n-1-j)
     mask = np.zeros((n, n), dtype=bool)
-    mask[mid - 1:] = half
+    mask[mid - 1:][tuple(cells[flag].T)] = True  # the rows u >= -step
     mask[:mid - 1] = mask[::-1, ::-1][:mid - 1]
     labels = _components(mask)
-    cells = np.argwhere(half[1:])  # rows of half[1:] are cell rows mid..n-1
+    keep = flag & (cells[:, 0] > 0)  # flagged, in the half box u > 0
+    cells, score = cells[keep], score[keep]
     if cells.size == 0:
         return np.zeros((0, 2))
-    lab = labels[cells[:, 0] + mid, cells[:, 1]]
-    score = sum(corners(np.abs(G1) + np.abs(G2)))[cells[:, 0] + 1, cells[:, 1]]
+    lab = labels[cells[:, 0] + mid - 1, cells[:, 1]]
     order = np.lexsort((score, lab))
     first = np.r_[True, lab[order][1:] != lab[order][:-1]]
     cells = cells[order[first]]
     step = g[1] - g[0]
-    return np.stack([g[cells[:, 0] + mid] + 0.5 * step,
+    return np.stack([gu[cells[:, 0]] + 0.5 * step,
                      g[cells[:, 1]] + 0.5 * step], axis=-1)
 
 
@@ -266,7 +274,9 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     where its corners stay within twice the non-wandering bound (the
     relevant intersections cannot sit farther out) and both components of
     G = (P_1 - P_4, P_2 - P_3) change sign, and each 8-connected component
-    of flagged cells gives one seed in the half box u > 0.  Polish stage:
+    of flagged cells gives one seed in the half box u > 0.  P_1 alone
+    screens the grid: P_2..P_4 run only at cells where |P_1| passes at all
+    four corners, the only cells the bound can flag.  Polish stage:
     batched Newton on G with steps capped at STEP_CAP, wander guard at 1.5x
     the box.  A root is accepted only if it is nontrivial, inside the box,
     within the amplitude filter, has ||G|| below threshold, and sits where

@@ -49,8 +49,9 @@ series_jacobian; all on the stable series: Newton, certification and its
 det, residual checks, the profile's right tail) take a two-stage
 contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
 the Jacobian contracts the same coefficients against the tables k U^{k-1}
-and k V^{k-1}.  Tensor grids (evaluate_grid; the homoclinic census and every
-gauge probe) run Horner in v over all rows, once per distinct |v| (row n
+and k V^{k-1}.  Tensor grids (evaluate_grid, the public entry point; every
+gauge probe, and the homoclinic census, which runs the two stages itself to
+screen on P_1) run Horner in v over all rows, once per distinct |v| (row n
 has parity n + 1 in v), then Horner in u.  Both are exactly odd (the
 Jacobian exactly even), agree to about 1e-15 relative, and are
 deterministic for one input shape, BLAS build and machine.  At

@@ -1,8 +1,9 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, the anti-diagonal recursion with every convolution,
 the grid v-stage on every column, a long-double grid evaluator, the gauge
-policy with one log-bisection at a time, a multistart homoclinic search
-that polishes the full 4-d matching system without the reversor that
+policy with one log-bisection at a time, the census on the full half
+grid without its P_1 screen, a multistart homoclinic search that
+polishes the full 4-d matching system without the reversor that
 symmetric_search reduces the problem with, the 4x4 transversality
 determinant and the two-series profile tails that symmetric_search and
 build_profile read off the stable series alone, the phase portrait
@@ -16,15 +17,19 @@ conjugacy of the 2-d map, the fixed points, and the four-real-roots lemma
 for the characteristic quartic."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from dnls_nnn.homoclinic import (
     _CONVERGED,
+    CENSUS,
     DEDUPE_TOL,
     MATCH_THRESHOLD,
     TRIVIAL_NORM,
     HomoclinicSolution,
+    _census_axis,
+    _components,
     _damped_newton_batch,
     _mirror,
 )
@@ -37,6 +42,7 @@ from dnls_nnn.manifold import (
     SeriesOverflowError,
     _horner_u,
     _horner_v,
+    evaluate_grid,
     evaluate_series,
     series_jacobian,
 )
@@ -467,6 +473,50 @@ def sequential_gauge(unit: ManifoldSeries, tau):
         if area >= 0.9 * amax:
             return float(g1), float(g2)
     raise GaugeError("gauge selection failed")
+
+
+def census_seeds_full(Ps: ManifoldSeries, bound):
+    """_census_seeds with all four components on the whole half grid.
+
+    The census before its P_1 screen: P from evaluate_grid on the rows
+    u >= -step, amplitude, G and the corner reductions on every cell, the
+    same mirror, components and tie order.
+    """
+    g = _census_axis()
+    mid = CENSUS // 2  # g[mid] == 0
+    P = evaluate_grid(Ps, g[mid - 1:], g)
+    amp = np.max(np.abs(P), axis=-1)
+    G1 = P[..., 0] - P[..., 3]
+    G2 = P[..., 1] - P[..., 2]
+    del P
+
+    def corners(F):
+        return F[:-1, :-1], F[1:, :-1], F[:-1, 1:], F[1:, 1:]
+
+    def lo(F):
+        return reduce(np.minimum, corners(F))
+
+    def hi(F):
+        return reduce(np.maximum, corners(F))
+
+    half = ((hi(amp) <= bound) & (lo(G1) <= 0.0) & (hi(G1) >= 0.0)
+            & (lo(G2) <= 0.0) & (hi(G2) >= 0.0))
+    n = CENSUS - 1  # cells per axis; cell (i, j) mirrors (n-1-i, n-1-j)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[mid - 1:] = half
+    mask[:mid - 1] = mask[::-1, ::-1][:mid - 1]
+    labels = _components(mask)
+    cells = np.argwhere(half[1:])  # rows of half[1:] are cell rows mid..n-1
+    if cells.size == 0:
+        return np.zeros((0, 2))
+    lab = labels[cells[:, 0] + mid, cells[:, 1]]
+    score = sum(corners(np.abs(G1) + np.abs(G2)))[cells[:, 0] + 1, cells[:, 1]]
+    order = np.lexsort((score, lab))
+    first = np.r_[True, lab[order][1:] != lab[order][:-1]]
+    cells = cells[order[first]]
+    step = g[1] - g[0]
+    return np.stack([g[cells[:, 0] + mid] + 0.5 * step,
+                     g[cells[:, 1]] + 0.5 * step], axis=-1)
 
 
 def _dedupe(solutions, tol=DEDUPE_TOL):

@@ -369,3 +369,13 @@ def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert "epsilon must be nonzero" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_portrait_refuses_epsilons_that_share_a_file(tmp_path, capsys):
+    # {eps:g} names both portrait_eps0.1.csv: the second would overwrite
+    # the first, and portrait.json would list that file twice
+    assert main(["portrait", "--epsilon", "0.1,0.1000001", "--seeds", "2",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon values share the output file portrait_eps0.1.csv" in err
+    assert list(tmp_path.iterdir()) == []

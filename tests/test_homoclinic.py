@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import warnings
@@ -8,27 +9,31 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dnls_nnn import homoclinic
+from dnls_nnn import homoclinic, manifold
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     _LEFT_BOX,
     _NO_CONV,
     _SINGULAR,
     MAX_ITER,
+    CENSUS,
     STEP_CAP,
     _census_axis,
+    _census_seeds,
     _damped_newton_batch,
     _scan_cell,
     det_curve_fit,
     scan_parameters,
     symmetric_search,
 )
-from dnls_nnn.manifold import (compute_manifold_pair, evaluate_series,
-                               rescale_series, series_jacobian)
-from dnls_nnn.maps import ModelParams
+from dnls_nnn.manifold import (_horner_u, compute_manifold_pair,
+                               evaluate_series, rescale_series,
+                               series_jacobian)
+from dnls_nnn.maps import ModelParams, nonwandering_bound
 
 from conftest import POINT_ILL
-from reference import apply_symmetry, multistart_search, transversality_det
+from reference import (apply_symmetry, census_seeds_full, multistart_search,
+                       transversality_det)
 
 
 def _matches_reference(point, tol=1e-8):
@@ -115,6 +120,50 @@ def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
     g = _census_axis()
     assert g.size == homoclinic.CENSUS
     assert np.array_equal(g, -g[::-1])
+
+
+# a negative cell that finds nothing, the least selective P_1 screen
+# (1.0, -0.1459) and the strip cells next to CRITICAL_A
+CENSUS_CELLS = [(4e-4, -0.125), (1.0, -0.145), (0.01, -0.145), (-0.5, -0.13),
+                (2e-4, -0.1462), (0.01, -0.146), (1.0, -0.1459)]
+
+
+@functools.lru_cache(maxsize=None)
+def _census_input(eps, A):
+    Ps, _ = compute_manifold_pair(ModelParams(eps, A))
+    return Ps, 2.0 * nonwandering_bound(Ps.params, dim=4)
+
+
+@pytest.mark.parametrize("eps, A", CENSUS_CELLS)
+def test_screened_census_matches_the_full_grid(eps, A):
+    Ps, bound = _census_input(eps, A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        seeds = _census_seeds(Ps, bound)
+    full = census_seeds_full(Ps, bound)
+    assert seeds.shape == full.shape
+    assert np.array_equal(seeds.view(np.int64), full.view(np.int64))
+
+
+@pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.1459)])
+def test_census_screen_evaluates_p2_to_p4_at_few_points(monkeypatch, eps, A):
+    Ps, bound = _census_input(eps, A)
+    sizes = []
+
+    def spy(W, gu):
+        out = _horner_u(W, gu)
+        sizes.append(out.size)
+        return out
+
+    # the full-grid census reaches _horner_u through evaluate_grid
+    monkeypatch.setattr(manifold, "_horner_u", spy)
+    monkeypatch.setattr(homoclinic, "_horner_u", spy, raising=False)
+    _census_seeds(Ps, bound)
+    half = (CENSUS // 2 + 2) * CENSUS  # the rows u >= -step: 162 x 321
+    # P_1 takes one value at every point of the half grid, and each point
+    # that P_2..P_4 are evaluated at takes three more
+    assert sum(sizes) >= half
+    assert (sum(sizes) - half) / 3 <= 0.05 * half
 
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
