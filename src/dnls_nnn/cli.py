@@ -30,12 +30,15 @@ import numpy as np
 
 from . import __version__
 from .homoclinic import (
+    MATCH_THRESHOLD,
     MatchFailure,
     det_curve_fit,
     scan_parameters,
     symmetric_search,
 )
 from .manifold import (
+    DEFAULT_ORDER,
+    MAX_ORDER,
     GaugeError,
     ResonanceError,
     SeriesOverflowError,
@@ -55,16 +58,15 @@ from .spectral import (
     solve_reciprocal_quartic,
 )
 
-DEFAULT_TRANSVERSALITY_EPS = 2e-4
-DEFAULT_TRANSVERSALITY_WINDOW = (-0.145, -0.115, 13)
 PORTRAIT_STEPS = 10000
 
 # accept "-0.125,0" and "-1e-4" as flag values, not option names
 _NEG_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
 
 
-class UsageError(Exception):
-    """Bad flags or parameter domain; maps to exit code 2."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad flags or parameter domain; maps to exit code 2.  Raised by a
+    flag's type, argparse reports it as that flag's error."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class RunConfig:
 
 def _float_list(text):
     try:
-        vals = tuple(float(tok) for tok in str(text).split(",") if tok != "")
+        vals = tuple(float(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}") from exc
     if not np.all(np.isfinite(vals)):
@@ -92,29 +94,29 @@ def _float_list(text):
     return vals
 
 
-def _jsonable(obj):
-    if obj is None or type(obj) in (str, float, int, bool):
-        return obj  # most of a series table: no isinstance chain
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """Encode what json cannot: numpy arrays, real numpy scalars, and
+    complex numbers as {"re", "im"}.  np.float64 never gets here: it
+    encodes as the float it subclasses."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def _write_json(path, payload, cfg):
     body = {"version": __version__, "config": asdict(cfg), **payload}
     with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(body), sort_keys=True, indent=1) + "\n")
+        fh.write(json.dumps(body, sort_keys=True, indent=1,
+                            default=_json_default) + "\n")
 
 
 def _build_parser():
+    """The parser; its subparsers are kept by name in `.commands`."""
     ap = argparse.ArgumentParser(
         prog="dnls-nnn",
         description="manifolds, homoclinic points, and solitons of a "
@@ -124,28 +126,33 @@ def _build_parser():
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    names = ("eigen", "manifold", "homoclinic", "scan", "transversality",
-             "soliton", "portrait")
-    for name in names:
-        sp = sub.add_parser(name)
+    window = tuple(np.linspace(-0.145, -0.115, 13).tolist())
+    lists = {"transversality": ((2e-4,), window),  # (epsilon, A) defaults;
+             "portrait": ((-0.1, 0.1), ())}        # the others need both
+    ap.commands = {}
+    for name in ("eigen", "manifold", "homoclinic", "scan", "transversality",
+                 "soliton", "portrait"):
+        sp = ap.commands[name] = sub.add_parser(name)
         sp._negative_number_matcher = _NEG_VALUE
-        sp.add_argument("--epsilon", type=str, default=None,
+        eps, A = lists.get(name, (None, None))
+        sp.add_argument("--epsilon", type=_float_list, default=eps,
                         help="coupling value (comma list where applicable)")
-        sp.add_argument("--A", type=str, default=None,
+        sp.add_argument("--A", type=_float_list, default=A,
                         help="second-neighbor weight (comma list for scans)")
-        sp.add_argument("--order", type=int, default=None,
-                        help="series truncation order (default 80)")
-        sp.add_argument("--threshold", type=float, default=None,
+        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="series truncation order (default 80, at most "
+                             f"{MAX_ORDER})")
+        sp.add_argument("--threshold", type=float, default=MATCH_THRESHOLD,
                         help="matching residual threshold (default 1e-10)")
-        sp.add_argument("--box", type=str, default=None,
+        sp.add_argument("--box", type=str, default="",
                         help="manifold-family: explicit gauge pair 'g1,g2'; "
                              "portrait: seed half-width")
-        sp.add_argument("--seeds", type=int, default=None,
+        sp.add_argument("--seeds", type=int, default=11,
                         help="portrait only: seed-grid points per axis "
                              "(default 11)")
-        sp.add_argument("--out", type=str, default=None,
+        sp.add_argument("--out", type=str, default=".",
                         help="output directory (default .)")
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--workers", type=int, default=0,
                         help="process count for scans, at most one per "
                              "cell (default 0: serial)")
         sp.add_argument("--config", type=str, default=None,
@@ -153,76 +160,57 @@ def _build_parser():
     return ap
 
 
+def _parse(ap, argv):
+    """Flags over config-file values over defaults.  The file's values for
+    the subcommand's flags become its string defaults and the command line
+    is parsed again, so each value is read by its own flag's type."""
+    args = ap.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {args.config}: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    # other keys are ignored: a "command" default would replace the chosen
+    # subcommand.  The 2-d map has no A, and a shared file's A entry is
+    # ignored by portrait (only an explicit --A is refused).
+    flags = set(vars(args)) - {"command"}
+    if args.command == "portrait":
+        flags.discard("A")
+    ap.commands[args.command].set_defaults(**{
+        k: str(v) for k, v in file_cfg.items() if k in flags and v is not None
+    })
+    return ap.parse_args(argv)
+
+
 def _resolve(args):
-    """Merge config-file values under explicit flags and apply defaults."""
-    file_cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-
-    def pick(name, fallback):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return fallback
-
+    """RunConfig of the parsed flags, after the checks argparse cannot make."""
     cmd = args.command
-    if cmd == "transversality":
-        eps_default = str(DEFAULT_TRANSVERSALITY_EPS)
-        lo, hi, k = DEFAULT_TRANSVERSALITY_WINDOW
-        A_default = ",".join(map(repr, np.linspace(lo, hi, k).tolist()))
-    elif cmd == "portrait":
-        eps_default, A_default = "-0.1,0.1", ""
-    else:
-        eps_default, A_default = None, None
-    eps_raw = pick("epsilon", eps_default)
-    if cmd == "portrait":
-        # the 2-d map has no A; only an explicit flag (a likely mistake)
-        # is surfaced, a shared config file's A entry is ignored
-        A_raw = args.A if args.A is not None else A_default
-    else:
-        A_raw = pick("A", A_default)
-    if eps_raw is None:
+    if args.epsilon is None:
         raise UsageError(f"{cmd} requires --epsilon")
-    if A_raw is None and cmd != "portrait":
+    if args.A is None:
         raise UsageError(f"{cmd} requires --A")
-    epsilon = _float_list(eps_raw)
-    A = _float_list(A_raw) if A_raw is not None else ()
-    if not epsilon:
+    if not args.epsilon:
         raise UsageError("--epsilon list is empty")
-    if not A and cmd != "portrait":
+    if not args.A and cmd != "portrait":
         raise UsageError("--A list is empty")
-    order = int(pick("order", 80))
-    if order < 1:
+    if args.order < 1:
         raise UsageError("--order must be at least 1")
-    if order == 1:
+    if args.order == 1:
         print("warning: order 1 keeps only the degenerate linear series",
               file=sys.stderr)
-    cfg = RunConfig(
-        command=cmd,
-        epsilon=epsilon,
-        A=A,
-        order=order,
-        threshold=float(pick("threshold", 1e-10)),
-        box=str(pick("box", "")),
-        seeds=int(pick("seeds", 11)) if cmd == "portrait" else None,
-        workers=int(pick("workers", 0)),
-        out=str(pick("out", ".")),
-    )
-    if not 0.0 < cfg.threshold < np.inf:
+    if not 0.0 < args.threshold < np.inf:
         raise UsageError("--threshold must be positive and finite")
-    if cfg.seeds is not None and cfg.seeds < 2:
+    if cmd == "portrait" and args.seeds < 2:
         raise UsageError("--seeds must be at least 2")
-    if cfg.workers < 0:
+    if args.workers < 0:
         raise UsageError("--workers must be non-negative")
-    return cfg
+    return RunConfig(cmd, args.epsilon, args.A, args.order, args.threshold,
+                     args.box, args.seeds if cmd == "portrait" else None,
+                     args.workers, args.out)
 
 
 def _single_cell(cfg):
@@ -551,10 +539,9 @@ _NUMERICAL = (ResonanceError, SeriesOverflowError, GaugeError,
 
 def main(argv=None):
     ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        cfg = _resolve(_parse(ap, argv))
+        return _COMMANDS[cfg.command](cfg)
     except _NUMERICAL as exc:  # before ValueError: NonHyperbolicError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

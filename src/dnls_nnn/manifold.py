@@ -44,7 +44,7 @@ scale (g1 l1^3, g2 l2^3).  The parametrization is unique once its linear
 part is fixed, so this is the unstable series, and its coefficient table is
 the stable one with the four components in reverse order, bit for bit.
 
-One evaluator, two entry points.  Scattered points (evaluate_series,
+Two evaluators, with different rounding.  Scattered points (evaluate_series,
 series_jacobian; all on the stable series: Newton, certification and its
 det, residual checks, the profile's right tail) take a two-stage
 contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
@@ -80,6 +80,7 @@ __all__ = [
     "ResonanceError",
     "SeriesOverflowError",
     "GaugeError",
+    "MAX_ORDER",
     "compute_manifold_pair",
     "rescale_series",
     "evaluate_series",
@@ -95,6 +96,10 @@ DEFAULT_ORDER = 80
 GAUGE_RESIDUAL = 1e-10
 RESONANCE_TOL = 1e-8
 OVERFLOW_LIMIT = 1e280
+# Largest order compute_manifold_pair builds: overflow sets no limit (cells
+# build to order 600 in about 1.2 s), and the (4, N+1, N+1) table is 32 MB
+# at 1000.
+MAX_ORDER = 1000
 
 
 class ResonanceError(RuntimeError):
@@ -527,11 +532,15 @@ def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
     explicit (g1, g2) or, for None, the automatic gauge policy.  The
     unstable series is its sigma5 image: P_u = sigma5 o P_s at rates
     (1/l1, 1/l2) and scale (g1 l1^3, g2 l2^3), whose coefficient table is
-    the stable one with its four components in reverse order.
+    the stable one with its four components in reverse order.  An order
+    above MAX_ORDER raises ValueError before any table is allocated.
     """
     order = int(order)
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the limit MAX_ORDER = "
+                         f"{MAX_ORDER}")
     l1, l2 = _stable_eigensystem(p).stable_pair()
     unit = ManifoldSeries("stable", order, (l1, l2), (1.0, 1.0),
                           _build_coeffs(p, l1, l2, order), p)

@@ -7,8 +7,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dnls_nnn import __version__
+from dnls_nnn import __version__, manifold
 from dnls_nnn.cli import _build_parser, _resolve, _write_json, main
+from dnls_nnn.manifold import MAX_ORDER
 from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
@@ -317,6 +318,73 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
     assert rc == 0
     doc = read_json(tmp_path / "fromcfg" / "eigen.json")
     assert doc["config"]["A"] == [-0.13]
+
+
+@pytest.mark.parametrize("cmd, entry, flag", [
+    ("eigen", {"order": [1]}, "--order"),
+    ("eigen", {"order": 1e400}, "--order"),   # json reads it as inf
+    ("eigen", {"threshold": [1]}, "--threshold"),
+    ("eigen", {"order": 1.9}, "--order"),     # int() would truncate it
+    ("eigen", {"order": True}, "--order"),    # int() would read 1
+    ("portrait", {"seeds": {}}, "--seeds"),
+])
+def test_config_values_are_parsed_like_their_flags(tmp_path, capsys, cmd,
+                                                   entry, flag):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(entry))
+    argv = [cmd, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if cmd == "eigen":
+        argv += ["--epsilon", "0.0004", "--A", "-0.125"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_outside_the_flags_are_ignored(tmp_path):
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"epsilon": 0.0004, "A": "-0.125"}))
+    extra = tmp_path / "extra.json"
+    # a "command" default would replace the subcommand given on the line
+    extra.write_text(json.dumps({"epsilon": 0.0004, "A": "-0.125",
+                                 "command": "scan", "config": "other.json",
+                                 "version": "9.9", "colour": "blue"}))
+    texts = []
+    for path in (plain, extra):
+        assert main(["eigen", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        texts.append((tmp_path / "out" / "eigen.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert read_json(tmp_path / "out" / "eigen.json")["config"]["command"] \
+        == "eigen"
+    # the 2-d map has no A: a shared file's A is ignored, a flag refused
+    assert main(["portrait", "--config", str(extra), "--seeds", "2",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert read_json(tmp_path / "p" / "portrait.json")["config"]["A"] == []
+
+
+def test_order_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the coefficient table was allocated")
+
+    monkeypatch.setattr(manifold, "_build_coeffs", unreachable)
+    out = tmp_path / "out"
+    assert main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+                 "--order", "1000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: order 1000000 exceeds the limit MAX_ORDER = {MAX_ORDER}" \
+        in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # scan records it per cell
+    assert main(["scan", "--epsilon", "0.0004", "--A", "-0.125",
+                 "--order", str(MAX_ORDER + 1), "--out", str(out)]) == 0
+    cell, = read_json(out / "scan.json")["cells"]
+    assert cell["error"] == (f"ValueError: order {MAX_ORDER + 1} exceeds "
+                             f"the limit MAX_ORDER = {MAX_ORDER}")
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

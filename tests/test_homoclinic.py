@@ -166,6 +166,18 @@ def test_census_screen_evaluates_p2_to_p4_at_few_points(monkeypatch, eps, A):
     assert (sum(sizes) - half) / 3 <= 0.05 * half
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8")
+def test_near_critical_pair_is_found():
+    # seeding every flagged cell finds this pair; the one seed of its census
+    # component sits next to the origin and converges to the trivial root
+    Ps, _ = _census_input(2e-4, -0.1462)
+    uv = sorted((s.u2, s.v2) for s in symmetric_search(Ps))
+    assert len(uv) == 2
+    assert np.allclose(uv, [(-0.70911, 0.86113), (0.70911, -0.86113)],
+                       rtol=0.0, atol=1e-5)
+
+
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
                                                            pair_ill):
     Ps, _ = pair_ill
