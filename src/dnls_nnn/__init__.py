@@ -37,6 +37,7 @@ from .manifold import (  # noqa: F401
     series_from_dict,
     series_jacobian,
     series_to_dict,
+    tail_bound,
 )
 from .homoclinic import (  # noqa: F401
     FitResult,

@@ -45,6 +45,7 @@ from .manifold import (
     compute_manifold_pair,
     conjugacy_residual,
     series_to_dict,
+    tail_bound,
 )
 from .maps import ModelParams
 from .soliton import ProfileError, build_profile, mirror_defect, portrait_2d
@@ -140,8 +141,8 @@ def _build_parser():
         sp.add_argument("--A", type=_float_list, default=A,
                         help="second-neighbor weight (comma list for scans)")
         sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order (default 80, at most "
-                             f"{MAX_ORDER})")
+                        help="series truncation order (default "
+                             f"{DEFAULT_ORDER}, at most {MAX_ORDER})")
         sp.add_argument("--threshold", type=float, default=MATCH_THRESHOLD,
                         help="matching residual threshold (default 1e-10)")
         sp.add_argument("--box", type=str, default="",
@@ -199,6 +200,9 @@ def _resolve(args):
         raise UsageError("--A list is empty")
     if args.order < 1:
         raise UsageError("--order must be at least 1")
+    if args.order > MAX_ORDER:
+        raise UsageError(f"order {args.order} exceeds the limit "
+                         f"MAX_ORDER = {MAX_ORDER}")
     if args.order == 1:
         print("warning: order 1 keeps only the degenerate linear series",
               file=sys.stderr)
@@ -343,7 +347,8 @@ def cmd_manifold(cfg):
             )
         path = outdir / f"manifold_{ms.branch}.json"
         _write_json(path, {"series": series_to_dict(ms),
-                           "conjugacy_residual": res}, cfg)
+                           "conjugacy_residual": res,
+                           "tail_bound": tail_bound(ms)}, cfg)
         print(f"{ms.branch}: order {ms.order}, scale "
               f"({ms.scale[0]:.6g}, {ms.scale[1]:.6g}), "
               f"box residual {res:.3e} -> {path}")

@@ -219,8 +219,9 @@ def _census_seeds(Ps: ManifoldSeries, bound):
     exactly symmetric, so the flags of the u < 0 half are the point mirror
     of the computed ones.  A flagged cell has all of |P| within bound at its
     corners, so P_1 runs on that half grid and P_2..P_4 only at the corners
-    of cells where |P_1| passes at all four.  Horner works element by
-    element, so a gathered point gets its full-grid bits, and a corner
+    of cells where |P_1| passes at all four, their v-stage only on those
+    corners' columns.  Horner works element by element (column by column
+    in v), so a gathered point gets its full-grid bits, and a corner
     where |P_1| fails or is NaN fails every cell it touches: the screen is
     exact.  Components are labelled on the whole box; each is seeded at its
     cell in the half box u > 0 with the smallest corner sum of |G1| + |G2|.
@@ -228,19 +229,21 @@ def _census_seeds(Ps: ManifoldSeries, bound):
     """
     g = _census_axis()
     mid = CENSUS // 2  # g[mid] == 0
-    gu, W = g[mid - 1:], _horner_v(Ps.coeffs, g)
-    P1 = _horner_u(W[:, 0], gu)
+    gu = g[mid - 1:]
+    P1 = _horner_u(_horner_v(Ps.coeffs[:1], g)[:, 0], gu)
     ok = np.abs(P1) <= bound  # False at NaN
     cells = np.argwhere(ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:])
     # corners c00, c10, c01, c11 of each screened cell, as flat grid indices
     flat = (cells + [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]) @ [CENSUS, 1]
     pts, at = np.unique(flat, return_inverse=True)
     i, j = np.divmod(pts, CENSUS)
+    cols, jc = np.unique(j, return_inverse=True)
+    W = _horner_v(Ps.coeffs[1:], g[cols])  # the screened columns only
     P = np.empty((4, pts.size))
     P[0] = P1[i, j]
-    for k in range(0, pts.size, CENSUS):  # each gather at most W's size
+    for k in range(0, pts.size, CENSUS):  # each gather at most CENSUS wide
         part = slice(k, k + CENSUS)
-        P[1:, part] = _horner_u(W[:, 1:, j[part]], gu[None, i[part]])[0]
+        P[1:, part] = _horner_u(W[:, :, jc[part]], gu[None, i[part]])[0]
     P = P[:, at.reshape(flat.shape)]  # P[:, k, c]: corner k of cell c
     amp, G1, G2 = np.max(np.abs(P), axis=0), P[0] - P[3], P[1] - P[2]
     flag = ((amp.max(0) <= bound) & (G1.min(0) <= 0.0) & (G1.max(0) >= 0.0)

@@ -88,11 +88,14 @@ __all__ = [
     "series_jacobian",
     "conjugacy_residual",
     "pointwise_conjugacy_residual",
+    "tail_bound",
     "series_to_dict",
     "series_from_dict",
 ]
 
-DEFAULT_ORDER = 80
+# on the reference cells tail_bound is at most 4e-20 at this order, and
+# orders 57-80 move no bit of their results
+DEFAULT_ORDER = 56
 GAUGE_RESIDUAL = 1e-10
 RESONANCE_TOL = 1e-8
 OVERFLOW_LIMIT = 1e280
@@ -223,7 +226,7 @@ def _horner_v(C, gv):
     N = C.shape[2] - 1
     av, col = np.unique(np.abs(gv), return_inverse=True)
     Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
-    W = np.zeros((C.shape[1], 4, av.size))
+    W = np.zeros((C.shape[1], C.shape[0], av.size))
     for m in range(N, -1, -1):
         W[: N + 1 - m] *= av
         W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
@@ -301,6 +304,22 @@ def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
     gv = np.linspace(-1.0, 1.0, int(grid[1]))
     uu, vv = np.meshgrid(gu, gv, indexing="ij")
     return float(np.max(pointwise_conjugacy_residual(ms, uu, vv)))
+
+
+def tail_bound(ms: ManifoldSeries):
+    """Bound on the conjugacy defect the truncation leaves on the unit box.
+    Beyond order N it is -[P_3^3]_{nm} / (eps A) in the last component (the
+    others are chain relations), so at most sum_{k>N} (s*s*s)_k / |eps A|,
+    s_k the l1 norm of anti-diagonal k of P_3 (the l1 tail of Mireles James
+    and Mischaikow, 2013).  P_u's second component carries f^-1's cube: both
+    branches read the same value.  inf where the cube leaves double range."""
+    N, p = ms.order, ms.params
+    k = np.arange(N + 1)
+    C = np.abs(ms.coeffs[2 if ms.branch == "stable" else 1])
+    s = np.bincount(np.add.outer(k, k).ravel(), C.ravel())[:N + 1]
+    with np.errstate(over="ignore"):
+        cube = np.convolve(np.convolve(s, s), s)
+        return float(np.sum(cube[N + 1:]) / abs(p.epsilon * p.A))
 
 
 def _probe_residuals(W, gu, l1, params):

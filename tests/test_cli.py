@@ -66,12 +66,15 @@ def test_manifold_writes_series_pair(tmp_path, capsys):
                "--order", "40", "--out", str(tmp_path)])
     assert rc == 0
     assert "box residual" in capsys.readouterr().out
+    bounds = []
     for branch in ("stable", "unstable"):
         doc = read_json(tmp_path / f"manifold_{branch}.json")
         assert doc["conjugacy_residual"] <= 1e-9
+        bounds.append(doc["tail_bound"])
         assert doc["series"]["branch"] == branch
         assert doc["series"]["order"] == 40
         assert len(doc["series"]["rates"]) == 2
+    assert bounds[0] == bounds[1] <= 1e-9
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -379,12 +382,15 @@ def test_order_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
         in err
     assert "Traceback" not in err
     assert not out.exists()
-    # scan records it per cell
-    assert main(["scan", "--epsilon", "0.0004", "--A", "-0.125",
-                 "--order", str(MAX_ORDER + 1), "--out", str(out)]) == 0
-    cell, = read_json(out / "scan.json")["cells"]
-    assert cell["error"] == (f"ValueError: order {MAX_ORDER + 1} exceeds "
-                             f"the limit MAX_ORDER = {MAX_ORDER}")
+    # the multi-cell commands refuse it before any cell runs
+    for cmd in (["scan", "--epsilon", "0.0004", "--A", "-0.125,-0.13"],
+                ["transversality", "--A", "-0.13,-0.12"]):
+        assert main(cmd + ["--order", str(MAX_ORDER + 1),
+                           "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: order {MAX_ORDER + 1} exceeds the "
+                              f"limit MAX_ORDER = {MAX_ORDER}"), err
+        assert not out.exists()
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

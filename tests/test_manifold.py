@@ -7,6 +7,7 @@ import pytest
 from dnls_nnn import manifold
 from dnls_nnn.homoclinic import _census_axis
 from dnls_nnn.manifold import (
+    DEFAULT_ORDER,
     GAUGE_RESIDUAL,
     OVERFLOW_LIMIT,
     GaugeError,
@@ -24,6 +25,7 @@ from dnls_nnn.manifold import (
     series_from_dict,
     series_jacobian,
     series_to_dict,
+    tail_bound,
 )
 from dnls_nnn.maps import ModelParams, map4_apply, map4_inverse
 from dnls_nnn.spectral import (
@@ -252,6 +254,39 @@ def test_truncation_error_shrinks_with_order():
     # the floor at this gauge, so the last step only has to not regress)
     assert res[20] < res[10] and res[40] < res[20] and res[80] <= res[40]
     assert res[80] < 1e-9 < res[10]
+
+
+def test_tail_bound_holds_the_truncation_defect():
+    # at the production gauge: where truncation sets the sampled 41^2
+    # residual, the bound covers it up to the float64 floor that residual
+    # reads at DEFAULT_ORDER and overshoots it by less than a factor of 2
+    # (2.50e4, 26.9, 6.31e-5 at orders 10, 20, 30); it falls with every order
+    base, _ = compute_manifold_pair(P)
+    floor = conjugacy_residual(base)
+    bounds = []
+    for N in (10, 20, 30, 40, 48, DEFAULT_ORDER, 80):
+        C = _build_coeffs(P, *base.rates, N)
+        ms = rescale_series(type(base)(
+            branch="stable", order=N, rates=base.rates, scale=(1.0, 1.0),
+            coeffs=C, params=P), base.scale)
+        bounds.append(tail_bound(ms))
+        if N <= 30:
+            res = conjugacy_residual(ms)
+            assert res - floor <= bounds[-1] <= 2.0 * res, (N, res)
+    assert all(a > b for a, b in zip(bounds, bounds[1:])), bounds
+
+
+def test_tail_bound_licenses_the_default_order():
+    # the 18 acceptance cells and the corners of the near-critical strip
+    cells = [(e, A) for e in (0.0004, 0.01, 0.1, 1.0, -0.5, -0.1)
+             for A in (-0.145, -0.13, -0.115)]
+    cells += [(e, A) for e in (2e-4, 1.0) for A in (-0.1464, -0.1455)]
+    for e, A in cells:
+        Ps, Pu = compute_manifold_pair(ModelParams(e, A))
+        assert Ps.order == DEFAULT_ORDER
+        # Pu's second component carries f^-1's cube: Ps's third, bit for bit
+        assert tail_bound(Ps) == tail_bound(Pu) <= 1e-3 * GAUGE_RESIDUAL, \
+            (e, A, tail_bound(Ps))
 
 
 def test_explicit_scale_is_honored():
