@@ -25,7 +25,6 @@ from .spectral import (  # noqa: F401
     solve_reciprocal_quartic,
 )
 from .manifold import (  # noqa: F401
-    GaugeError,
     ManifoldSeries,
     ResonanceError,
     SeriesOverflowError,

@@ -39,7 +39,6 @@ from .homoclinic import (
 from .manifold import (
     DEFAULT_ORDER,
     MAX_ORDER,
-    GaugeError,
     ResonanceError,
     SeriesOverflowError,
     compute_manifold_pair,
@@ -163,8 +162,8 @@ def _build_parser():
 
 def _parse(ap, argv):
     """Flags over config-file values over defaults.  The file's values for
-    the subcommand's flags become its string defaults and the command line
-    is parsed again, so each value is read by its own flag's type."""
+    the subcommand's flags, checked by their flags (an error names the
+    file), become its string defaults and the command line is reparsed."""
     args = ap.parse_args(argv)
     if not args.config:
         return args
@@ -181,9 +180,15 @@ def _parse(ap, argv):
     flags = set(vars(args)) - {"command"}
     if args.command == "portrait":
         flags.discard("A")
-    ap.commands[args.command].set_defaults(**{
-        k: str(v) for k, v in file_cfg.items() if k in flags and v is not None
-    })
+    sp = ap.commands[args.command]
+    values = {k: str(v) for k, v in file_cfg.items()
+              if k in flags and v is not None}
+    sp.exit_on_error = False  # a bad value raises, to be named with the file
+    try:
+        sp.parse_args([f"--{k}={v}" for k, v in values.items()])
+    except argparse.ArgumentError as exc:
+        sp.error(f"{exc} (from config file {args.config})")
+    sp.set_defaults(**values)
     return ap.parse_args(argv)
 
 
@@ -538,8 +543,8 @@ _COMMANDS = {
     "portrait": cmd_portrait,
 }
 
-_NUMERICAL = (ResonanceError, SeriesOverflowError, GaugeError,
-              NonHyperbolicError, MatchFailure, ProfileError)
+_NUMERICAL = (ResonanceError, SeriesOverflowError, NonHyperbolicError,
+              MatchFailure, ProfileError)
 
 
 def main(argv=None):

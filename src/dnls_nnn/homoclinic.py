@@ -281,16 +281,17 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     screens the grid: P_2..P_4 run only at cells where |P_1| passes at all
     four corners, the only cells the bound can flag.  Polish stage:
     batched Newton on G with steps capped at STEP_CAP, wander guard at 1.5x
-    the box.  A root is accepted only if it is nontrivial, inside the box,
-    within the amplitude filter, has ||G|| below threshold, and sits where
-    the series itself is trusted (pointwise conjugacy residual below
-    threshold).  Accepted roots are deduplicated in (u, v) modulo sign,
-    keeping the smallest ||G||, and each survivor (u, v) is certified once,
-    where it lands: with q = P_s(u, v), u1 = u2 = u and v1 = v2 = v, its
-    residual is ||sigma5 q - q|| and its point (q + sigma5 q)/2; roots with
-    residual above threshold are dropped.  Each certified root carries its
-    det, -det(DG) det(DH) from one Jacobian of P_s, and is returned
-    followed by its mirror image, pairs sorted by residual.
+    the box.  A row that converged or stalled with ||G|| below threshold is
+    accepted only if it is nontrivial, inside the box, within the amplitude
+    filter, and sits where the series itself is trusted (pointwise
+    conjugacy residual below threshold).  Accepted roots are deduplicated
+    in (u, v) modulo sign, keeping the smallest ||G||, and each survivor
+    (u, v) is certified once, where it lands: with q = P_s(u, v),
+    u1 = u2 = u and v1 = v2 = v, its residual is ||sigma5 q - q|| and its
+    point (q + sigma5 q)/2; roots with residual above threshold are
+    dropped.  Each certified root carries its det, -det(DG) det(DH) from
+    one Jacobian of P_s, and is returned followed by its mirror image,
+    pairs sorted by residual.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
@@ -306,7 +307,8 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
         return G, J
 
     X, gn, status = _damped_newton_batch(fun_jac, X0, box_limit=1.5)
-    X = X[(status == _CONVERGED) & (gn <= threshold)
+    # a row stalled at an ill-conditioned root ends in _NO_CONV: ||G|| decides
+    X = X[((status == _CONVERGED) | (status == _NO_CONV)) & (gn <= threshold)
           & (np.max(np.abs(X), axis=-1) <= 1.0)]
     # one point per call: the scattered evaluator's rounding depends on the
     # batch size, and a certified point must read back bit for bit from

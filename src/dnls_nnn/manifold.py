@@ -29,12 +29,9 @@ mirrored convolutions (a, b) and (b, a) are one computation.
 The scales (g1, g2) are a pure gauge: (u, v) -> (g1 u, g2 v) rescales block
 (n, m) by g1^n g2^m without moving the manifold.  The recursion runs once, at
 unit gauge, and every gauge -- explicit or automatic -- is reached by that
-rescaling.  The default gauge is chosen so that the truncation is
-trustworthy on the whole unit box [-1, 1]^2 -- largest box with conjugacy
-residual below a target -- subject to maximizing the covered parameter
-area; see _default_gauge.  Its probes read half the box (the residual is
-even), its edge bisection stacks five levels a round, and its rungs join
-only while their a-priori bound can win and stop once they cannot.
+rescaling.  The automatic gauge (_default_gauge) is the box of largest area
+g1 g2 that keeps two bounds read off |C|, on the rounding of f(P) - P o Lambda
+and on the truncation tail: a unique choice, continuous in (eps, A).
 
 The unstable series is transported, not recomputed.  The reversor
 sigma5(x, y, z, w) = (w, z, y, x) conjugates f to its inverse, and reversing
@@ -49,16 +46,13 @@ series_jacobian; all on the stable series: Newton, certification and its
 det, residual checks, the profile's right tail) take a two-stage
 contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
 the Jacobian contracts the same coefficients against the tables k U^{k-1}
-and k V^{k-1}.  Tensor grids (evaluate_grid, the public entry point; every
-gauge probe, and the homoclinic census, which runs the two stages itself to
-screen on P_1) run Horner in v over all rows, once per distinct |v| (row n
-has parity n + 1 in v), then Horner in u.  Both are exactly odd (the
-Jacobian exactly even), agree to about 1e-15 relative, and are
-deterministic for one input shape, BLAS build and machine.  At
-large-amplitude cells the gauge target sits at the float64 rounding floor,
-so the chosen gauge moves when the summation order changes (summing the
-recursion's convolutions pairwise moves 6 of 32 reference gauges), and no
-sum here is reordered; Horner is the most accurate grid order measured.
+and k V^{k-1}.  Tensor grids (evaluate_grid, the public entry point, and
+the homoclinic census, which runs the two stages itself to screen on P_1)
+run Horner in v over all rows, once per distinct |v| (row n has parity
+n + 1 in v), then Horner in u, the most accurate grid order measured.  Both
+are exactly odd (the Jacobian exactly even), agree to about 1e-15
+relative, and are deterministic for one input shape, BLAS build and
+machine.
 """
 
 from __future__ import annotations
@@ -79,7 +73,6 @@ __all__ = [
     "ManifoldSeries",
     "ResonanceError",
     "SeriesOverflowError",
-    "GaugeError",
     "MAX_ORDER",
     "compute_manifold_pair",
     "rescale_series",
@@ -93,8 +86,7 @@ __all__ = [
     "series_from_dict",
 ]
 
-# on the reference cells tail_bound is at most 4e-20 at this order, and
-# orders 57-80 move no bit of their results
+# tail_bound <= 4e-17 here on the 82 reference cells; 57-80 move no bit
 DEFAULT_ORDER = 56
 GAUGE_RESIDUAL = 1e-10
 RESONANCE_TOL = 1e-8
@@ -121,10 +113,6 @@ class SeriesOverflowError(RuntimeError):
         self.order = order
         super().__init__(message or
                          f"coefficient overflow at total degree {order}")
-
-
-class GaugeError(RuntimeError):
-    """The automatic scaling policy found no usable evaluation box."""
 
 
 @dataclass
@@ -306,6 +294,21 @@ def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
     return float(np.max(pointwise_conjugacy_residual(ms, uu, vv)))
 
 
+def _tail(C, p, g1=1.0, g2=1.0):
+    """sum_{k>N} (s*s*s)_k / |eps A|, s_k the l1 norm of anti-diagonal k of
+    |C[n, m]| g1^n g2^m, and its log g1 and log g2 derivatives (inf: huge)"""
+    N = C.shape[0] - 1
+    k = np.arange(N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.fmax(np.abs(C) * (g1**k)[:, None] * g2**k, 0.0)  # 0 * inf: 0
+        s, su, sv = (np.bincount(np.add.outer(k, k).ravel(), a.ravel())[:N + 1]
+                     for a in (w, k[:, None] * w, k * w))
+        ss = np.convolve(s, s)
+        out = [c * np.sum(np.convolve(ss, t)[N + 1:]) / abs(p.epsilon * p.A)
+               for t, c in ((s, 1.0), (su, 3.0), (sv, 3.0))]
+    return [t if np.isfinite(t) else np.inf for t in out]
+
+
 def tail_bound(ms: ManifoldSeries):
     """Bound on the conjugacy defect the truncation leaves on the unit box.
     Beyond order N it is -[P_3^3]_{nm} / (eps A) in the last component (the
@@ -313,36 +316,8 @@ def tail_bound(ms: ManifoldSeries):
     s_k the l1 norm of anti-diagonal k of P_3 (the l1 tail of Mireles James
     and Mischaikow, 2013).  P_u's second component carries f^-1's cube: both
     branches read the same value.  inf where the cube leaves double range."""
-    N, p = ms.order, ms.params
-    k = np.arange(N + 1)
-    C = np.abs(ms.coeffs[2 if ms.branch == "stable" else 1])
-    s = np.bincount(np.add.outer(k, k).ravel(), C.ravel())[:N + 1]
-    with np.errstate(over="ignore"):
-        cube = np.convolve(np.convolve(s, s), s)
-        return float(np.sum(cube[N + 1:]) / abs(p.epsilon * p.A))
-
-
-def _probe_residuals(W, gu, l1, params):
-    """Max conjugacy residual of R stacked probes, in one u-stage.
-
-    W (N+1, 4, R, 2V) holds each probe's v-stages: of P on its v-grid in
-    the first V columns, of Q = P(l1 u, l2 v) on the l2-scaled grid in the
-    last V.  gu (U, R) is each probe's u-grid.  Every column runs the same
-    Horner recurrence as evaluate_grid, so stacking changes no bit.
-    A probe whose P leaves double range reads inf.
-    """
-    V = W.shape[-1] // 2
-    gq = np.empty(gu.shape + (2 * V,))
-    gq[..., :V] = gu[..., None]
-    gq[..., V:] = (l1 * gu)[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        PQ = np.moveaxis(_horner_u(W, gq), 1, -1)  # (U, R, 2V, 4)
-        P, Q = PQ[:, :, :V], PQ[:, :, V:]
-        finite = np.all(np.isfinite(P), axis=(0, 2, 3))
-        P[:, ~finite] = 0.0  # map4_apply admits finite states only
-        F = map4_apply(P, params)
-        r = np.max(np.linalg.norm(F - Q, axis=-1), axis=(0, 2))
-    return np.where(finite, r, np.inf)
+    return float(_tail(ms.coeffs[2 if ms.branch == "stable" else 1],
+                       ms.params)[0])
 
 
 def _stable_eigensystem(p: ModelParams):
@@ -361,164 +336,79 @@ def _stable_eigensystem(p: ModelParams):
     return es
 
 
-def _log_bisect(cap, depth):
-    """Largest t <= cap whose probe passes, by bisection in log t; None if
-    none.  A generator: each round yields (ts, lo, hi), its probes and a
-    bracket that holds the answer if there is one (lo = 0 before a probe
-    passes, hi = cap before one fails), and is sent back which probes
-    passed.  A round probes the next 2**depth - 1 points of the descent
-    cap / 4**j or the next `depth` levels of the 25-level refinement tree,
-    all midpoints formed as np.sqrt(lo * hi).  Results off the path taken
-    are never read, so every depth answers as depth 1, one probe a round."""
-    chain = [cap]
-    while chain[-1] > 1e-14 * cap:
-        chain.append(chain[-1] / 4.0)
-    lo, hi, width = 0.0, cap, 2**depth - 1
-    for a in range(0, len(chain), width):
-        ok = yield chain[a:a + width], lo, hi
-        if any(ok):
-            j = a + ok.index(True)
-            if j == 0:
-                return cap
-            lo, hi = chain[j], chain[j - 1]
-            break
-        hi = chain[a + len(ok) - 1]
-    else:
-        return None
-    for left in range(25, 0, -depth):
-        d = min(depth, left)
-        b = np.empty(2**d + 1)
-        b[0], b[-1] = lo, hi
-        for s in 2 ** np.arange(d - 1, -1, -1):
-            b[s::2 * s] = np.sqrt(b[:-1:2 * s] * b[2 * s::2 * s])
-        ok = yield b[1:-1], lo, hi
-        a, z = 0, 2**d
-        while z - a > 1:
-            m = (a + z) // 2
-            a, z = (m, z) if ok[m - 1] else (a, m)
-        lo, hi = b[a], b[z]
-    return lo
-
-
-def _lockstep(cap, extents, resid, tau, depth=1):
-    """Pick the gauge rule's winner among log-bisections run side by side.
-
-    Search k bisects its limit t_k for the fixed extent g_k; the rule picks
-    the first k (in the given order) whose area t_k * g_k is >= 0.9 times
-    the largest area.  Returns (k, t_k), or None if every search ends
-    without a passing probe.  Each round hands the pending probes of its
-    searches to resid(keys, ts) at once (keys[i] is the search of probe
-    ts[i]); it returns their residuals.  A search's bracket [lo, hi] bounds
-    its area in the rule's own float products, lo * g <= t * g <= hi * g,
-    whatever the residual's shape.  After each round a search drops out
-    once hi * g < 0.9 * max(lo * g): it cannot win.  Once the first search
-    standing has lo * g >= 0.9 * max(hi * g), it is the winner and
-    finishes alone.  Round 1 runs the first two searches only; the others
-    join in round 2 unless their a-priori bound hi = cap has dropped them,
-    which is as sound as a probed bound.
-    """
-    searches = [_log_bisect(cap, depth) for _ in extents]
-    pending, lo, hi = map(list, zip(*(next(s) for s in searches)))
-    live = list(range(len(extents)))
-    keys = live[:2]
-    while keys:
-        ts = [pending[k] for k in keys]
-        passed = iter((resid([k for k, t in zip(keys, ts) for _ in t],
-                             np.concatenate(ts)) <= tau).tolist())
-        for k, t in zip(keys, ts):
-            try:
-                pending[k], lo[k], hi[k] = searches[k].send(
-                    [next(passed) for _ in t])
-            except StopIteration as stop:
-                pending[k] = None
-                if stop.value is None:
-                    live.remove(k)
-                else:
-                    lo[k] = hi[k] = stop.value
-        floor = 0.9 * max((lo[k] * extents[k] for k in live), default=0.0)
-        live = [k for k in live if hi[k] * extents[k] >= floor]
-        if live and lo[live[0]] * extents[live[0]] >= 0.9 * max(
-                hi[k] * extents[k] for k in live):
-            live = live[:1]
-        keys = [k for k in live if pending[k] is not None]
-    return (live[0], lo[live[0]]) if live else None
-
-
 def _default_gauge(unit: ManifoldSeries, tau):
-    """Scales (g1, g2) so the unit box carries residual <= tau.
-
-    Two-stage log-bisection: the v-extent is first pushed to its residual
-    cliff along the v-edge, then for a descending ladder of v-extents the
-    u-extent is bisected against the full-box residual; the pair maximizing
-    covered area wins (largest v among near-ties: the first rung whose area
-    is >= 0.9 of the largest).  Residual level sets in the two parameters
-    are strongly anisotropic and the trade-off between them is not
-    monotone, so neither single-edge criterion alone is safe.
-
-    Every probe is a grid residual of the unit-gauge stable series, on
-    17 x 33 points of the box.  P and map4_apply are exactly odd and both
-    grids are exactly symmetric (steps 1/8 and 1/16 times one factor), so
-    the residual at (-u, -v) is the one at (u, v) bit for bit: a rung probe
-    evaluates the rows u >= 0 only (9 of 17), with the full grid's max and
-    finiteness.  Both stages run through _lockstep.  The edge (v-grid
-    moving, u = 0, which reads row n = 0 only) stacks its rounds: the whole
-    descent in one call, then five refinement levels (31 probes) a call,
-    6 calls where one probe a call took 27-28.  The rungs take one probe a
-    round, every rung in contention in one stacked u-stage (P rows and Q
-    rows together), and stop once the bounds on their areas show they
-    cannot be the rule's pick; that pruning is the 0.9 rule restated, so
-    the two change together.  A rung fixes its v-grid, so its v-stage is
-    built once, when it joins.  Rungs 0 and 1 start alone: the ladder falls
-    by 0.734 < 0.9 a rung, so a pass at the cap by either drops every
-    later rung unbuilt.  Each probe sees the bits it would see alone, so
-    the gauge is that of bisecting every rung to the end, one probe at a
-    time, on the full grid.
-    """
+    """Scales (g1, g2) <= 256 sqrt|eps| of largest g1 g2 that keep the
+    rounding model u (2 M_1 + 2 (M_2 + 2 M_3 + M_4) / |A| + 3 M_3^3 / |eps A|)
+    of map4_apply(P) - P o Lambda, u = 2^-53, M_i = sum |C_i[n, m]| g1^n g2^m,
+    within tau and the tail (_tail) within 1e-3 tau: convex in (x, y) =
+    (log g1, log g2), so the maximizer of x + y is unique, the corner where
+    the boundary x(y) leaves the cap or the slope 1 + x'(y) changes sign.
+    x(y) is by Newton from the right, repeated from a 2^-24 grid, and M
+    sums rows in ascending m, then n: degrees of negligible weight come last
+    and vanish, so orders 56 and 80 choose the same bits."""
     p = unit.params
-    l1, l2 = unit.rates
-    cap = 256.0 * np.sqrt(abs(p.epsilon))
+    k = np.arange(unit.order + 1.0)
+    Ct = np.abs(unit.coeffs).transpose(2, 0, 1)  # [m, i, n]
+    Ck = np.stack([Ct, Ct * k[:, None, None]], axis=1)  # |C|, m |C|
+    lin = np.array([2.0, 2.0, 4.0, 2.0]) / [1.0, abs(p.A), abs(p.A), abs(p.A)]
+    cube = 3.0 / abs(p.epsilon * p.A)
+    gcap = 256.0 * float(np.sqrt(abs(p.epsilon)))
+    cap, rows = np.log(gcap), {}
 
-    def v_stages(C, gv):  # [:, :, r]: the v-stages of P and Q on grid gv[r]
-        W = _horner_v(C, np.concatenate([gv, l2 * gv], axis=-1).ravel())
-        return W.reshape(W.shape[:2] + (len(gv), -1))
+    def log_bound(B, Bu, Bv, limit):  # log(B / limit) and its gradient
+        with np.errstate(divide="ignore", invalid="ignore"):  # B = 0 holds
+            return ((np.log(B / limit), Bu / B, Bv / B) if np.isfinite(
+                B + Bu + Bv) else (np.inf, 0.0, 0.0))  # past double range
 
-    e41 = np.linspace(-1.0, 1.0, 41)
-    found = _lockstep(cap, [1.0], lambda keys, ts: _probe_residuals(
-        v_stages(unit.coeffs[:, :1], e41 * ts[:, None]),
-        np.zeros((1, ts.size)), l1, p), tau, depth=5)
-    if found is None:
-        raise GaugeError("no v-extent meets the residual target")
-    g2max = found[1]
-    eu = np.linspace(0.0, 1.0, 9)  # rows u >= 0 of linspace(-1, 1, 17)
-    ev = np.linspace(-1.0, 1.0, 33)
-    ladder = np.geomspace(g2max / 30.0, g2max, 12)[::-1]
-    W, slots = None, []  # slots[j]: the rung whose v-stages W[:, :, j] holds
+    def rounding(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if y not in rows:  # row sums of |C| g2^m and m |C| g2^m
+                t = np.fmax(Ck * (np.exp(y) ** k)[:, None, None, None], 0.0)
+                W = t[0].copy()
+                for row in t[1:]:
+                    W += row
+                rows[y] = np.concatenate([W, W[:1] * k])
+            t = np.fmax(rows[y] * np.exp(x) ** k, 0.0)  # 0 * inf is 0
+            M, Mv, Mu = np.cumsum(t, axis=-1)[..., -1]
+            c = 3.0 * cube * M[2]**2
+            return log_bound(lin @ M + cube * M[2]**3, lin @ Mu + c * Mu[2],
+                             lin @ Mv + c * Mv[2], 2.0**53 * tau)
 
-    def rungs(keys, ts):
-        # keys is an ordered subsequence of the rungs.  A round where rungs
-        # join builds W anew in key order, in one v-stage call where each
-        # rung built before sits at v = 0 (one |v| more) and is then copied
-        # in; otherwise the rungs still in contention move up in place.
-        nonlocal W
-        built = np.isin(keys, slots)
-        if built.all():
-            for j, k in enumerate(keys):
-                if slots[j] != k:
-                    W[:, :, j] = W[:, :, slots.index(k)]
-        else:
-            V = v_stages(unit.coeffs,
-                         ev * np.where(built, 0.0, ladder[keys])[:, None])
-            for j in np.flatnonzero(built):
-                V[:, :, j] = W[:, :, slots.index(keys[j])]
-            W = V
-        slots[:] = keys
-        return _probe_residuals(W[:, :, :len(keys)], eu[:, None] * ts, l1, p)
+    def edge(F, y, x=cap):  # x(y) from x and the slope 1 + x'(y) there
+        if not F(-np.inf, y)[0] < 0.0:
+            return -np.inf, -np.inf
+        for _ in range(2):  # the second run starts on the grid
+            x = min(np.ceil(x * 2.0**24) / 2.0**24, cap)
+            f = F(x, y)
+            while not f[0] <= 0.0:  # Newton from the right of the root
+                # never passes it; past double range, back off by 1
+                nxt = x - f[0] / f[1] if f[0] < np.inf else x - 1.0
+                if not nxt < x:
+                    break
+                x, f = nxt, F(nxt, y)
+        return x, 1.0 if x == cap and f[0] < 0.0 else 1.0 - f[2] / f[1]
 
-    found = _lockstep(cap, ladder, rungs, tau)
-    if found is None:
-        raise GaugeError("no u-extent meets the residual target")
-    k, g1 = found
-    return float(g1), float(ladder[k])
+    def solve(F):  # the corner (x and y exchanged) wins if 1 - fu / fv >= 0
+        y, slope = edge(lambda y, x: np.array(F(x, y))[[0, 2, 1]], cap)
+        if slope >= 0.0:
+            return cap, y
+        lo, hi, step = cap, cap, 1.0
+        x, slope = edge(F, cap)
+        while slope <= 0.0 and lo > y:  # lo = cap - 1, cap - 3, ..., corner
+            hi, lo, step = lo, max(lo - step, y), 2.0 * step
+            x, slope = edge(F, lo)
+        while hi - lo > 2.0**-30:
+            mid = 0.5 * (lo + hi)
+            xm, slope = edge(F, mid, x)
+            lo, hi, x = (mid, hi, xm) if slope > 0.0 else (lo, mid, x)
+        return x, lo
+
+    x, y = solve(rounding)
+    if _tail(unit.coeffs[2], p, np.exp(x), np.exp(y))[0] > 1e-3 * tau:
+        x, y = solve(lambda x, y: max(rounding(x, y), log_bound(
+            *_tail(unit.coeffs[2], p, np.exp(x), np.exp(y)), 1e-3 * tau)))
+    return tuple(min(float(np.exp(t)), gcap) if t < cap else gcap
+                 for t in (x, y))
 
 
 def _rescale_table(C, f1, f2):

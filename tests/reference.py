@@ -1,14 +1,14 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, the anti-diagonal recursion with every convolution,
-the grid v-stage on every column, a long-double grid evaluator, the gauge
-policy with one log-bisection at a time, the census on the full half
-grid without its P_1 screen, a multistart homoclinic search that
-polishes the full 4-d matching system without the reversor that
-symmetric_search reduces the problem with, the 4x4 transversality
-determinant and the two-series profile tails that symmetric_search and
-build_profile read off the stable series alone, the phase portrait
-stepped one masked map2_apply call at a time, and the artifacts' JSON
-conversion by isinstance checks alone.
+the grid v-stage on every column, a long-double grid evaluator, the
+gauge's two bounds summed plainly and its boundary by bisection, the
+census on the full half grid without its P_1 screen, a multistart
+homoclinic search that polishes the full 4-d matching system without the
+reversor that symmetric_search reduces the problem with, the 4x4
+transversality determinant and the two-series profile tails that
+symmetric_search and build_profile read off the stable series alone, the
+phase portrait stepped one masked map2_apply call at a time, and the
+artifacts' JSON conversion by isinstance checks alone.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d inverse,
@@ -36,12 +36,9 @@ from dnls_nnn.homoclinic import (
 from dnls_nnn.manifold import (
     OVERFLOW_LIMIT,
     RESONANCE_TOL,
-    GaugeError,
     ManifoldSeries,
     ResonanceError,
     SeriesOverflowError,
-    _horner_u,
-    _horner_v,
     evaluate_grid,
     evaluate_series,
     series_jacobian,
@@ -405,74 +402,46 @@ def horner_longdouble(C, gu, gv):
     return np.moveaxis(out, 0, -1)
 
 
-def _grid_residual_fn(ms: ManifoldSeries, gv):
-    """gu -> max conjugacy residual of a stable series on the grid gu x gv
-    (inf once P leaves double range); both v-stages computed once."""
-    l1, l2 = ms.rates
-    WP, WQ = _horner_v(ms.coeffs, gv), _horner_v(ms.coeffs, l2 * gv)
-
-    def resid(gu):
-        P = np.moveaxis(_horner_u(WP, gu), 1, -1)
-        if not np.all(np.isfinite(P)):
-            return np.inf
-        Q = np.moveaxis(_horner_u(WQ, l1 * gu), 1, -1)
-        F = map4_apply(P, ms.params)
-        return float(np.max(np.linalg.norm(F - Q, axis=-1)))
-
-    return resid
-
-
-def _log_bisect(f, cap, tau, refine=25):
-    """Largest t <= cap with f(t) <= tau, by bisection in log t; None if none."""
-    t = cap
-    if f(t) <= tau:
-        return t
-    lo, hi = None, t
-    while t > 1e-14 * cap:
-        t /= 4.0
-        if f(t) <= tau:
-            lo = t
-            break
-        hi = t
-    if lo is None:
-        return None
-    for _ in range(refine):
-        mid = np.sqrt(lo * hi)
-        if f(mid) <= tau:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def gauge_bounds(unit: ManifoldSeries, g1, g2):
+    """The two bounds of the automatic gauge at extents (g1, g2) of the
+    unit-gauge table, summed by np.sum and one anti-diagonal at a time:
+    the rounding majorant u (2 M_1 + 2 (M_2 + 2 M_3 + M_4)/|A|
+    + 3 M_3^3/|eps A|), M_i = sum |C_i[n, m]| g1^n g2^m, and the truncation
+    tail sum_{k>N} (s*s*s)_k / |eps A|, s_k the l1 norm of anti-diagonal k
+    of the weighted |C_3|."""
+    p, N = unit.params, unit.order
+    k = np.arange(N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: fails
+        w = np.where(unit.coeffs == 0.0, 0.0,
+                     np.abs(unit.coeffs) * g2**k * (g1**k)[:, None])
+        M = np.sum(w, axis=(1, 2))
+        rounding = 2.0**-53 * (2.0 * M[0] + 2.0 * (M[1] + 2.0 * M[2] + M[3])
+                               / abs(p.A)
+                               + 3.0 * M[2]**3 / abs(p.epsilon * p.A))
+        s = np.array([np.sum(w[2, ::-1].diagonal(d - N))
+                      for d in range(N + 1)])
+        cube = np.convolve(np.convolve(s, s), s)
+        return rounding, float(np.sum(cube[N + 1:]) / abs(p.epsilon * p.A))
 
 
-def sequential_gauge(unit: ManifoldSeries, tau):
-    """The automatic gauge policy of _default_gauge, one probe at a time:
-    the v-edge bisection, then each rung of the ladder bisected on its own
-    with two u-stages per probe."""
-    cap = 256.0 * np.sqrt(abs(unit.params.epsilon))
-    e41 = np.linspace(-1.0, 1.0, 41)
-    z1 = np.zeros(1)
-    edge = ManifoldSeries(unit.branch, unit.order, unit.rates, unit.scale,
-                          unit.coeffs[:, :1], unit.params)
-    g2max = _log_bisect(lambda t: _grid_residual_fn(edge, e41 * t)(z1),
-                        cap, tau)
-    if g2max is None:
-        raise GaugeError("no v-extent meets the residual target")
-    eu = np.linspace(-1.0, 1.0, 17)
-    ev = np.linspace(-1.0, 1.0, 33)
-    table = []
-    for g2 in np.geomspace(g2max / 30.0, g2max, 12)[::-1]:
-        resid = _grid_residual_fn(unit, ev * g2)
-        g1 = _log_bisect(lambda t: resid(eu * t), cap, tau)
-        if g1 is not None:
-            table.append((g1 * g2, g1, g2))
-    if not table:
-        raise GaugeError("no u-extent meets the residual target")
-    amax = max(row[0] for row in table)
-    for area, g1, g2 in table:
-        if area >= 0.9 * amax:
-            return float(g1), float(g2)
-    raise GaugeError("gauge selection failed")
+def boundary_extent(unit: ManifoldSeries, g2, tau, cap):
+    """Largest g1 <= cap where both gauge bounds hold at (g1, g2), by
+    bisection in log g1 to float resolution (0 if none)."""
+    def ok(g1):
+        rounding, tail = gauge_bounds(unit, g1, g2)
+        return rounding <= tau and tail <= 1e-3 * tau
+
+    if ok(cap):
+        return cap
+    lo, hi = np.log(cap) - 1.0, np.log(cap)
+    while not ok(np.exp(lo)):
+        lo, hi = 2.0 * lo - hi, lo
+        if lo < -700.0:
+            return 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(np.exp(mid)) else (lo, mid)
+    return float(np.exp(lo))
 
 
 def census_seeds_full(Ps: ManifoldSeries, bound):

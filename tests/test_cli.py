@@ -347,6 +347,27 @@ def test_config_values_are_parsed_like_their_flags(tmp_path, capsys, cmd,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"order": 1.9}, "argument --order: invalid int value: '1.9'"),
+    ({"epsilon": "x,1"}, "argument --epsilon: cannot parse number list"),
+])
+def test_config_value_error_names_the_file(tmp_path, capsys, entry, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+              "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and f"(from config file {cfg_path})" in err
+    # the same value given as a flag names no file
+    with pytest.raises(SystemExit):
+        main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+              "--order", "1.9", "--out", str(tmp_path / "out")])
+    assert "config file" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_keys_outside_the_flags_are_ignored(tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"epsilon": 0.0004, "A": "-0.125"}))

@@ -166,16 +166,35 @@ def test_census_screen_evaluates_p2_to_p4_at_few_points(monkeypatch, eps, A):
     assert (sum(sizes) - half) / 3 <= 0.05 * half
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 8")
 def test_near_critical_pair_is_found():
-    # seeding every flagged cell finds this pair; the one seed of its census
-    # component sits next to the origin and converges to the trivial root
+    # seeding every flagged cell finds this pair; in unit-gauge coordinates
+    # (g1 u, g2 v), which no gauge moves, it sits at (+-1.28364, -+1.13492)
+    # ((-+0.70911, +-0.86113) at the gauge (1.8102, 1.3179) once chosen)
     Ps, _ = _census_input(2e-4, -0.1462)
-    uv = sorted((s.u2, s.v2) for s in symmetric_search(Ps))
+    g1, g2 = Ps.scale
+    uv = sorted((g1 * s.u2, g2 * s.v2) for s in symmetric_search(Ps))
     assert len(uv) == 2
-    assert np.allclose(uv, [(-0.70911, 0.86113), (0.70911, -0.86113)],
+    assert np.allclose(uv, [(-1.28364, 1.13492), (1.28364, -1.13492)],
                        rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("eps, A", [(4e-4, -0.146), (0.1, -0.146),
+                                    (2e-4, -0.1462)])
+def test_solutions_do_not_depend_on_the_other_seeds(monkeypatch, eps, A):
+    # a seed that leaves the box, or the seeds in reverse order, change the
+    # batch's rounding; rows that stall at a root must be kept either way
+    Ps, _ = _census_input(eps, A)
+    real = homoclinic._census_seeds
+    want = symmetric_search(Ps)
+    for edit in (lambda X: np.vstack([X, [[0.9, 0.9]]]),
+                 lambda X: np.vstack([X, [[1.2, -1.2]]]),
+                 lambda X: X[::-1]):
+        monkeypatch.setattr(homoclinic, "_census_seeds",
+                            lambda Ps, bound: edit(real(Ps, bound)))
+        got = symmetric_search(Ps)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.point - b.point)) <= 1e-10
 
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,

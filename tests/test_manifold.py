@@ -10,13 +10,11 @@ from dnls_nnn.manifold import (
     DEFAULT_ORDER,
     GAUGE_RESIDUAL,
     OVERFLOW_LIMIT,
-    GaugeError,
     ResonanceError,
     SeriesOverflowError,
     _build_coeffs,
     _default_gauge,
     _horner_v,
-    _lockstep,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
@@ -34,14 +32,14 @@ from dnls_nnn.spectral import (
     solve_reciprocal_quartic,
 )
 
-from reference import _log_bisect as log_bisect
 from reference import (
     apply_symmetry,
+    boundary_extent,
     convolve_all_coeffs,
     cubic_convolution,
+    gauge_bounds,
     horner_v_full,
     map4_jacobian,
-    sequential_gauge,
     solve_order_block,
 )
 
@@ -401,10 +399,23 @@ def test_rescale_checks_only_the_kept_blocks():
     assert err.value.order == lowest <= 30
 
 
-def test_gauge_policy_failure_is_reported(monkeypatch):
-    monkeypatch.setattr(manifold, "GAUGE_RESIDUAL", 1e-30)
-    with pytest.raises(GaugeError):
-        compute_manifold_pair(P, order=20)
+def _assert_boundary_maximum(unit, gauge, tau):
+    """gauge holds both bounds and the cap, the rounding bound or the tail
+    is active unless g1 sits at the cap, and moving along the boundary
+    (the oracle's largest g1 at a nearby g2) does not raise g1 * g2."""
+    g1, g2 = gauge
+    cap = 256.0 * np.sqrt(abs(unit.params.epsilon))
+    rounding, tail = gauge_bounds(unit, g1, g2)
+    assert 0.0 < g1 <= cap and 0.0 < g2 <= cap
+    assert rounding <= tau * (1.0 + 1e-12)
+    assert tail <= 1e-3 * tau * (1.0 + 1e-12)
+    active = max(rounding / tau, tail / (1e-3 * tau))
+    assert g1 == cap or active >= 1.0 - 1e-12
+    for d in (-1e-2, -1e-3, 1e-3, 1e-2):
+        h2 = g2 * np.exp(d)
+        if h2 <= cap:
+            assert boundary_extent(unit, h2, tau, cap) * h2 <= g1 * g2 * (
+                1.0 + 1e-12), d
 
 
 @pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.145),
@@ -412,275 +423,94 @@ def test_gauge_policy_failure_is_reported(monkeypatch):
                                     (0.1, -0.145), (-0.5, -0.13),
                                     (2e-4, -0.1462), (0.01, -0.146),
                                     (1.0, -0.1459)])
-def test_lockstep_gauge_matches_sequential_bisection(eps, A):
-    # lockstep rungs on half the box and stacked edge rounds change how
-    # probes are batched and how many are made, never their bits; at
-    # (1.0, -0.13) the chosen rung outlives others, so its v-stage has
-    # moved; the last three cells lie in the near-critical strip
+def test_gauge_is_the_boundary_maximum(eps, A):
+    # at (4e-4, -0.125) g1 sits at the cap; the last three cells lie in the
+    # near-critical strip
     unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
     gauge = _default_gauge(unit, GAUGE_RESIDUAL)
-    assert gauge == sequential_gauge(unit, GAUGE_RESIDUAL)
+    _assert_boundary_maximum(unit, gauge, GAUGE_RESIDUAL)
     assert compute_manifold_pair(ModelParams(eps, A))[0].scale == gauge
 
 
-def test_gauge_rungs_probe_half_the_box_and_stop_early(monkeypatch):
-    unit, _ = compute_manifold_pair(ModelParams(1.0, -0.145),
+@pytest.mark.parametrize("eps, A, order", [(4e-4, -0.125, 5),
+                                           (0.5, -0.001, DEFAULT_ORDER)])
+def test_gauge_held_by_the_tail(eps, A, order):
+    # at order 5, and at the default order as A -> 0-, the truncation tail,
+    # not rounding, closes the box; the tail's probes underflow to 0
+    unit, _ = compute_manifold_pair(ModelParams(eps, A), order=order,
                                     scale=(1.0, 1.0))
-    grids = []
-    real = manifold._probe_residuals
-
-    def spy(W, gu, l1, params):
-        grids.append(gu.copy())
-        return real(W, gu, l1, params)
-
-    monkeypatch.setattr(manifold, "_probe_residuals", spy)
-    _default_gauge(unit, GAUGE_RESIDUAL)
-    assert all(np.all(gu >= 0.0) for gu in grids)
-    rungs = [gu for gu in grids if gu.shape[0] > 1]  # the edge probes u = 0
-    assert all(gu.shape[0] == 9 for gu in rungs)
-    # bisecting all twelve rungs to the end takes 323 probes here
-    assert sum(gu.shape[1] for gu in rungs) < 100
-
-
-def test_gauge_at_the_readme_cell_takes_a_handful_of_rounds(monkeypatch):
-    # the edge stacks its bisection (one descent call, then five refinement
-    # levels a call); rung 1 passes at the cap, so rungs 2-11 never join
-    unit, _ = compute_manifold_pair(P, scale=(1.0, 1.0))
-    calls, ladder_grids = [], []
-    real_probe, real_v = manifold._probe_residuals, manifold._horner_v
-
-    def probe_spy(W, gu, l1, params):
-        calls.append(gu.shape)
-        return real_probe(W, gu, l1, params)
-
-    def v_spy(C, gv):
-        if C.shape[1] > 1:  # the full table: a ladder v-stage
-            ladder_grids.append(gv.size)
-        return real_v(C, gv)
-
-    monkeypatch.setattr(manifold, "_probe_residuals", probe_spy)
-    monkeypatch.setattr(manifold, "_horner_v", v_spy)
-    _default_gauge(unit, GAUGE_RESIDUAL)
-    assert len(calls) <= 10, calls
-    assert ladder_grids == [2 * 66]
-
-
-def test_gauge_without_a_passing_rung_is_reported(monkeypatch):
-    real = manifold._probe_residuals
-
-    def no_rung_passes(W, gu, l1, params):
-        r = real(W, gu, l1, params)
-        return r if gu.shape[0] == 1 else np.full_like(r, np.inf)
-
-    monkeypatch.setattr(manifold, "_probe_residuals", no_rung_passes)
-    unit, _ = compute_manifold_pair(P, order=20, scale=(1.0, 1.0))
-    with pytest.raises(GaugeError, match="^no u-extent meets the residual "
-                                         "target$"):
-        _default_gauge(unit, GAUGE_RESIDUAL)
-
-
-def test_probe_residuals_read_an_overflowing_probe_as_inf():
-    unit, _ = compute_manifold_pair(P, order=20, scale=(1.0, 1.0))
-    l1, l2 = unit.rates
-    gv = np.linspace(-1.0, 1.0, 5) * 1e-3
-    W = _horner_v(unit.coeffs, np.concatenate([gv, l2 * gv]))
-    W = np.stack([W, W], axis=2)  # two probes on one v-grid
-    gu = np.linspace(0.0, 1.0, 3)[:, None] * np.array([1e-3, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = manifold._probe_residuals(W, gu, l1, P)
-        alone = manifold._probe_residuals(W[:, :, :1], gu[:, :1], l1, P)
-    assert np.isfinite(r[0]) and r[0] == alone[0]
-    assert r[1] == np.inf
+        gauge = _default_gauge(unit, GAUGE_RESIDUAL)
+    rounding, tail = gauge_bounds(unit, *gauge)
+    assert rounding < GAUGE_RESIDUAL and tail == pytest.approx(
+        1e-3 * GAUGE_RESIDUAL, rel=1e-9)
+    _assert_boundary_maximum(unit, gauge, GAUGE_RESIDUAL)
+
+
+def test_gauge_meets_any_residual_target(monkeypatch):
+    # both bounds vanish at the origin, so no target leaves the rule
+    # without a gauge
+    monkeypatch.setattr(manifold, "GAUGE_RESIDUAL", 1e-30)
+    Ps, _ = compute_manifold_pair(P, order=20)
+    unit, _ = compute_manifold_pair(P, order=20, scale=(1.0, 1.0))
+    _assert_boundary_maximum(unit, Ps.scale, 1e-30)
+
+
+def test_gauge_survives_overflowing_probes():
+    # at order 300 the weights 256^n of the cap leave double range, where
+    # the coefficients have underflowed to 0: their terms weigh 0, not nan,
+    # and no warning escapes; degrees above 56 weigh nothing at the gauge
+    p = ModelParams(1.0, -0.145)
+    unit, _ = compute_manifold_pair(p, order=300, scale=(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gauge = _default_gauge(unit, GAUGE_RESIDUAL)
+    assert gauge == compute_manifold_pair(p)[0].scale
+    _assert_boundary_maximum(unit, gauge, GAUGE_RESIDUAL)
+
+
+@pytest.mark.parametrize("eps, A", [(2e-4, -0.14), (1.0, -0.13),
+                                    (0.01, -0.146)])
+def test_gauge_is_continuous_in_A(eps, A):
+    a = compute_manifold_pair(ModelParams(eps, A))[0].scale
+    b = compute_manifold_pair(ModelParams(eps, A + 1e-9))[0].scale
+    assert np.allclose(a, b, rtol=1e-6, atol=0.0), (a, b)
+
+
+def test_gauge_is_order_independent():
+    # the degrees above 56 weigh nothing at the chosen gauge and are summed
+    # last, so they move no bit; at (2e-4, -0.1225) one Newton run from the
+    # cap, not repeated from the grid, would end one bit apart
+    for eps, A in [(4e-4, -0.125), (1.0, -0.145), (2e-4, -0.1462),
+                   (2e-4, -0.1225)]:
+        p = ModelParams(eps, A)
+        assert (compute_manifold_pair(p)[0].scale
+                == compute_manifold_pair(p, order=80)[0].scale), (eps, A)
+
+
+def test_gauge_varies_monotonically_across_the_window():
+    # eps = 2e-4: g2 falls strictly with A, and g1 never falls
+    g = np.array([compute_manifold_pair(ModelParams(2e-4, A))[0].scale
+                  for A in np.linspace(-0.145, -0.115, 13)])
+    assert np.all(np.diff(g[:, 1]) < 0.0) and np.all(np.diff(g[:, 0]) >= 0.0)
 
 
 @pytest.mark.parametrize("eps, A", [(0.0004, -0.125), (1.0, -0.145)])
-def test_v_stage_mirror_is_the_full_v_stage(monkeypatch, eps, A):
+def test_v_stage_mirror_is_the_full_v_stage(eps, A):
     """_horner_v runs each |v| once and negates the rows odd in v.
 
     np.array_equal reads -0.0 == 0.0, so the sign of a zero may differ from
-    the full v-stage; no such zero reaches a result.  A gauge probe reduces
-    P to norms of F - Q, the census compares G and its cell corners with
-    0.0 (where -0.0 and 0.0 agree) and scores by |G|, and no artifact holds
-    a grid value: the series files hold the coefficient table, and the
-    residuals and solutions are read through evaluate_series.
+    the full v-stage; no such zero reaches a result.  The census compares G
+    and its cell corners with 0.0 (where -0.0 and 0.0 agree) and scores by
+    |G|, and no artifact holds a grid value: the series files hold the
+    coefficient table, and the residuals and solutions are read through
+    evaluate_series.
     """
-    unit, _ = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))
-    grids, probed = [], set()
-
-    def spy(C, gv):
-        grids.append((C, gv))
-        return _horner_v(C, gv)
-
-    def lockstep_spy(cap, extents, resid, tau, depth=1):
-        def resid_spy(keys, ts):
-            if len(extents) > 1:  # the ladder
-                probed.update(extents[k] for k in keys)
-            return resid(keys, ts)
-
-        return _lockstep(cap, extents, resid_spy, tau, depth)
-
-    monkeypatch.setattr(manifold, "_horner_v", spy)
-    monkeypatch.setattr(manifold, "_lockstep", lockstep_spy)
-    _default_gauge(unit, GAUGE_RESIDUAL)
-    # a ladder grid holds 66 columns per rung, ev * g then l2 * ev * g, and
-    # ev[32] = 1: together the recorded grids cover every rung probed
-    built = {g for C, gv in grids if C.shape[1] > 1
-             for g in gv.reshape(-1, 66)[:, 32]}
-    assert probed and probed <= built
-    C = unit.coeffs
-    grids += [(C, _census_axis()), (C, np.linspace(-1.0, 1.0, 41)),
-              (C, np.array([0.5, -0.0, -0.25, 0.0, -0.5, 1e-3]))]
-    for C, gv in grids:
+    C = compute_manifold_pair(ModelParams(eps, A), scale=(1.0, 1.0))[0].coeffs
+    for gv in (_census_axis(), np.linspace(-1.0, 1.0, 41),
+               np.array([0.5, -0.0, -0.25, 0.0, -0.5, 1e-3])):
         assert np.array_equal(_horner_v(C, gv), horner_v_full(C, gv))
-
-
-def _passes_between(rng, cap, cuts):
-    """t -> whether t passes, flipping at `cuts` random points in log t:
-    a pass/fail pattern with no monotonicity."""
-    edges = np.sort(cap * np.exp(-rng.uniform(0.0, 35.0, cuts)))
-    small_passes = bool(rng.integers(2))
-    return lambda t: (int(np.searchsorted(edges, t)) % 2 == 0) == small_passes
-
-
-def _rule_on_full_bisections(cap, extents, tests):
-    """The gauge rule on every search bisected to the end on its own."""
-    table = []
-    for k, (g, ok) in enumerate(zip(extents, tests)):
-        t = log_bisect(lambda t: 0.0 if ok(t) else 1.0, cap, 0.5)
-        if t is not None:
-            table.append((t * g, k, t))
-    if not table:
-        return None
-    amax = max(row[0] for row in table)
-    return next((k, t) for area, k, t in table if area >= 0.9 * amax)
-
-
-def _lockstep_on(cap, extents, tests, depth=1, rounds=None):
-    def resid(keys, ts):
-        if rounds is not None:
-            rounds.append(list(keys))
-        return np.array([0.0 if tests[k](t) else 1.0
-                         for k, t in zip(keys, ts.tolist())])
-
-    return _lockstep(cap, extents, resid, 0.5, depth)
-
-
-def _run_stacked(cap, ok, depth):
-    """Drive _log_bisect(cap, depth) against ok -> (answer, rounds), each
-    round as (probes the one-probe bisection has made by then, bracket)."""
-    search = manifold._log_bisect(cap, depth)
-    rounds, made, descending = [], 0, True
-    try:
-        ts, lo, hi = next(search)
-        while True:
-            rounds.append((made, (lo, hi)))
-            passed = [ok(t) for t in ts]
-            if descending:
-                made += passed.index(True) + 1 if any(passed) else len(ts)
-                descending = not any(passed)
-            else:  # a refinement round of d levels probes 2**d - 1 points
-                made += len(ts).bit_length()
-            ts, lo, hi = search.send(passed)
-    except StopIteration as stop:
-        return stop.value, rounds
-
-
-def test_stacked_bisection_is_the_one_probe_bisection():
-    rng = np.random.default_rng(13)
-    cap = 256.0 * np.sqrt(0.3)
-    for _ in range(300):
-        ok = _passes_between(rng, cap, int(rng.integers(0, 6)))
-        want = log_bisect(lambda t: 0.0 if ok(t) else 1.0, cap, 0.5)
-        one = _run_stacked(cap, ok, 1)
-        assert one[1][0] == (0, (0.0, cap))
-        if want is not None:
-            assert all(lo <= want <= hi for _, (lo, hi) in one[1])
-        for depth in (1, 2, 3, 5, 7):
-            got, rounds = _run_stacked(cap, ok, depth)
-            assert got == want, depth
-            # each round starts from a bracket of the one-probe bisection
-            assert all(dict(one[1])[made] == br for made, br in rounds)
-            # descent rounds, then ceil(25 / depth) refinement rounds
-            assert len(rounds) <= -(-25 // (2**depth - 1)) - (-25 // depth)
-
-
-def test_lockstep_pruning_picks_the_rules_winner():
-    rng = np.random.default_rng(2024)
-    cap = 256.0 * np.sqrt(0.3)
-    ladder = np.geomspace(1.0 / 30.0, 1.0, 12)[::-1]
-    for _ in range(300):
-        extents = ladder * rng.uniform(0.5, 50.0)
-        tests = [_passes_between(rng, cap, int(rng.integers(0, 5)))
-                 for _ in extents]
-        want = _rule_on_full_bisections(cap, extents, tests)
-        rounds = []
-        assert _lockstep_on(cap, extents, tests, rounds=rounds) == want
-        assert _lockstep_on(cap, extents, tests, depth=3) == want
-        assert rounds[0] == [0, 1]  # the others join in round 2 or never
-
-
-def test_lockstep_defers_the_ladder_past_rung_one():
-    rng = np.random.default_rng(11)
-    cap = 1.0
-    extents = np.geomspace(1.0 / 30.0, 1.0, 12)[::-1] * 3.0
-
-    def always(t):
-        return True
-
-    def never(t):
-        return False
-
-    def bumpy(t):  # fails at the cap, passes in a window below it
-        return 0.01 < t < 0.3
-
-    rest = [_passes_between(rng, cap, 3) for _ in extents[2:]]
-    cases = [
-        ([always, bumpy], (0, cap)),  # rung 0 passes at the cap
-        ([never, always], (1, cap)),  # rung 1 passes, rung 0 never does
-        ([bumpy, always], None),  # rung 1 passes, rung 0 fails at the cap
-        ([bumpy, bumpy], None),  # both fail at the cap: the rest join
-        ([never, never], None),
-    ]
-    for head, want in cases:
-        tests = head + rest
-        rule = _rule_on_full_bisections(cap, extents, tests)
-        assert want is None or rule == want
-        rounds = []
-        assert _lockstep_on(cap, extents, tests, rounds=rounds) == rule
-        assert rounds[0] == [0, 1]
-        if head[1] is always or head[0] is always:
-            # no later rung can reach 0.9 of a cap-area: none is probed
-            assert all(k < 2 for keys in rounds for k in keys), rounds
-        else:
-            assert any(k >= 2 for k in rounds[1]), rounds
-
-
-def test_lockstep_pruning_edge_cases():
-    rng = np.random.default_rng(7)
-
-    def never(t):
-        return False
-
-    def always(t):
-        return True
-
-    bumpy = _passes_between(rng, 1.0, 3)
-    t1 = log_bisect(lambda t: 0.0 if bumpy(t) else 1.0, 1.0, 0.5)
-    assert t1 is not None and t1 < 1.0
-    # rung 0 passes at cap = 1 with an area exactly at 0.9 * amax; one ulp
-    # less and the bisected rung 1 wins
-    tie = 0.9 * (t1 * 2.0)
-    cases = [
-        ([tie, 2.0], [always, bumpy], (0, 1.0)),
-        ([np.nextafter(tie, 0.0), 2.0], [always, bumpy], (1, t1)),
-        ([3.0, 2.0], [never, bumpy], (1, t1)),
-        ([3.0, 2.0], [never, never], None),
-        ([3.0, 2.0, 1.0], [always, always, always], (0, 1.0)),
-    ]
-    for extents, tests, want in cases:
-        assert _rule_on_full_bisections(1.0, extents, tests) == want, extents
-        assert _lockstep_on(1.0, extents, tests) == want, extents
 
 
 def test_serialization_round_trip(pair_ill):
