@@ -23,7 +23,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .manifold import (
     MAX_ORDER,
     ResonanceError,
     SeriesOverflowError,
+    _coeff_key,
     compute_manifold_pair,
     conjugacy_residual,
     series_to_dict,
@@ -108,11 +109,29 @@ def _json_default(obj):
                     "is not JSON serializable")
 
 
-def _write_json(path, payload, cfg):
+def _write_json(path, payload, cfg, coeffs=None):
+    """payload as indented JSON; coeffs, if given, is the text of its series
+    table, held empty (json escapes any quote inside a string)."""
     body = {"version": __version__, "config": asdict(cfg), **payload}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(body, sort_keys=True, indent=1,
-                            default=_json_default) + "\n")
+    text = json.dumps(body, sort_keys=True, indent=1, default=_json_default)
+    if coeffs is not None:
+        text = text.replace('"coeffs": {}', '"coeffs": ' + coeffs, 1)
+    Path(path).write_text(text + "\n")
+
+
+def _coeff_tables(Ps):
+    """P_s's and P_u's series tables as json.dumps(..., sort_keys=True,
+    indent=1) renders them three levels deep.  P_u's components are P_s's
+    reversed, and keys sort alike within any component: one repr each."""
+    comps = []
+    for i, C in enumerate(Ps.coeffs):
+        n, m = (a.tolist() for a in np.nonzero(C))
+        comps.append(sorted(zip((_coeff_key(i, a, b) for a, b in zip(n, m)),
+                                n, m, map(repr, C[n, m].tolist()))))
+    lines = ([f'   "{k}": {v}' for comp in comps for k, _, _, v in comp],
+             [f'   "{_coeff_key(j, n, m)}": {v}'
+              for j, comp in enumerate(comps[::-1]) for _, n, m, v in comp])
+    return ["{\n" + ",\n".join(ls) + "\n  }" for ls in lines]
 
 
 def _build_parser():
@@ -340,20 +359,19 @@ def cmd_eigen(cfg):
 def cmd_manifold(cfg):
     Ps, Pu = _series_pair(cfg)
     outdir = _outdir(cfg)
-    for ms in (Ps, Pu):
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = conjugacy_residual(ms)
-        if not np.isfinite(res):
-            raise SeriesOverflowError(
-                ms.order,
-                f"{ms.branch} series evaluation overflows on the unit box "
-                f"at scale ({ms.scale[0]:g}, {ms.scale[1]:g}); "
-                "use a smaller --box",
-            )
+    # P_u = sigma5 o P_s, f^-1 o sigma5 = sigma5 o f: P_s's bounds are P_u's
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = conjugacy_residual(Ps)
+    if not np.isfinite(res):
+        raise SeriesOverflowError(Ps.order, "stable series evaluation "
+                                  "overflows on the unit box at scale "
+                                  f"({Ps.scale[0]:g}, {Ps.scale[1]:g}); "
+                                  "use a smaller --box")
+    bounds = {"conjugacy_residual": res, "tail_bound": tail_bound(Ps)}
+    for ms, table in zip((Ps, Pu), _coeff_tables(Ps)):
         path = outdir / f"manifold_{ms.branch}.json"
-        _write_json(path, {"series": series_to_dict(ms),
-                           "conjugacy_residual": res,
-                           "tail_bound": tail_bound(ms)}, cfg)
+        header = series_to_dict(replace(ms, coeffs=ms.coeffs[:, :0]))
+        _write_json(path, {"series": header, **bounds}, cfg, coeffs=table)
         print(f"{ms.branch}: order {ms.order}, scale "
               f"({ms.scale[0]:.6g}, {ms.scale[1]:.6g}), "
               f"box residual {res:.3e} -> {path}")
@@ -447,7 +465,9 @@ def cmd_transversality(cfg):
     print(f"det range [{dets.min():.6g}, {dets.max():.6g}] over "
           f"A in [{A_vals.min():g}, {A_vals.max():g}]")
     print("fit roots: " + (", ".join(f"{r:.6g}" for r in fit.roots)
-                           if fit.roots.size else "(none)"))
+                           if fit.roots.size else "(none)")
+          + (f" (ill-conditioned: degree {len(fit.coeffs) - 1} fit to "
+             f"{len(cells)} samples)" if fit.ill_conditioned else ""))
     print(f"wrote {outdir / 'transversality.csv'} and "
           f"{outdir / 'transversality_fit.json'}")
     return 0

@@ -462,9 +462,15 @@ def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
     return Ps, Pu
 
 
+def _coeff_key(i, n, m):
+    """Table key of coeffs[i, n, m]; components count from 1 in files.
+    Not in __all__: a key is no layer boundary for tracing to record."""
+    return f"{i + 1},{n},{m}"
+
+
 def series_to_dict(ms: ManifoldSeries):
     idx = np.nonzero(ms.coeffs)
-    table = {f"{i + 1},{n},{m}": c for i, n, m, c in
+    table = {_coeff_key(i, n, m): c for i, n, m, c in
              zip(*(a.tolist() for a in idx), ms.coeffs[idx].tolist())}
     return {
         "branch": ms.branch,

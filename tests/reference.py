@@ -7,8 +7,9 @@ homoclinic search that polishes the full 4-d matching system without the
 reversor that symmetric_search reduces the problem with, the 4x4
 transversality determinant and the two-series profile tails that
 symmetric_search and build_profile read off the stable series alone, the
-phase portrait stepped one masked map2_apply call at a time, and the
-artifacts' JSON conversion by isinstance checks alone.
+phase portrait stepped one masked map2_apply call at a time, the
+artifacts' JSON conversion by isinstance checks alone, and the series
+files rendered whole by json.dumps.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d inverse,
@@ -16,11 +17,14 @@ the Jacobians, the symmetry registry, orbit iteration, the shear
 conjugacy of the 2-d map, the fixed points, and the four-real-roots lemma
 for the characteristic quartic."""
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
+from dnls_nnn import __version__
+from dnls_nnn.cli import _json_default
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     CENSUS,
@@ -42,6 +46,7 @@ from dnls_nnn.manifold import (
     evaluate_grid,
     evaluate_series,
     series_jacobian,
+    series_to_dict,
 )
 from dnls_nnn.maps import (
     ModelParams,
@@ -600,3 +605,13 @@ def jsonable_isinstance(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
+
+
+def manifold_file_text(ms: ManifoldSeries, cfg, residual, tail):
+    """The text of manifold_<branch>.json for ms, rendered by the indent
+    encoder from the whole series_to_dict table."""
+    body = {"version": __version__, "config": asdict(cfg),
+            "series": series_to_dict(ms), "conjugacy_residual": residual,
+            "tail_bound": tail}
+    return json.dumps(body, sort_keys=True, indent=1,
+                      default=_json_default) + "\n"

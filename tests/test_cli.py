@@ -7,13 +7,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dnls_nnn import __version__, manifold
+from dnls_nnn import __version__, cli, manifold
 from dnls_nnn.cli import _build_parser, _resolve, _write_json, main
-from dnls_nnn.manifold import MAX_ORDER
+from dnls_nnn.manifold import MAX_ORDER, conjugacy_residual, tail_bound
 from dnls_nnn.maps import ModelParams
 
 from conftest import POINT_ILL
-from reference import jsonable_isinstance, reference_portrait
+from reference import (
+    jsonable_isinstance,
+    manifold_file_text,
+    reference_portrait,
+)
 
 
 def read_json(path):
@@ -66,15 +70,57 @@ def test_manifold_writes_series_pair(tmp_path, capsys):
                "--order", "40", "--out", str(tmp_path)])
     assert rc == 0
     assert "box residual" in capsys.readouterr().out
-    bounds = []
+    bounds, residuals = [], []
     for branch in ("stable", "unstable"):
         doc = read_json(tmp_path / f"manifold_{branch}.json")
         assert doc["conjugacy_residual"] <= 1e-9
         bounds.append(doc["tail_bound"])
+        residuals.append(doc["conjugacy_residual"])
         assert doc["series"]["branch"] == branch
         assert doc["series"]["order"] == 40
         assert len(doc["series"]["rates"]) == 2
     assert bounds[0] == bounds[1] <= 1e-9
+    assert residuals[0] == residuals[1]
+
+
+def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
+    """Run manifold at (4e-4, -0.125) with flags; both files must be the
+    json.dumps rendering of the whole series, the unstable one carrying
+    the stable residual, from one conjugacy_residual call.  Returns P_s."""
+    calls = []
+    real = cli.conjugacy_residual
+    monkeypatch.setattr(cli, "conjugacy_residual",
+                        lambda ms: calls.append(ms.branch) or real(ms))
+    argv = ["manifold", "--epsilon", "0.0004", "--A", "-0.125", *flags,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == ["stable"]
+    cfg = _resolve(_build_parser().parse_args(argv))
+    Ps, Pu = cli._series_pair(cfg)
+    res = conjugacy_residual(Ps)
+    for ms in (Ps, Pu):
+        want = manifold_file_text(ms, cfg, res, tail_bound(ms))
+        got = (tmp_path / f"manifold_{ms.branch}.json").read_bytes()
+        assert got == want.encode(), ms.branch
+    return Ps
+
+
+@pytest.mark.parametrize("flags", [("--order", "1"), ("--order", "40"),
+                                   ("--order", "80"),
+                                   ("--box", "1e-300,1e-300")])
+def test_manifold_files_equal_the_json_dumps_rendering(tmp_path, monkeypatch,
+                                                       flags):
+    run_manifold_against_the_oracle(tmp_path, monkeypatch, flags)
+
+
+def test_manifold_tables_keep_each_components_keys(tmp_path, monkeypatch):
+    # at order 300 the components hold different numbers of nonzero
+    # coefficients, so a writer that reused one component's keys for
+    # another would write a different table
+    Ps = run_manifold_against_the_oracle(tmp_path, monkeypatch,
+                                         ("--order", "300"))
+    assert np.count_nonzero(Ps.coeffs, axis=(1, 2)).tolist() == \
+        [6871, 5033, 3767, 2901]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -209,7 +255,8 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     rc = main(["transversality", "--A", A_list, "--workers", "2",
                "--out", str(tmp_path)])
     assert rc == 0
-    assert "det range" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "det range" in out
     rows = read_csv(tmp_path / "transversality.csv")
     assert rows[0] == ["A", "det"]
     assert len(rows) == 6
@@ -221,6 +268,20 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     assert len(doc["det"]) == 5
     assert len(doc["fit_coefficients"]) == 5
     assert isinstance(doc["ill_conditioned"], bool)
+    assert ("ill-conditioned" in out) == doc["ill_conditioned"]
+
+
+def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
+    # a quartic through two samples: its roots (one at positive A) are
+    # not the curve's, and the line that prints them must say so
+    rc = main(["transversality", "--A", "-0.13,-0.12", "--out", str(tmp_path)])
+    assert rc == 0
+    (roots,) = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("fit roots:")]
+    assert roots.endswith("(ill-conditioned: degree 4 fit to 2 samples)")
+    doc = read_json(tmp_path / "transversality_fit.json")
+    assert doc["ill_conditioned"] is True
+    assert len(doc["det"]) == 2
 
 
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
