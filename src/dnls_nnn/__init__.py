@@ -8,7 +8,6 @@ from .maps import (  # noqa: F401
     ModelParams,
     map2_apply,
     map4_apply,
-    map4_inverse,
     nonwandering_bound,
 )
 from .spectral import (  # noqa: F401

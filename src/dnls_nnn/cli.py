@@ -179,6 +179,13 @@ def _build_parser():
     return ap
 
 
+# the flag a subcommand refuses, and why; a config file's entry for it is
+# ignored, so that one file can serve every subcommand
+_NOT_APPLICABLE = {"portrait": ("A", "uses the 2-d map"),
+                   **dict.fromkeys(("scan", "transversality"),
+                                   ("box", "gauges each cell automatically"))}
+
+
 def _parse(ap, argv):
     """Flags over config-file values over defaults.  The file's values for
     the subcommand's flags, checked by their flags (an error names the
@@ -194,11 +201,9 @@ def _parse(ap, argv):
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must hold a JSON object")
     # other keys are ignored: a "command" default would replace the chosen
-    # subcommand.  The 2-d map has no A, and a shared file's A entry is
-    # ignored by portrait (only an explicit --A is refused).
-    flags = set(vars(args)) - {"command"}
-    if args.command == "portrait":
-        flags.discard("A")
+    # subcommand
+    flags = set(vars(args)) - {"command", _NOT_APPLICABLE.get(
+        args.command, (None,))[0]}
     sp = ap.commands[args.command]
     values = {k: str(v) for k, v in file_cfg.items()
               if k in flags and v is not None}
@@ -214,6 +219,9 @@ def _parse(ap, argv):
 def _resolve(args):
     """RunConfig of the parsed flags, after the checks argparse cannot make."""
     cmd = args.command
+    flag, why = _NOT_APPLICABLE.get(cmd, (None, None))
+    if flag and getattr(args, flag):
+        raise UsageError(f"{cmd} {why}; --{flag} does not apply")
     if args.epsilon is None:
         raise UsageError(f"{cmd} requires --epsilon")
     if args.A is None:
@@ -272,7 +280,7 @@ def _require_manifold_domain(p):
     if A == 0.0:
         raise UsageError("A must be nonzero: the map is 4-d only for A != 0")
     kind = classify_eigenvalues(A, at="origin")
-    if kind != ALL_REAL or not (CRITICAL_A <= A < 0.0):
+    if kind != ALL_REAL:
         raise UsageError(
             f"A={A!r} is outside [{CRITICAL_A!r}, 0): the origin's spectrum "
             f"is '{kind}' there, and the manifold construction needs four "
@@ -502,8 +510,6 @@ def cmd_soliton(cfg):
 
 
 def cmd_portrait(cfg):
-    if cfg.A:
-        raise UsageError("portrait uses the 2-d map; --A does not apply")
     half = 0.1
     if cfg.box:
         pair = _float_list(cfg.box)

@@ -40,6 +40,7 @@ P_u = sigma5 o P_s solves the unstable conjugacy at rates (1/l1, 1/l2) and
 scale (g1 l1^3, g2 l2^3).  The parametrization is unique once its linear
 part is fixed, so this is the unstable series, and its coefficient table is
 the stable one with the four components in reverse order, bit for bit.
+Its conjugacy defect and truncation tail are read off that stable image.
 
 Two evaluators, with different rounding.  Scattered points (evaluate_series,
 series_jacobian; all on the stable series: Newton, certification and its
@@ -61,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .maps import ModelParams, map4_apply, map4_inverse
+from .maps import ModelParams, map4_apply
 from .spectral import (
     ALL_REAL,
     NonHyperbolicError,
@@ -264,26 +265,29 @@ def series_jacobian(ms: ManifoldSeries, u, v):
     return np.moveaxis(flat.reshape((4, 2) + u.shape), (0, 1), (-2, -1))
 
 
-def pointwise_conjugacy_residual(ms: ManifoldSeries, u, v):
-    """Euclidean defect of the conjugacy at each (u, v), in contraction form.
-
-    Stable branch:   || f(P(u, v))      - P(L1 u, L2 v)   ||
-    Unstable branch: || f^{-1}(P(u, v)) - P(u / L1, v / L2) ||
-
-    Both express the same functional equation; each is written in the
-    direction in which the parameter arguments shrink, the only form a
-    truncated series can be held to on its own domain.
-    """
-    u, v = _broadcast_uv(u, v)
-    P = evaluate_series(ms, u, v)
-    L1, L2 = ms.rates
+def _stable_image(ms: ManifoldSeries):
+    """The stable series an unstable one is the sigma5 image of: components
+    reversed, rates 1/L (a stable series is returned as it is).  Since
+    f^-1 o sigma5 = sigma5 o f, P_u's conjugacy defect is this series'."""
     if ms.branch == "stable":
-        F = map4_apply(P, ms.params)
-        Q = evaluate_series(ms, L1 * u, L2 * v)
-    else:
-        F = map4_inverse(P, ms.params)
-        Q = evaluate_series(ms, u / L1, v / L2)
-    return np.linalg.norm(F - Q, axis=-1)
+        return ms
+    return replace(ms, branch="stable", coeffs=ms.coeffs[::-1],
+                   rates=tuple(1.0 / L for L in ms.rates),
+                   scale=tuple(g * L**3 for g, L in zip(ms.scale, ms.rates)))
+
+
+def pointwise_conjugacy_residual(ms: ManifoldSeries, u, v):
+    """Euclidean defect || f(P(u, v)) - P(L1 u, L2 v) || of the conjugacy at
+    each (u, v), in contraction form: written in the direction in which the
+    parameter arguments shrink, the only form a truncated series can be held
+    to on its own domain.  An unstable series is held to it through its
+    stable image (_stable_image).
+    """
+    ms = _stable_image(ms)
+    u, v = _broadcast_uv(u, v)
+    L1, L2 = ms.rates
+    F = map4_apply(evaluate_series(ms, u, v), ms.params)
+    return np.linalg.norm(F - evaluate_series(ms, L1 * u, L2 * v), axis=-1)
 
 
 def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
@@ -314,10 +318,9 @@ def tail_bound(ms: ManifoldSeries):
     Beyond order N it is -[P_3^3]_{nm} / (eps A) in the last component (the
     others are chain relations), so at most sum_{k>N} (s*s*s)_k / |eps A|,
     s_k the l1 norm of anti-diagonal k of P_3 (the l1 tail of Mireles James
-    and Mischaikow, 2013).  P_u's second component carries f^-1's cube: both
-    branches read the same value.  inf where the cube leaves double range."""
-    return float(_tail(ms.coeffs[2 if ms.branch == "stable" else 1],
-                       ms.params)[0])
+    and Mischaikow, 2013).  An unstable series reads its stable image's
+    (_stable_image).  inf where the cube leaves double range."""
+    return float(_tail(_stable_image(ms).coeffs[2], ms.params)[0])
 
 
 def _stable_eigensystem(p: ModelParams):
@@ -348,7 +351,9 @@ def _default_gauge(unit: ManifoldSeries, tau):
     and vanish, so orders 56 and 80 choose the same bits."""
     p = unit.params
     k = np.arange(unit.order + 1.0)
-    Ct = np.abs(unit.coeffs).transpose(2, 0, 1)  # [m, i, n]
+    # [m, i, n], m outermost: a sum over m adds whole rows in order (numpy
+    # sums pairwise along the fast axis only)
+    Ct = np.ascontiguousarray(np.abs(unit.coeffs).transpose(2, 0, 1))
     Ck = np.stack([Ct, Ct * k[:, None, None]], axis=1)  # |C|, m |C|
     lin = np.array([2.0, 2.0, 4.0, 2.0]) / [1.0, abs(p.A), abs(p.A), abs(p.A)]
     cube = 3.0 / abs(p.epsilon * p.A)
@@ -364,9 +369,7 @@ def _default_gauge(unit: ManifoldSeries, tau):
         with np.errstate(over="ignore", invalid="ignore"):
             if y not in rows:  # row sums of |C| g2^m and m |C| g2^m
                 t = np.fmax(Ck * (np.exp(y) ** k)[:, None, None, None], 0.0)
-                W = t[0].copy()
-                for row in t[1:]:
-                    W += row
+                W = t.sum(axis=0)
                 rows[y] = np.concatenate([W, W[:1] * k])
             t = np.fmax(rows[y] * np.exp(x) ** k, 0.0)  # 0 * inf is 0
             M, Mv, Mu = np.cumsum(t, axis=-1)[..., -1]

@@ -17,11 +17,10 @@ Henon map
 Both maps are volume preserving with polynomial inverses, are odd
 (commute with -id), and are reversible: reversing the coordinate order
 conjugates each map to its inverse.  The pipeline needs the two forward
-maps and the 4-d inverse (the unstable conjugacy is checked through it);
-the 2-d inverse, the Jacobians and the symmetry registry that test these
-properties live with the test oracles in tests/reference.py.  States are
-plain float arrays with the components on the last axis; every operation
-broadcasts over leading axes.
+maps only; the inverses, the Jacobians and the symmetry registry that test
+these properties live with the test oracles in tests/reference.py.  States
+are plain float arrays with the components on the last axis; every
+operation broadcasts over leading axes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "as_state",
     "map2_apply",
     "map4_apply",
-    "map4_inverse",
     "nonwandering_bound",
 ]
 
@@ -88,15 +86,6 @@ def map4_apply(s, p: ModelParams):
     A, eps = p.A, p.epsilon
     x4 = -x - y / A + 2.0 * z / A - z * z * z / (eps * A) - w / A
     return np.stack([y, z, w, x4], axis=-1)
-
-
-def map4_inverse(s, p: ModelParams):
-    p.require_A()
-    s = as_state(s, 4)
-    x, y, z, w = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
-    A, eps = p.A, p.epsilon
-    x0 = -w - x / A + 2.0 * y / A - y * y * y / (eps * A) - z / A
-    return np.stack([x0, x, y, z], axis=-1)
 
 
 def nonwandering_bound(p: ModelParams, dim):

@@ -12,7 +12,7 @@ artifacts' JSON conversion by isinstance checks alone, and the series
 files rendered whole by json.dumps.
 
 It also holds the structure of the maps and of their spectra that the
-pipeline does not call but the tests check it against: the 2-d inverse,
+pipeline does not call but the tests check it against: the two inverses,
 the Jacobians, the symmetry registry, orbit iteration, the shear
 conjugacy of the 2-d map, the fixed points, and the four-real-roots lemma
 for the characteristic quartic."""
@@ -53,7 +53,6 @@ from dnls_nnn.maps import (
     as_state,
     map2_apply,
     map4_apply,
-    map4_inverse,
     nonwandering_bound,
 )
 from dnls_nnn.soliton import (
@@ -70,6 +69,15 @@ def map2_inverse(s, p: ModelParams):
     s = as_state(s, 2)
     x, y = s[..., 0], s[..., 1]
     return np.stack([2.0 * x - x * x * x / p.epsilon - y, x], axis=-1)
+
+
+def map4_inverse(s, p: ModelParams):
+    p.require_A()
+    s = as_state(s, 4)
+    x, y, z, w = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+    A, eps = p.A, p.epsilon
+    x0 = -w - x / A + 2.0 * y / A - y * y * y / (eps * A) - z / A
+    return np.stack([x0, x, y, z], axis=-1)
 
 
 def map2_jacobian(s, p: ModelParams):

@@ -271,6 +271,32 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     assert ("ill-conditioned" in out) == doc["ill_conditioned"]
 
 
+def test_scans_refuse_box_and_ignore_its_config_entry(tmp_path, capsys):
+    # every scan cell takes the automatic gauge: an explicit --box is
+    # refused before any cell runs, not recorded as if it applied
+    for cmd in (["scan", "--epsilon", "0.0004", "--A", "-0.125"],
+                ["transversality", "--A", "-0.13,-0.12"]):
+        assert main(cmd + ["--box", "0.001,0.001",
+                           "--out", str(tmp_path / "refused")]) == 2, cmd
+        assert "--box does not apply" in capsys.readouterr().err, cmd
+    assert not (tmp_path / "refused").exists()
+    # a shared file's box entry is ignored; at this box homoclinic finds
+    # nothing, so the pair found shows the automatic gauge ran
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"box": "0.001,0.001"}))
+    assert main(["scan", "--epsilon", "0.0004", "--A", "-0.125", "--config",
+                 str(shared), "--out", str(tmp_path / "s")]) == 0
+    doc = read_json(tmp_path / "s" / "scan.json")
+    assert doc["config"]["box"] == "" and doc["cells"][0]["found"]
+    assert main(["transversality", "--A", "-0.13,-0.12", "--config",
+                 str(shared), "--out", str(tmp_path / "t")]) == 0
+    doc = read_json(tmp_path / "t" / "transversality_fit.json")
+    assert doc["config"]["box"] == ""
+    assert main(["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
+                 "--config", str(shared), "--out", str(tmp_path / "h")]) == 0
+    assert not read_json(tmp_path / "h" / "homoclinic.json")["found"]
+
+
 def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
     # a quartic through two samples: its roots (one at positive A) are
     # not the curve's, and the line that prints them must say so

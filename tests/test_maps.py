@@ -6,7 +6,6 @@ from dnls_nnn.maps import (
     as_state,
     map2_apply,
     map4_apply,
-    map4_inverse,
     nonwandering_bound,
 )
 
@@ -18,6 +17,7 @@ from reference import (
     iterate_orbit,
     map2_inverse,
     map2_jacobian,
+    map4_inverse,
     map4_jacobian,
 )
 
