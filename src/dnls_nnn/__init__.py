@@ -29,7 +29,6 @@ from .manifold import (  # noqa: F401
     SeriesOverflowError,
     compute_manifold_pair,
     conjugacy_residual,
-    evaluate_grid,
     evaluate_series,
     rescale_series,
     series_from_dict,

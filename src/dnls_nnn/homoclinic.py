@@ -12,11 +12,11 @@ G = (P_1 - P_4, P_2 - P_3).  The two zero curves are nearly parallel along
 the manifold's fold, so roots are seeded from a fine census of sign-change
 cells (both components changing sign in the same cell) rather than from a
 coarse multistart.  G is odd and the census axis exactly symmetric, so the
-census is evaluated on the half box u >= 0 and mirrored.  A flagged cell
-has every |P_i| within the amplitude bound at its corners, so P_2..P_4 are
-evaluated only at cells whose corners pass |P_1| (Horner is elementwise:
-no bit moves).  Flagged cells are grouped into 8-connected components,
-each seeded once, on the half box.  Roots are deduplicated in (u, v)
+census is evaluated on the half box u >= 0, as two matrix products per
+component, and mirrored.  A flagged cell has every |P_i| within the
+amplitude bound at its corners, so G is tested only at cells that pass
+that screen.  Flagged cells are grouped into 8-connected components, each
+seeded once, on the half box.  Roots are deduplicated in (u, v)
 modulo sign and each is certified once, where the 2-d Newton leaves it;
 its mirror image is the sign flip.  Everything is read from P_s alone: as
 P_u = sigma5 o P_s holds bit for bit, the matching defect at a root is
@@ -44,8 +44,7 @@ import numpy as np
 from .manifold import (
     DEFAULT_ORDER,
     ManifoldSeries,
-    _horner_u,
-    _horner_v,
+    _contract_grid,
     compute_manifold_pair,
     evaluate_series,
     pointwise_conjugacy_residual,
@@ -191,80 +190,75 @@ def _census_axis():
     return np.concatenate([-half[:0:-1], half])
 
 
-def _components(mask):
-    """Labels of the 8-connected components of a boolean mask (-1 off it),
-    numbered in row-major order of each component's first cell."""
-    lab = np.pad(np.where(mask, -2, -1), 1, constant_values=-1)  # -2: unseen
-    count = 0
-    for start in map(tuple, np.argwhere(lab == -2).tolist()):
-        if lab[start] != -2:
-            continue
-        lab[start] = count
-        stack = [start]
-        while stack:
-            i, j = stack.pop()
-            for a in (i - 1, i, i + 1):
-                for b in (j - 1, j, j + 1):
-                    if lab[a, b] == -2:
-                        lab[a, b] = count
-                        stack.append((a, b))
-        count += 1
-    return lab[1:-1, 1:-1]
+def _components(cells):
+    """Labels of the 8-connected components of a set of cells, given as
+    sorted flat indices r * (CENSUS - 1) + c of the cell grid, numbered in
+    row-major order of each component's first cell.  Union by smaller
+    index over the forward neighbour pairs, so each root is its
+    component's first cell."""
+    n = CENSUS - 1
+    c = cells % n
+    a, b = [], []
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        nb = cells + dr * n + dc
+        k = np.minimum(np.searchsorted(cells, nb), cells.size - 1)
+        hit = (cells[k] == nb) & (c + dc >= 0) & (c + dc < n)
+        a.append(np.flatnonzero(hit))
+        b.append(k[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    root = np.arange(cells.size)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
 
 
 def _census_seeds(Ps: ManifoldSeries, bound):
     """Newton seeds from the census, one cell center per component.
 
-    P is evaluated on the grid rows u >= -step only: G is odd and the axis
-    exactly symmetric, so the flags of the u < 0 half are the point mirror
-    of the computed ones.  A flagged cell has all of |P| within bound at its
-    corners, so P_1 runs on that half grid and P_2..P_4 only at the corners
-    of cells where |P_1| passes at all four, their v-stage only on those
-    corners' columns.  Horner works element by element (column by column
-    in v), so a gathered point gets its full-grid bits, and a corner
-    where |P_1| fails or is NaN fails every cell it touches: the screen is
-    exact.  Components are labelled on the whole box; each is seeded at its
-    cell in the half box u > 0 with the smallest corner sum of |G1| + |G2|.
-    A component with no cell there mirrors one that has.
+    P is evaluated on the grid rows u >= -step only, by the contraction in
+    tensor form: G is odd and the axis exactly symmetric, so the flags of
+    the u < 0 half are the point mirror of the computed ones.  A cell
+    passes the screen where max_i |P_i| is within bound at its four
+    corners (a NaN corner fails), and only those cells take the sign tests
+    of G and the corner sum of |G1| + |G2| that scores them.  Components
+    are labelled on the whole box; each is seeded at its cell in the half
+    box u > 0 with the smallest score.  A component with no cell there
+    mirrors one that has.
     """
     g = _census_axis()
     mid = CENSUS // 2  # g[mid] == 0
-    gu = g[mid - 1:]
-    P1 = _horner_u(_horner_v(Ps.coeffs[:1], g)[:, 0], gu)
-    ok = np.abs(P1) <= bound  # False at NaN
+    P = _contract_grid(Ps.coeffs, g[mid - 1:], g)  # (4, mid + 2, CENSUS)
+    amp = np.abs(P[0])
+    for Pi in P[1:]:
+        np.maximum(amp, np.abs(Pi), out=amp)
+    ok = amp <= bound  # False at NaN
     cells = np.argwhere(ok[:-1, :-1] & ok[1:, :-1] & ok[:-1, 1:] & ok[1:, 1:])
     # corners c00, c10, c01, c11 of each screened cell, as flat grid indices
-    flat = (cells + [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]) @ [CENSUS, 1]
-    pts, at = np.unique(flat, return_inverse=True)
-    i, j = np.divmod(pts, CENSUS)
-    cols, jc = np.unique(j, return_inverse=True)
-    W = _horner_v(Ps.coeffs[1:], g[cols])  # the screened columns only
-    P = np.empty((4, pts.size))
-    P[0] = P1[i, j]
-    for k in range(0, pts.size, CENSUS):  # each gather at most CENSUS wide
-        part = slice(k, k + CENSUS)
-        P[1:, part] = _horner_u(W[:, :, jc[part]], gu[None, i[part]])[0]
-    P = P[:, at.reshape(flat.shape)]  # P[:, k, c]: corner k of cell c
-    amp, G1, G2 = np.max(np.abs(P), axis=0), P[0] - P[3], P[1] - P[2]
-    flag = ((amp.max(0) <= bound) & (G1.min(0) <= 0.0) & (G1.max(0) >= 0.0)
+    flat = cells @ [CENSUS, 1] + np.array([[0], [CENSUS], [1], [CENSUS + 1]])
+    Q = P.reshape(4, -1)[:, flat]  # Q[:, k, c]: corner k of cell c
+    G1, G2 = Q[0] - Q[3], Q[1] - Q[2]
+    flag = ((G1.min(0) <= 0.0) & (G1.max(0) >= 0.0)
             & (G2.min(0) <= 0.0) & (G2.max(0) >= 0.0))
     s = np.abs(G1) + np.abs(G2)
     score = ((s[0] + s[1]) + s[2]) + s[3]
+    cells, score = cells[flag], score[flag]
     n = CENSUS - 1  # cells per axis; cell (i, j) mirrors (n-1-i, n-1-j)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[mid - 1:][tuple(cells[flag].T)] = True  # the rows u >= -step
-    mask[:mid - 1] = mask[::-1, ::-1][:mid - 1]
-    labels = _components(mask)
-    keep = flag & (cells[:, 0] > 0)  # flagged, in the half box u > 0
-    cells, score = cells[keep], score[keep]
-    if cells.size == 0:
-        return np.zeros((0, 2))
-    lab = labels[cells[:, 0] + mid - 1, cells[:, 1]]
+    # flagged cells of the whole box as sorted flat indices: the mirrors of
+    # those in cell rows mid+1 and up, then the half grid's (rows mid-1 up)
+    half = (cells[:, 0] + mid - 1) * n + cells[:, 1]
+    mirror = n * n - 1 - half[cells[:, 0] > 1][::-1]
+    labels = _components(np.concatenate([mirror, half]))[mirror.size:]
+    keep = cells[:, 0] > 0  # in the half box u > 0
+    cells, score, lab = cells[keep], score[keep], labels[keep]
     order = np.lexsort((score, lab))
-    first = np.r_[True, lab[order][1:] != lab[order][:-1]]
+    first = np.diff(lab[order], prepend=-1) != 0  # labels count from 0
     cells = cells[order[first]]
     step = g[1] - g[0]
-    return np.stack([gu[cells[:, 0]] + 0.5 * step,
+    return np.stack([g[cells[:, 0] + mid - 1] + 0.5 * step,
                      g[cells[:, 1]] + 0.5 * step], axis=-1)
 
 
@@ -277,9 +271,9 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     where its corners stay within twice the non-wandering bound (the
     relevant intersections cannot sit farther out) and both components of
     G = (P_1 - P_4, P_2 - P_3) change sign, and each 8-connected component
-    of flagged cells gives one seed in the half box u > 0.  P_1 alone
-    screens the grid: P_2..P_4 run only at cells where |P_1| passes at all
-    four corners, the only cells the bound can flag.  Polish stage:
+    of flagged cells gives one seed in the half box u > 0.  The bound
+    screens the grid first: G is tested only at cells where max_i |P_i|
+    passes at all four corners.  Polish stage:
     batched Newton on G with steps capped at STEP_CAP, wander guard at 1.5x
     the box.  A row that converged or stalled with ||G|| below threshold is
     accepted only if it is nontrivial, inside the box, within the amplitude

@@ -42,18 +42,19 @@ part is fixed, so this is the unstable series, and its coefficient table is
 the stable one with the four components in reverse order, bit for bit.
 Its conjugacy defect and truncation tail are read off that stable image.
 
-Two evaluators, with different rounding.  Scattered points (evaluate_series,
-series_jacobian; all on the stable series: Newton, certification and its
-det, residual checks, the profile's right tail) take a two-stage
-contraction with power tables U, V: B_i = C_i V, then P_i = sum_n U_n B_i[n];
-the Jacobian contracts the same coefficients against the tables k U^{k-1}
-and k V^{k-1}.  Tensor grids (evaluate_grid, the public entry point, and
-the homoclinic census, which runs the two stages itself to screen on P_1)
-run Horner in v over all rows, once per distinct |v| (row n has parity
-n + 1 in v), then Horner in u, the most accurate grid order measured.  Both
-are exactly odd (the Jacobian exactly even), agree to about 1e-15
-relative, and are deterministic for one input shape, BLAS build and
-machine.
+One evaluator, the two-stage contraction with power tables U, V:
+B_i = C_i V, then P_i = sum_n U_n B_i[n].  Scattered points
+(evaluate_series, series_jacobian; all on the stable series: Newton,
+certification and its det, residual checks, the profile's right tail) take
+it at flat parameter arrays, and the Jacobian contracts the same
+coefficients against the tables k U^{k-1} and k V^{k-1}.  The homoclinic
+census takes it in tensor form on its grid (_contract_grid),
+P_i = U^T (C_i V), two matrix products per component.  The scattered form
+is exactly odd (the Jacobian exactly even); the tensor form is not, as
+gemm rounds a column by its place in the product, so the census evaluates
+the half grid it reads.  Both are deterministic for one input shape, BLAS
+build and machine, and a value depends on the batch it is evaluated in
+(gemv for one point, gemm for several).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ __all__ = [
     "compute_manifold_pair",
     "rescale_series",
     "evaluate_series",
-    "evaluate_grid",
     "series_jacobian",
     "conjugacy_residual",
     "pointwise_conjugacy_residual",
@@ -205,34 +205,12 @@ def _contract(C, u, v, jac=False):
                       np.sum(U * (Ci[:, 1:] @ dV), axis=0)] for Ci in C])
 
 
-def _horner_v(C, gv):
-    """Grid stage 1: W[n, i, j] = sum_m C[i, n, m] gv_j^m, Horner in v over
-    all rows at once (row n stops at degree N - n).
-
-    Each distinct |v| runs once.  Row n holds only degrees m of parity
-    n + 1, and negation is exact, so Horner at -v is (-1)^(n+1) times
-    Horner at |v| bit for bit, up to the sign of zeros."""
-    N = C.shape[2] - 1
-    av, col = np.unique(np.abs(gv), return_inverse=True)
-    Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
-    W = np.zeros((C.shape[1], C.shape[0], av.size))
-    for m in range(N, -1, -1):
-        W[: N + 1 - m] *= av
-        W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
-    W = W[:, :, col]
-    W[::2] *= np.where(gv < 0, -1.0, 1.0)
-    return W
-
-
-def _horner_u(W, gu):
-    """Grid stage 2: P[a, i, j] = sum_n W[n, i, j] gu_a^n, Horner in u.
-    A gu of shape (U,) + W.shape[2:] gives each column j its own u-values."""
-    g = gu.reshape(gu.shape[:1] + (1,) * (W.ndim - gu.ndim) + gu.shape[1:])
-    out = np.zeros(gu.shape[:1] + W.shape[1:])
-    for n in range(W.shape[0] - 1, -1, -1):
-        out *= g
-        out += W[n]
-    return out
+def _contract_grid(C, gu, gv):
+    """The contraction in tensor form on the grid gu x gv (ij indexing):
+    P_i = U^T (C_i V) -> (4, len(gu), len(gv)), written into one array."""
+    N = C.shape[1] - 1
+    P = np.empty((C.shape[0], gu.size, gv.size))
+    return np.matmul(_power_table(gu, N).T, C @ _power_table(gv, N), out=P)
 
 
 def _broadcast_uv(u, v):
@@ -245,17 +223,6 @@ def evaluate_series(ms: ManifoldSeries, u, v):
     u, v = _broadcast_uv(u, v)
     flat = _contract(ms.coeffs, u.ravel(), v.ravel())
     return np.moveaxis(flat.reshape((4,) + u.shape), 0, -1)
-
-
-def evaluate_grid(ms: ManifoldSeries, gu, gv):
-    """P on the tensor grid gu x gv (ij indexing), shape (len(gu), len(gv), 4).
-
-    Equals evaluate_series on the meshgrid up to rounding (about 1e-15
-    relative); oddness P(-gu, -gv) == -P(gu, gv) holds exactly.
-    """
-    gu = np.asarray(gu, dtype=float).ravel()
-    gv = np.asarray(gv, dtype=float).ravel()
-    return np.moveaxis(_horner_u(_horner_v(ms.coeffs, gv), gu), 1, -1)
 
 
 def series_jacobian(ms: ManifoldSeries, u, v):
@@ -361,7 +328,8 @@ def _default_gauge(unit: ManifoldSeries, tau):
     cap, rows = np.log(gcap), {}
 
     def log_bound(B, Bu, Bv, limit):  # log(B / limit) and its gradient
-        with np.errstate(divide="ignore", invalid="ignore"):  # B = 0 holds
+        # B = 0 holds, and B / limit may pass double range: inf, as past it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return ((np.log(B / limit), Bu / B, Bv / B) if np.isfinite(
                 B + Bu + Bv) else (np.inf, 0.0, 0.0))  # past double range
 

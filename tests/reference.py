@@ -1,8 +1,9 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, the anti-diagonal recursion with every convolution,
-the grid v-stage on every column, a long-double grid evaluator, the
-gauge's two bounds summed plainly and its boundary by bisection, the
-census on the full half grid without its P_1 screen, a multistart
+the Horner grid evaluator and its v-stage on every column, a long-double
+grid evaluator, the gauge's two bounds summed plainly and its boundary by
+bisection, the census by Horner on the full half grid with a flood-fill
+labeller, the search seeded at every flagged census cell, a multistart
 homoclinic search that polishes the full 4-d matching system without the
 reversor that symmetric_search reduces the problem with, the 4x4
 transversality determinant and the two-series profile tails that
@@ -23,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from dnls_nnn import __version__
+from dnls_nnn import __version__, homoclinic
 from dnls_nnn.cli import _json_default
 from dnls_nnn.homoclinic import (
     _CONVERGED,
@@ -33,7 +34,6 @@ from dnls_nnn.homoclinic import (
     TRIVIAL_NORM,
     HomoclinicSolution,
     _census_axis,
-    _components,
     _damped_newton_batch,
     _mirror,
 )
@@ -43,7 +43,6 @@ from dnls_nnn.manifold import (
     ManifoldSeries,
     ResonanceError,
     SeriesOverflowError,
-    evaluate_grid,
     evaluate_series,
     series_jacobian,
     series_to_dict,
@@ -385,6 +384,50 @@ def convolve_all_coeffs(p: ModelParams, L1, L2, N):
     return C
 
 
+def _horner_v(C, gv):
+    """Grid stage 1: W[n, i, j] = sum_m C[i, n, m] gv_j^m, Horner in v over
+    all rows at once (row n stops at degree N - n).
+
+    Each distinct |v| runs once.  Row n holds only degrees m of parity
+    n + 1, and negation is exact, so Horner at -v is (-1)^(n+1) times
+    Horner at |v| bit for bit, up to the sign of zeros."""
+    N = C.shape[2] - 1
+    av, col = np.unique(np.abs(gv), return_inverse=True)
+    Ct = np.ascontiguousarray(C.transpose(2, 1, 0))  # Ct[m, n, i]
+    W = np.zeros((C.shape[1], C.shape[0], av.size))
+    for m in range(N, -1, -1):
+        W[: N + 1 - m] *= av
+        W[: N + 1 - m] += Ct[m, : N + 1 - m, :, None]
+    W = W[:, :, col]
+    W[::2] *= np.where(gv < 0, -1.0, 1.0)
+    return W
+
+
+def _horner_u(W, gu):
+    """Grid stage 2: P[a, i, j] = sum_n W[n, i, j] gu_a^n, Horner in u.
+    A gu of shape (U,) + W.shape[2:] gives each column j its own u-values."""
+    g = gu.reshape(gu.shape[:1] + (1,) * (W.ndim - gu.ndim) + gu.shape[1:])
+    out = np.zeros(gu.shape[:1] + W.shape[1:])
+    for n in range(W.shape[0] - 1, -1, -1):
+        out *= g
+        out += W[n]
+    return out
+
+
+def evaluate_grid(ms: ManifoldSeries, gu, gv):
+    """P on the tensor grid gu x gv (ij indexing), shape (len(gu), len(gv), 4),
+    by Horner in v over all rows, once per distinct |v| (_horner_v), then
+    Horner in u (_horner_u): the grid evaluator the package used before
+    the census took the contraction's tensor form.
+
+    Equals evaluate_series on the meshgrid up to rounding (about 1e-15
+    relative); oddness P(-gu, -gv) == -P(gu, gv) holds exactly.
+    """
+    gu = np.asarray(gu, dtype=float).ravel()
+    gv = np.asarray(gv, dtype=float).ravel()
+    return np.moveaxis(_horner_u(_horner_v(ms.coeffs, gv), gu), 1, -1)
+
+
 def horner_v_full(C, gv):
     """The v-stage of _horner_v run on every column of gv, v < 0 included."""
     N = C.shape[2] - 1
@@ -457,16 +500,41 @@ def boundary_extent(unit: ManifoldSeries, g2, tau, cap):
     return float(np.exp(lo))
 
 
-def census_seeds_full(Ps: ManifoldSeries, bound):
-    """_census_seeds with all four components on the whole half grid.
+def components_dense(mask):
+    """Labels of the 8-connected components of a boolean mask (-1 off it),
+    numbered in row-major order of each component's first cell, by flood
+    fill over the whole padded mask."""
+    lab = np.pad(np.where(mask, -2, -1), 1, constant_values=-1)  # -2: unseen
+    count = 0
+    for start in map(tuple, np.argwhere(lab == -2).tolist()):
+        if lab[start] != -2:
+            continue
+        lab[start] = count
+        stack = [start]
+        while stack:
+            i, j = stack.pop()
+            for a in (i - 1, i, i + 1):
+                for b in (j - 1, j, j + 1):
+                    if lab[a, b] == -2:
+                        lab[a, b] = count
+                        stack.append((a, b))
+        count += 1
+    return lab[1:-1, 1:-1]
 
-    The census before its P_1 screen: P from evaluate_grid on the rows
-    u >= -step, amplitude, G and the corner reductions on every cell, the
-    same mirror, components and tie order.
-    """
+
+def census_half_grid(Ps: ManifoldSeries):
+    """P by evaluate_grid on the census rows u >= -step, shape
+    (CENSUS // 2 + 2, CENSUS, 4)."""
     g = _census_axis()
+    return evaluate_grid(Ps, g[CENSUS // 2 - 1:], g)
+
+
+def _census_full(P, bound):
+    """The census with all four components on the whole half grid P (as
+    census_half_grid gives it): the flags of the half-grid cells (rows
+    mid-1 and up), their corner scores, and the components labelled by
+    components_dense on the mirrored whole box."""
     mid = CENSUS // 2  # g[mid] == 0
-    P = evaluate_grid(Ps, g[mid - 1:], g)
     amp = np.max(np.abs(P), axis=-1)
     G1 = P[..., 0] - P[..., 3]
     G2 = P[..., 1] - P[..., 2]
@@ -487,18 +555,54 @@ def census_seeds_full(Ps: ManifoldSeries, bound):
     mask = np.zeros((n, n), dtype=bool)
     mask[mid - 1:] = half
     mask[:mid - 1] = mask[::-1, ::-1][:mid - 1]
-    labels = _components(mask)
-    cells = np.argwhere(half[1:])  # rows of half[1:] are cell rows mid..n-1
-    if cells.size == 0:
-        return np.zeros((0, 2))
-    lab = labels[cells[:, 0] + mid, cells[:, 1]]
-    score = sum(corners(np.abs(G1) + np.abs(G2)))[cells[:, 0] + 1, cells[:, 1]]
-    order = np.lexsort((score, lab))
-    first = np.r_[True, lab[order][1:] != lab[order][:-1]]
-    cells = cells[order[first]]
+    score = sum(corners(np.abs(G1) + np.abs(G2)))
+    return half, score, components_dense(mask)[mid - 1:]
+
+
+def _cell_centers(cells):
+    """Parameter points at the centers of half-grid cells (rows mid-1 up)."""
+    g = _census_axis()
     step = g[1] - g[0]
-    return np.stack([g[cells[:, 0] + mid] + 0.5 * step,
-                     g[cells[:, 1]] + 0.5 * step], axis=-1)
+    return np.stack([g[cells[:, 0] + CENSUS // 2 - 1] + 0.5 * step,
+                     g[cells[:, 1]] + 0.5 * step], axis=-1).reshape(-1, 2)
+
+
+def census_seeds_full(Ps: ManifoldSeries, bound):
+    """_census_seeds by census_seeds_of_grid on census_half_grid(Ps)."""
+    return census_seeds_of_grid(census_half_grid(Ps), bound)
+
+
+def census_seeds_of_grid(P, bound):
+    """The census seeds of the half grid P (census_half_grid's shape): the
+    seed of each component is its flagged cell in the half box u > 0 of
+    smallest score, in _census_seeds' component and tie order."""
+    half, score, labels = _census_full(P, bound)
+    cells = np.argwhere(half[1:]) + [1, 0]  # the half box u > 0
+    lab = labels[tuple(cells.T)]
+    order = np.lexsort((score[tuple(cells.T)], lab))
+    first = np.diff(lab[order], prepend=-1) != 0  # labels count from 0
+    return _cell_centers(cells[order[first]])
+
+
+def census_cells_full(Ps: ManifoldSeries, bound):
+    """Every flagged cell of the half box u > 0, in row-major order, as
+    Newton seeds: the census without its one seed per component."""
+    half = _census_full(census_half_grid(Ps), bound)[0]
+    return _cell_centers(np.argwhere(half[1:]) + [1, 0])
+
+
+def all_cell_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
+    """symmetric_search seeded at every flagged cell (census_cells_full).
+
+    The package's own Newton, gates, dedupe and certification run on the
+    seeds; only homoclinic._census_seeds is replaced, for this call.
+    """
+    real = homoclinic._census_seeds
+    homoclinic._census_seeds = census_cells_full
+    try:
+        return homoclinic.symmetric_search(Ps, threshold=threshold)
+    finally:
+        homoclinic._census_seeds = real
 
 
 def _dedupe(solutions, tol=DEDUPE_TOL):

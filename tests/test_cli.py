@@ -123,6 +123,22 @@ def test_manifold_tables_keep_each_components_keys(tmp_path, monkeypatch):
         [6871, 5033, 3767, 2901]
 
 
+def test_manifold_where_the_tail_quotient_passes_double_range(tmp_path):
+    # the tail-constrained gauge search meets a tail bound near 9.5e305,
+    # whose quotient by its limit 1e-13 passes double range: it reads as
+    # beyond the limit, without a warning, and picks the gauge that the
+    # exact log(B) - log(limit) picks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["manifold", "--epsilon", "0.059942257783364664",
+                   "--A", "-0.04214889597568067", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = read_json(tmp_path / "manifold_stable.json")
+    assert doc["series"]["scale"] == pytest.approx(
+        [62.67675650582588, 0.28275787281802583], rel=1e-12)
+    assert doc["conjugacy_residual"] <= 1e-9
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     cases = [
         ["manifold", "--epsilon", "0.0004", "--A", "0"],

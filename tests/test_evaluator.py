@@ -1,18 +1,18 @@
-"""The series evaluator: grid path against a long-double oracle, agreement
-of the grid and scattered entries, and the exact parity of both."""
+"""The series evaluator: the Horner grid oracle (tests/reference.py) against
+a long-double oracle, agreement of the grid and scattered entries, and the
+exact parity of both."""
 
 import numpy as np
 import pytest
 
 from dnls_nnn.manifold import (
     compute_manifold_pair,
-    evaluate_grid,
     evaluate_series,
     series_jacobian,
 )
 from dnls_nnn.maps import ModelParams
 
-from reference import horner_longdouble
+from reference import evaluate_grid, horner_longdouble
 
 # large-amplitude cell whose 1e-10 gauge target sits at the float64 rounding
 # floor, and the extents (unit coordinates) of the gauge box chosen there by

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dnls_nnn import homoclinic, manifold
+from dnls_nnn import homoclinic
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     _LEFT_BOX,
@@ -26,14 +26,15 @@ from dnls_nnn.homoclinic import (
     scan_parameters,
     symmetric_search,
 )
-from dnls_nnn.manifold import (_horner_u, compute_manifold_pair,
+from dnls_nnn.manifold import (_contract_grid, compute_manifold_pair,
                                evaluate_series, rescale_series,
                                series_jacobian)
 from dnls_nnn.maps import ModelParams, nonwandering_bound
 
 from conftest import POINT_ILL
-from reference import (apply_symmetry, census_seeds_full, multistart_search,
-                       transversality_det)
+from reference import (all_cell_search, apply_symmetry, census_cells_full,
+                       census_seeds_full, census_seeds_of_grid, evaluate_grid,
+                       multistart_search, transversality_det)
 
 
 def _matches_reference(point, tol=1e-8):
@@ -122,8 +123,8 @@ def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
     assert np.array_equal(g, -g[::-1])
 
 
-# a negative cell that finds nothing, the least selective P_1 screen
-# (1.0, -0.1459) and the strip cells next to CRITICAL_A
+# a negative cell that finds nothing, (1.0, -0.1459), where a screen on
+# |P_1| alone passed the most cells, and the strip cells next to CRITICAL_A
 CENSUS_CELLS = [(4e-4, -0.125), (1.0, -0.145), (0.01, -0.145), (-0.5, -0.13),
                 (2e-4, -0.1462), (0.01, -0.146), (1.0, -0.1459)]
 
@@ -145,25 +146,76 @@ def test_screened_census_matches_the_full_grid(eps, A):
     assert np.array_equal(seeds.view(np.int64), full.view(np.int64))
 
 
-@pytest.mark.parametrize("eps, A", [(4e-4, -0.125), (1.0, -0.1459)])
-def test_census_screen_evaluates_p2_to_p4_at_few_points(monkeypatch, eps, A):
-    Ps, bound = _census_input(eps, A)
-    sizes = []
+@pytest.mark.parametrize("eps, A", CENSUS_CELLS)
+def test_census_grid_matches_the_horner_grid(eps, A):
+    # the census's tensor contraction against the Horner grid evaluator it
+    # replaced, on the rows u >= -step it is evaluated on
+    Ps, _ = _census_input(eps, A)
+    g = _census_axis()
+    gu = g[CENSUS // 2 - 1:]
+    want = np.moveaxis(evaluate_grid(Ps, gu, g), -1, 0)
+    got = _contract_grid(Ps.coeffs, gu, g)
+    assert got.shape == want.shape == (4, CENSUS // 2 + 2, CENSUS)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-    def spy(W, gu):
-        out = _horner_u(W, gu)
-        sizes.append(out.size)
+
+def _smooth_grid(rng, gu, gv):
+    # the zero curves of G1 and G2 = G1 + 0.05 h run close and along u, so
+    # components are many and long, and the bound cuts a fifth of the
+    # points, through any of the four components
+    uu, vv = np.meshgrid(gu, gv, indexing="ij")
+
+    def field():
+        out = np.zeros(uu.shape)
+        for _ in range(6):
+            a, b = rng.normal(0.0, [1.5, 6.0])
+            out += rng.normal() * np.cos(a * uu + b * vv
+                                         + rng.uniform(0.0, 2.0 * np.pi))
         return out
 
-    # the full-grid census reaches _horner_u through evaluate_grid
-    monkeypatch.setattr(manifold, "_horner_u", spy)
-    monkeypatch.setattr(homoclinic, "_horner_u", spy, raising=False)
-    _census_seeds(Ps, bound)
-    half = (CENSUS // 2 + 2) * CENSUS  # the rows u >= -step: 162 x 321
-    # P_1 takes one value at every point of the half grid, and each point
-    # that P_2..P_4 are evaluated at takes three more
-    assert sum(sizes) >= half
-    assert (sum(sizes) - half) / 3 <= 0.05 * half
+    P1, P2, h, G1 = field(), field(), field(), field()
+    P = np.stack([P1, P2, P2 - G1 - 0.05 * h, P1 - G1])
+    return P, np.quantile(np.max(np.abs(P), axis=0), 0.8)
+
+
+def _sign_grid(rng, gu, gv):
+    # G1 = G2 = F, of magnitude 1 to 1.5, negative at 60 points of the five
+    # grid rows next to u = 0: every cell touching such a point is flagged,
+    # and about 20 components reach across u = 0 into the mirrored half.
+    # Two more sit at the ends of one row, v = -1 and v = 1, which only a
+    # neighbour that wrapped around the row would join
+    F = 1.0 + rng.uniform(0.0, 0.5, (gu.size, gv.size))
+    F[rng.integers(0, 5, 60), rng.integers(0, gv.size, 60)] *= -1.0
+    F[3, [0, -1]] = -np.abs(F[3, [0, -1]])
+    return np.stack([F, F, 0.0 * F, 0.0 * F]), 2.0
+
+
+@pytest.mark.parametrize("grid", [_smooth_grid, _sign_grid])
+@pytest.mark.parametrize("seed", range(4))
+def test_census_of_a_random_grid_matches_the_dense_census(monkeypatch, grid,
+                                                          seed):
+    # random grids in place of the series' values check the screen, the
+    # mirror, the labels and the tie order against the dense census
+    g = _census_axis()
+    P, bound = grid(np.random.default_rng(seed), g[CENSUS // 2 - 1:], g)
+    monkeypatch.setattr(homoclinic, "_contract_grid", lambda C, gu, gv: P)
+    seeds = _census_seeds(_census_input(4e-4, -0.125)[0], bound)
+    want = census_seeds_of_grid(np.moveaxis(P, 0, -1), bound)
+    assert len(want) >= 9
+    assert np.array_equal(seeds.view(np.int64), want.view(np.int64))
+
+
+# strip cells with 104-194 flagged cells in 7-25 seeded components, one of
+# them with no solution
+ALL_CELL_CELLS = [(2e-4, -0.1462), (0.01, -0.1459), (1.0, -0.1455),
+                  (1.0, -0.1464)]
+
+
+@pytest.mark.parametrize("eps, A", ALL_CELL_CELLS)
+def test_census_misses_no_root_that_every_flagged_cell_finds(eps, A):
+    Ps, bound = _census_input(eps, A)
+    assert len(census_cells_full(Ps, bound)) > len(_census_seeds(Ps, bound))
+    assert len(symmetric_search(Ps)) == len(all_cell_search(Ps))
 
 
 def test_near_critical_pair_is_found():

@@ -14,7 +14,6 @@ from dnls_nnn.manifold import (
     SeriesOverflowError,
     _build_coeffs,
     _default_gauge,
-    _horner_v,
     compute_manifold_pair,
     conjugacy_residual,
     evaluate_series,
@@ -33,6 +32,7 @@ from dnls_nnn.spectral import (
 )
 
 from reference import (
+    _horner_v,
     apply_symmetry,
     boundary_extent,
     convolve_all_coeffs,
