@@ -526,33 +526,34 @@ def cmd_portrait(cfg):
                          "they must differ within 6 significant digits")
     g = np.linspace(-half, half, cfg.seeds)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    outdir = _outdir(cfg)
     stride = max(1, PORTRAIT_STEPS // 1000)  # keep files a few MB at most
+    params = [ModelParams(eps, 0.0) for eps in cfg.epsilon]
+    try:
+        orbits = portrait_2d(params, seeds, steps=PORTRAIT_STEPS,
+                             stride=stride)
+    except MemoryError as exc:
+        raise UsageError(f"--seeds {cfg.seeds}: {exc}, more than could be "
+                         "allocated; use fewer seeds") from None
+    outdir = _outdir(cfg)
     manifest = {"steps": PORTRAIT_STEPS, "stride": stride,
                 "files": [], "summary": []}
-    for eps, fname in zip(cfg.epsilon, names):
-        p = ModelParams(eps, 0.0)
-        orbits = portrait_2d(p, seeds, steps=PORTRAIT_STEPS)
+    for j, (eps, fname) in enumerate(zip(cfg.epsilon, names)):
+        chunk = orbits[j * len(seeds):(j + 1) * len(seeds)]
         with open(outdir / fname, "w", newline="") as fh:
             # the excel-dialect CSV text, floats as repr; one write per orbit
             fh.write("seed_index,step,x,y\r\n")
-            for i, orb in enumerate(orbits):
-                # every stride-th step and the last
-                last = len(orb.points) - 1
-                kept = np.arange(0, last + 1, stride)
-                if kept[-1] != last:
-                    kept = np.append(kept, last)
-                x, y = orb.points[kept].T.tolist()
+            for i, orb in enumerate(chunk):
+                x, y = orb.points.T.tolist()
                 fh.write("".join(f"{i},{k},{a!r},{b!r}\r\n"
-                                 for k, a, b in zip(kept.tolist(), x, y)))
-        escaped = sum(o.escaped for o in orbits)
+                                 for k, a, b in zip(orb.steps.tolist(), x, y)))
+        escaped = sum(o.escaped for o in chunk)
         manifest["files"].append(fname)
         manifest["summary"].append({
             "epsilon": eps,
-            "seeds": len(orbits),
+            "seeds": len(chunk),
             "escaped": escaped,
         })
-        print(f"eps={eps:g}: {escaped}/{len(orbits)} seeds escaped "
+        print(f"eps={eps:g}: {escaped}/{len(chunk)} seeds escaped "
               f"-> {outdir / fname}")
     _write_json(outdir / "portrait.json", manifest, cfg)
     print(f"wrote {outdir / 'portrait.json'}")

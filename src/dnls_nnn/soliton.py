@@ -21,6 +21,11 @@ decay at the rate of the largest stable eigenvalue.  Since
 P_u = sigma5 o P_s holds bit for bit, the unstable series' left tail is the
 stable right tail reversed; only the right tail is evaluated, and the left
 one is its mirror image.
+
+Phase portraits of the A = 0 reduction, the 2-d map f0, run every
+(eps, seed) orbit as one column of a single shift-register recurrence
+streamed through a small rolling buffer; only the points a caller keeps
+(every stride-th step and each orbit's last) are stored.
 """
 
 from __future__ import annotations
@@ -151,68 +156,120 @@ def mirror_defect(profile: SolitonProfile):
 
 @dataclass(frozen=True)
 class Orbit2D:
-    """One seed's forward orbit under the 2-d map."""
+    """The stored points of one seed's forward orbit under the 2-d map.
+
+    points[i] is the iterate at step steps[i]: the seed (step 0), every
+    stride-th step, and the orbit's last point.  With stride 1 these are
+    all the iterates.  points is a view of the storage shared by the orbits
+    of one portrait_2d call.
+    """
 
     seed: np.ndarray
-    points: np.ndarray  # (k+1, 2) including the seed
+    points: np.ndarray  # (n, 2), starting with the seed
+    steps: np.ndarray   # (n,) step index of each stored point
     escaped: bool
 
 
-def portrait_2d(p: ModelParams, seeds, steps=10000):
-    """Iterate the 2-d map from many seeds at once.
+def portrait_2d(params, seeds, steps=10000, stride=1):
+    """Iterate the 2-d map from many seeds at once, for every ModelParams
+    in params.
 
-    The map f0(x, y) = (y, -x + 2 y - y^3/eps) is a shift register, so all
-    orbits are run as the scalar recurrence
+    The map f0(x, y) = (y, -x + 2 y - y^3/eps) is a shift register, so each
+    (params, seed) column runs the scalar recurrence
 
         s_{k+1} = -s_{k-1} + 2 s_k - s_k^3/eps,    (s_0, s_1) = seed,
 
-    on one (steps + 2, nseed) array, with the operations in map2_apply's
-    order: point k of an orbit is (s_k, s_{k+1}), bit for bit the k-th
-    iterate of map2_apply.  The seeds are validated once (as_state: real,
-    finite, two components); steps must be non-negative.
+    with its own eps, and point k of an orbit is (s_k, s_{k+1}).  All
+    columns advance together through a rolling buffer of BLOCK + 2 rows,
+    updated in place by operations IEEE-identical to map2_apply's, so
+    every point is bit for bit the k-th iterate of map2_apply.  The seeds are validated
+    once (as_state: real, finite, two components); steps must be
+    non-negative and stride positive.
 
     A seed escapes at the first step k >= 1 whose point has sup-norm above
     ten times the non-wandering bound, or is non-finite (such orbits blow
-    up in a handful of further steps); its stored orbit stops there, and
-    a non-finite escape point is dropped.  Escaped columns are iterated on
+    up in a handful of further steps); its orbit stops there, and a
+    non-finite escape point is dropped.  Escaped columns are iterated on
     unmasked (they overflow to inf/nan and are never read).  Escapes are
     found over blocks of BLOCK steps, and iteration stops after the block
-    in which the last seed escapes.  Returns one Orbit2D per seed, in seed
-    order.
+    in which the last column escapes.
+
+    Only steps 0, stride, 2 stride, ... and each orbit's last point are
+    stored, so memory grows with steps/stride, not steps; a MemoryError
+    from that storage names its size.  Returns one Orbit2D per column:
+    params-major, seed order within each params.
     """
     seeds = as_state(np.atleast_2d(seeds), 2)
-    steps = int(steps)
+    steps, stride = int(steps), int(stride)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    limit = 10.0 * nonwandering_bound(p, dim=2)
-    eps = p.epsilon
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    params = list(params)
     nseed = seeds.shape[0]
-    s = np.empty((steps + 2, nseed))
-    s[:2] = seeds.T
-    # first j >= 1 with |s_j| above the limit or non-finite; point k holds
-    # s_k and s_{k+1}, so the escape step is max(1, j - 1)
-    never = steps + 2
-    first_bad = np.full(nseed, never)
+    ncol = len(params) * nseed
+    # column c keeps its point k at store[c, ceil(k / stride)]; allocated
+    # first, so that a grid too large for memory fails before iterating
+    npts = -(-steps // stride) + 1
+    try:
+        store = np.empty((ncol, npts, 2))
+    except MemoryError:
+        raise MemoryError(f"{ncol} orbits of up to {npts} stored points "
+                          f"need {16 * ncol * npts / 2**30:.3g} GiB") from None
+    eps = np.repeat([p.epsilon for p in params], nseed)
+    limit = np.repeat([10.0 * nonwandering_bound(p, dim=2) for p in params],
+                      nseed)
+    buf = np.empty((BLOCK + 2, ncol))  # row j holds s_{lo+j} in block lo
+    buf[:2] = np.tile(seeds.T, len(params))
+    store[:, 0] = buf[:2].T
+    rows = list(buf)
+    t = np.empty(ncol)
+    escaped = np.zeros(ncol, dtype=bool)
+    last = np.full(ncol, steps)  # step of each column's last stored point
+    tail = np.empty((ncol, 2))   # that point
+    n = 0
+    mul, sub, div = np.multiply, np.subtract, np.divide
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, BLOCK):
-            hi = min(lo + BLOCK, steps)
-            for k in range(lo, hi):
-                x, y = s[k], s[k + 1]
-                s[k + 2] = -x + 2.0 * y - y * y * y / eps
-            # rows lo+1 .. hi+1; row lo+1 was already tested unless lo = 0
-            bad = ~(np.abs(s[lo + 1:hi + 2]) <= limit)
-            hit = bad.any(axis=0) & (first_bad == never)
-            first_bad[hit] = lo + 1 + bad[:, hit].argmax(axis=0)
-            if np.all(first_bad < never):
-                break
-    escaped = first_bad < never
-    cut = np.where(escaped, np.maximum(first_bad - 1, 1), steps)
+            buf[:2] = buf[n:n + 2]  # s_lo, s_{lo+1}
+            n = min(BLOCK, steps - lo)
+            for j in range(n):
+                x, y, r = rows[j], rows[j + 1], rows[j + 2]
+                mul(2.0, y, r)
+                sub(r, x, r)
+                mul(y, y, t)
+                mul(t, y, t)
+                div(t, eps, t)
+                sub(r, t, r)
+            # points lo < k <= lo + n are rows k - lo and k - lo + 1
+            for k in range(lo - lo % stride + stride, lo + n + 1, stride):
+                store[:, k // stride] = buf[k - lo:k - lo + 2].T
+            # rows 1 .. n+1; row 1 was already tested unless lo = 0.  The
+            # first bad s_j puts the escape at point max(1, j - 1)
+            bad = ~(np.abs(buf[1:n + 2]) <= limit)
+            hit = np.flatnonzero(~escaped & bad.any(axis=0))
+            if hit.size:
+                e = np.maximum(lo + bad[:, hit].argmax(axis=0), 1)
+                finite = (np.isfinite(buf[e - lo, hit])
+                          & np.isfinite(buf[e - lo + 1, hit]))
+                e[~finite] -= 1
+                last[hit] = e
+                tail[hit, 0] = buf[e - lo, hit]
+                tail[hit, 1] = buf[e - lo + 1, hit]
+                escaped[hit] = True
+                if escaped.all():
+                    break
+    live = ~escaped
+    tail[live] = buf[n:n + 2, live].T  # point `steps`
+    pos = -(-last // stride)
+    store[np.arange(ncol), pos] = tail  # over any later row's stale write
+    ks = np.arange(npts) * stride
+    ks.flags.writeable = False  # shared by the orbits
     out = []
-    for i in range(nseed):
-        n = cut[i] + 1
-        pts = np.stack((s[:n, i], s[1:n + 1, i]), axis=-1)
-        if escaped[i] and not np.all(np.isfinite(pts[-1])):
-            pts = pts[:-1]  # keep only finite states in the stored orbit
-        out.append(Orbit2D(seed=seeds[i].copy(), points=pts,
-                           escaped=bool(escaped[i])))
+    for c in range(ncol):
+        m = pos[c] + 1
+        at = ks[:m] if last[c] % stride == 0 else np.append(ks[:m - 1],
+                                                            last[c])
+        out.append(Orbit2D(seed=seeds[c % nseed].copy(), points=store[c, :m],
+                           steps=at, escaped=bool(escaped[c])))
     return out

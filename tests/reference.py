@@ -222,7 +222,7 @@ def reference_portrait(p: ModelParams, seeds, steps=10000):
         if esc[i] and not np.all(np.isfinite(pts[-1])):
             pts = pts[:-1]
         out.append(Orbit2D(seed=seeds[i].copy(), points=pts,
-                           escaped=bool(esc[i])))
+                           steps=np.arange(len(pts)), escaped=bool(esc[i])))
     return out
 
 

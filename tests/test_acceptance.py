@@ -213,14 +213,14 @@ def test_criterion_8_portrait_confinement():
         g = np.linspace(-0.1, 0.1, 11)
         seeds = np.stack(np.meshgrid(g, g, indexing="ij"),
                          axis=-1).reshape(-1, 2)
-        scatter = portrait_2d(ModelParams(-0.1, 0.0), seeds, steps=10000)
+        scatter = portrait_2d([ModelParams(-0.1, 0.0)], seeds, steps=10000)
         for orb in scatter:
             if np.all(orb.seed == 0.0):
                 assert not orb.escaped
             else:
                 assert orb.escaped, orb.seed
         ball = seeds[np.linalg.norm(seeds, axis=1) <= 0.1 + 1e-12]
-        confined = portrait_2d(ModelParams(0.1, 0.0), ball, steps=10000)
+        confined = portrait_2d([ModelParams(0.1, 0.0)], ball, steps=10000)
         for orb in confined:
             assert not orb.escaped, orb.seed
             assert orb.points.shape == (10001, 2)

@@ -541,10 +541,10 @@ def test_numerical_failure_outranks_value_error(monkeypatch, capsys):
 
 
 def test_portrait_csv_matches_the_reference_rows(tmp_path):
-    rc = main(["portrait", "--epsilon", "-0.1,0.1", "--seeds", "3",
-               "--out", str(tmp_path)])
+    # the default 11 x 11 grid, as the benchmark runs it
+    rc = main(["portrait", "--epsilon", "-0.1,0.1", "--out", str(tmp_path)])
     assert rc == 0
-    g = np.linspace(-0.1, 0.1, 3)
+    g = np.linspace(-0.1, 0.1, 11)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     for eps in (-0.1, 0.1):
         # one writerow per kept point, as the writer did before it wrote
@@ -560,6 +560,27 @@ def test_portrait_csv_matches_the_reference_rows(tmp_path):
                 w.writerow([i, k, repr(float(x)), repr(float(y))])
         with open(tmp_path / f"portrait_eps{eps:g}.csv", newline="") as fh:
             assert fh.read() == buf.getvalue()
+
+
+def test_portrait_out_of_memory_names_the_seeds(tmp_path, capsys,
+                                                monkeypatch):
+    # 2 x 300^2 orbits of 1001 stored points need 2.68 GiB; the patched
+    # allocation refuses anything above 1 GiB, so nothing large is made
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) * 8 > 2**30:
+            raise MemoryError
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = tmp_path / "p"
+    assert main(["portrait", "--seeds", "300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: --seeds 300: 180000 orbits of up to 1001 stored "
+                   "points need 2.68 GiB, more than could be allocated; "
+                   "use fewer seeds\n")
+    assert not out.exists()
 
 
 def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):

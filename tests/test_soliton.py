@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -113,7 +115,7 @@ def test_trivial_point_gives_empty_profile(pair_ill, p_ill):
 def test_portrait_defocusing_escape():
     p = ModelParams(-0.1, -0.125)
     seeds = [[0.05, 0.03], [0.0, 0.0], [-0.02, 0.07]]
-    orbits = portrait_2d(p, seeds, steps=3000)
+    orbits = portrait_2d([p], seeds, steps=3000)
     assert not orbits[1].escaped
     assert orbits[1].points.shape == (3001, 2)
     assert np.all(orbits[1].points == 0.0)
@@ -126,7 +128,7 @@ def test_portrait_defocusing_escape():
 def test_portrait_focusing_confinement():
     p = ModelParams(0.1, -0.125)
     seeds = [[0.05, 0.05], [0.07, -0.03], [-0.06, 0.0]]
-    orbits = portrait_2d(p, seeds, steps=2000)
+    orbits = portrait_2d([p], seeds, steps=2000)
     for orb in orbits:
         assert not orb.escaped
         assert orb.points.shape == (2001, 2)
@@ -135,24 +137,24 @@ def test_portrait_focusing_confinement():
 
 def test_portrait_orbit_follows_the_map():
     p = ModelParams(0.1, -0.125)
-    orb = portrait_2d(p, [[0.05, 0.05]], steps=50)[0]
+    orb = portrait_2d([p], [[0.05, 0.05]], steps=50)[0]
     assert np.array_equal(orb.points[1:], map2_apply(orb.points[:-1], p))
     assert np.array_equal(orb.seed, np.array([0.05, 0.05]))
 
 
 def test_portrait_seed_validation():
     p = ModelParams(0.1, -0.125)
-    orbits = portrait_2d(p, [0.01, 0.02], steps=10)  # single bare seed
+    orbits = portrait_2d([p], [0.01, 0.02], steps=10)  # single bare seed
     assert len(orbits) == 1 and orbits[0].points.shape == (11, 2)
     with pytest.raises(ValueError):
-        portrait_2d(p, [[0.1, 0.2, 0.3]], steps=10)
+        portrait_2d([p], [[0.1, 0.2, 0.3]], steps=10)
     # the seeds are validated once, not at every map2_apply step
     for bad in ([[0.01, np.nan]], [[np.inf, 0.0]], [[0.01 + 1e-3j, 0.02]]):
         with pytest.raises(ValueError):
-            portrait_2d(p, bad, steps=10)
+            portrait_2d([p], bad, steps=10)
     with pytest.raises(ValueError):
-        portrait_2d(p, [[0.01, 0.02]], steps=-1)
-    (orb,) = portrait_2d(p, [[0.01, 0.02]], steps=0)
+        portrait_2d([p], [[0.01, 0.02]], steps=-1)
+    (orb,) = portrait_2d([p], [[0.01, 0.02]], steps=0)
     assert np.array_equal(orb.points, [[0.01, 0.02]]) and not orb.escaped
 
 
@@ -176,7 +178,7 @@ def _grid(half, n):
 ])
 def test_portrait_matches_masked_reference(eps, seeds):
     p = ModelParams(eps, 0.0)
-    fast = portrait_2d(p, seeds, steps=10000)
+    fast = portrait_2d([p], seeds, steps=10000)
     ref = reference_portrait(p, seeds, steps=10000)
     assert len(fast) == len(ref) == len(seeds)
     for f, r in zip(fast, ref):
@@ -194,7 +196,80 @@ def test_portrait_escapes_across_block_edges(monkeypatch, block):
     p = ModelParams(-0.3, 0.0)
     seeds = _grid(0.4, 17)
     for steps in (2, 3, 5, 40):
-        for f, r in zip(portrait_2d(p, seeds, steps=steps),
+        for f, r in zip(portrait_2d([p], seeds, steps=steps),
                         reference_portrait(p, seeds, steps=steps)):
             assert f.escaped == r.escaped
             assert np.array_equal(f.points, r.points)
+
+
+def _assert_strided(params, seeds, steps, strides=(1, 3, 10)):
+    """portrait_2d against reference_portrait subsampled by the CLI's
+    rule (every stride-th step and the last), bit for bit.  Returns the
+    reference orbits."""
+    ref = [o for p in params for o in reference_portrait(p, seeds, steps)]
+    for stride in strides:
+        fast = portrait_2d(params, seeds, steps=steps, stride=stride)
+        assert len(fast) == len(ref) == len(params) * len(np.atleast_2d(seeds))
+        for f, r in zip(fast, ref):
+            last = len(r.points) - 1
+            kept = sorted(set(range(0, last + 1, stride)) | {last})
+            assert f.escaped == r.escaped
+            assert f.steps.tolist() == kept
+            assert f.points.shape == (len(kept), 2)
+            assert f.points.tobytes() == r.points[kept].tobytes()
+            assert np.array_equal(f.seed, r.seed)
+    return ref
+
+
+@pytest.mark.parametrize("eps, seeds", [
+    ((-0.1, 0.1), _grid(0.1, 11)),
+    # escapes at many different steps, some through a non-finite point
+    ((-0.3, 0.05), _grid(0.4, 17)),
+    # escapes at step 1, through a finite point and through a dropped
+    # non-finite one (y^3 overflows)
+    ((0.1, -0.1), [[1e200, 0.0], [0.0, 1e100], [0.0, 1e103], [0.0, 1e200]]),
+])
+def test_portrait_strided_matches_subsampled_reference(eps, seeds):
+    _assert_strided([ModelParams(e, 0.0) for e in eps], seeds, 10000)
+
+
+def test_portrait_strided_when_every_column_escapes_in_the_first_block():
+    params = [ModelParams(-0.1, 0.0), ModelParams(-0.3, 0.0)]
+    ref = _assert_strided(params, _grid(0.1, 4), 10000)
+    assert all(r.escaped and len(r.points) <= soliton.BLOCK for r in ref)
+
+
+def test_portrait_strided_with_no_steps():
+    params = [ModelParams(-0.1, 0.0), ModelParams(0.1, 0.0)]
+    ref = _assert_strided(params, _grid(0.1, 3), 0)
+    assert all(len(r.points) == 1 and not r.escaped for r in ref)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_portrait_strided_escapes_across_block_edges(monkeypatch, block):
+    monkeypatch.setattr(soliton, "BLOCK", block)
+    params = [ModelParams(-0.3, 0.0), ModelParams(0.05, 0.0)]
+    on_last = 0
+    for steps in (2, 3, 5, 40):
+        ref = _assert_strided(params, _grid(0.4, 17), steps)
+        on_last += sum(r.escaped and len(r.points) - 1 == steps for r in ref)
+    assert on_last > 0  # some escapes fall on the last step
+
+
+def test_portrait_stride_must_be_positive():
+    with pytest.raises(ValueError, match="stride"):
+        portrait_2d([ModelParams(0.1, 0.0)], [[0.01, 0.02]], stride=0)
+
+
+def test_portrait_allocates_only_the_stored_points():
+    # the benchmark's inputs; one full (steps + 2, seeds) table per eps
+    # peaked at 27.9 MB
+    params = [ModelParams(-0.1, 0.0), ModelParams(0.1, 0.0)]
+    tracemalloc.start()
+    try:
+        orbits = portrait_2d(params, _grid(0.1, 11), steps=10000, stride=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbits) == 242
+    assert peak < 8e6, peak
