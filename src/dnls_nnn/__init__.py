@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .maps import (  # noqa: F401
     ModelParams,
-    map2_apply,
     map4_apply,
     nonwandering_bound,
 )

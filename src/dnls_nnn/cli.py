@@ -42,6 +42,7 @@ from .manifold import (
     ResonanceError,
     SeriesOverflowError,
     _coeff_key,
+    _stable_eigensystem,
     compute_manifold_pair,
     conjugacy_residual,
     series_to_dict,
@@ -54,7 +55,6 @@ from .spectral import (
     CRITICAL_A,
     NonHyperbolicError,
     characteristic_poly,
-    classify_eigenvalues,
     discriminant,
     solve_reciprocal_quartic,
 )
@@ -134,6 +134,42 @@ def _coeff_tables(Ps):
     return ["{\n" + ",\n".join(ls) + "\n  }" for ls in lines]
 
 
+# each subcommand's flags besides --epsilon, --out and --config
+_FLAGS = {
+    "eigen": ("A",),
+    "manifold": ("A", "order", "box"),
+    "homoclinic": ("A", "order", "threshold", "box"),
+    "scan": ("A", "order", "threshold", "workers"),
+    "transversality": ("A", "order", "threshold", "workers"),
+    "soliton": ("A", "order", "threshold", "box"),
+    "portrait": ("box", "seeds"),
+}
+
+_OPTIONS = {
+    "epsilon": dict(type=_float_list,
+                    help="coupling value (comma list where applicable)"),
+    "A": dict(type=_float_list,
+              help="second-neighbor weight (comma list for scans)"),
+    "order": dict(type=int, help=f"series truncation order (default "
+                                 f"{DEFAULT_ORDER}, at most {MAX_ORDER})"),
+    "threshold": dict(type=float,
+                      help="matching residual threshold (default 1e-10)"),
+    "box": dict(help="manifold-family: explicit gauge pair 'g1,g2'; "
+                     "portrait: seed half-width"),
+    "seeds": dict(type=int, help="seed-grid points per axis (default 11)"),
+    "workers": dict(type=int, help="process count, at most one per cell "
+                                   "(default 0: serial)"),
+    "out": dict(help="output directory (default .)"),
+    "config": dict(help="JSON file with defaults for the subcommand's flags"),
+}
+
+# the RunConfig fields of every subcommand; a field without a flag keeps
+# its value here, so every artifact records all of them
+_DEFAULTS = dict(epsilon=None, A=None, order=DEFAULT_ORDER,
+                 threshold=MATCH_THRESHOLD, box="", seeds=None, workers=0,
+                 out=".")
+
+
 def _build_parser():
     """The parser; its subparsers are kept by name in `.commands`."""
     ap = argparse.ArgumentParser(
@@ -146,51 +182,29 @@ def _build_parser():
                     version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     window = tuple(np.linspace(-0.145, -0.115, 13).tolist())
-    lists = {"transversality": ((2e-4,), window),  # (epsilon, A) defaults;
-             "portrait": ((-0.1, 0.1), ())}        # the others need both
+    # the other subcommands need --epsilon and --A
+    own = {"transversality": dict(epsilon=(2e-4,), A=window),
+           "portrait": dict(epsilon=(-0.1, 0.1), A=(), seeds=11)}
     ap.commands = {}
-    for name in ("eigen", "manifold", "homoclinic", "scan", "transversality",
-                 "soliton", "portrait"):
+    for name, flags in _FLAGS.items():
         sp = ap.commands[name] = sub.add_parser(name)
         sp._negative_number_matcher = _NEG_VALUE
-        eps, A = lists.get(name, (None, None))
-        sp.add_argument("--epsilon", type=_float_list, default=eps,
-                        help="coupling value (comma list where applicable)")
-        sp.add_argument("--A", type=_float_list, default=A,
-                        help="second-neighbor weight (comma list for scans)")
-        sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order (default "
-                             f"{DEFAULT_ORDER}, at most {MAX_ORDER})")
-        sp.add_argument("--threshold", type=float, default=MATCH_THRESHOLD,
-                        help="matching residual threshold (default 1e-10)")
-        sp.add_argument("--box", type=str, default="",
-                        help="manifold-family: explicit gauge pair 'g1,g2'; "
-                             "portrait: seed half-width")
-        sp.add_argument("--seeds", type=int, default=11,
-                        help="portrait only: seed-grid points per axis "
-                             "(default 11)")
-        sp.add_argument("--out", type=str, default=".",
-                        help="output directory (default .)")
-        sp.add_argument("--workers", type=int, default=0,
-                        help="process count for scans, at most one per "
-                             "cell (default 0: serial)")
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for any flag")
+        # before add_argument, which takes each flag's default from here
+        sp.set_defaults(**(_DEFAULTS | own.get(name, {})))
+        for flag in ("epsilon", *flags, "out", "config"):
+            sp.add_argument(f"--{flag}", **_OPTIONS[flag])
     return ap
-
-
-# the flag a subcommand refuses, and why; a config file's entry for it is
-# ignored, so that one file can serve every subcommand
-_NOT_APPLICABLE = {"portrait": ("A", "uses the 2-d map"),
-                   **dict.fromkeys(("scan", "transversality"),
-                                   ("box", "gauges each cell automatically"))}
 
 
 def _parse(ap, argv):
     """Flags over config-file values over defaults.  The file's values for
-    the subcommand's flags, checked by their flags (an error names the
-    file), become its string defaults and the command line is reparsed."""
-    args = ap.parse_args(argv)
+    the subcommand's own flags, checked by their flags (an error names the
+    file), become its string defaults and the command line is reparsed.
+    Other keys are ignored, so that one file can serve every subcommand."""
+    args, extra = ap.parse_known_args(argv)
+    sp = ap.commands[args.command]
+    if extra:  # refused with the subcommand's usage, which lists its flags
+        sp.error("unrecognized arguments: " + " ".join(extra))
     if not args.config:
         return args
     try:
@@ -200,11 +214,7 @@ def _parse(ap, argv):
         raise UsageError(f"cannot read config {args.config}: {exc}")
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    # other keys are ignored: a "command" default would replace the chosen
-    # subcommand
-    flags = set(vars(args)) - {"command", _NOT_APPLICABLE.get(
-        args.command, (None,))[0]}
-    sp = ap.commands[args.command]
+    flags = {action.dest for action in sp._actions} - {"help", "config"}
     values = {k: str(v) for k, v in file_cfg.items()
               if k in flags and v is not None}
     sp.exit_on_error = False  # a bad value raises, to be named with the file
@@ -218,17 +228,14 @@ def _parse(ap, argv):
 
 def _resolve(args):
     """RunConfig of the parsed flags, after the checks argparse cannot make."""
-    cmd = args.command
-    flag, why = _NOT_APPLICABLE.get(cmd, (None, None))
-    if flag and getattr(args, flag):
-        raise UsageError(f"{cmd} {why}; --{flag} does not apply")
+    cmd, flags = args.command, _FLAGS[args.command]
     if args.epsilon is None:
         raise UsageError(f"{cmd} requires --epsilon")
     if args.A is None:
         raise UsageError(f"{cmd} requires --A")
     if not args.epsilon:
         raise UsageError("--epsilon list is empty")
-    if not args.A and cmd != "portrait":
+    if not args.A and "A" in flags:
         raise UsageError("--A list is empty")
     if args.order < 1:
         raise UsageError("--order must be at least 1")
@@ -240,13 +247,12 @@ def _resolve(args):
               file=sys.stderr)
     if not 0.0 < args.threshold < np.inf:
         raise UsageError("--threshold must be positive and finite")
-    if cmd == "portrait" and args.seeds < 2:
+    if "seeds" in flags and args.seeds < 2:
         raise UsageError("--seeds must be at least 2")
     if args.workers < 0:
         raise UsageError("--workers must be non-negative")
     return RunConfig(cmd, args.epsilon, args.A, args.order, args.threshold,
-                     args.box, args.seeds if cmd == "portrait" else None,
-                     args.workers, args.out)
+                     args.box, args.seeds, args.workers, args.out)
 
 
 def _single_cell(cfg):
@@ -258,35 +264,12 @@ def _single_cell(cfg):
     return ModelParams(cfg.epsilon[0], cfg.A[0])
 
 
-def _refuse_overflow(p, at, *values):
-    if not np.all(np.isfinite(values)):
-        raise UsageError(f"A={p.A!r} puts the {at} spectrum outside "
-                         "double range")
-
-
-def _spectrum(p, at):
-    """Characteristic quartic and eigen system of one fixed point, refused
-    where an eigenvalue leaves double range (1/A squared overflows for
-    |A| below about 1e-154)."""
-    q = characteristic_poly(p, at=at)
-    with np.errstate(over="ignore", invalid="ignore"):
-        es = solve_reciprocal_quartic(q)
-    _refuse_overflow(p, at, es.lambda1, es.lambda2, es.lambda3, es.lambda4)
-    return q, es
-
-
 def _require_manifold_domain(p):
-    A = p.A
-    if A == 0.0:
-        raise UsageError("A must be nonzero: the map is 4-d only for A != 0")
-    kind = classify_eigenvalues(A, at="origin")
-    if kind != ALL_REAL:
-        raise UsageError(
-            f"A={A!r} is outside [{CRITICAL_A!r}, 0): the origin's spectrum "
-            f"is '{kind}' there, and the manifold construction needs four "
-            "real hyperbolic eigenvalues"
-        )
-    _spectrum(p, "origin")
+    """compute_manifold_pair's spectrum check, its refusal a usage error."""
+    try:
+        _stable_eigensystem(p)
+    except NonHyperbolicError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _series_pair(cfg):
@@ -336,13 +319,17 @@ def cmd_eigen(cfg):
         if at == "nontrivial" and eps * A >= 0.0:
             payload[at] = None
             continue
-        q, es = _spectrum(p, at)
+        q = characteristic_poly(p, at=at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = solve_reciprocal_quartic(q)
         lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
         try:
             disc = discriminant(p, at=at)
         except (ZeroDivisionError, OverflowError):  # A**5 left double range
             disc = np.inf
-        _refuse_overflow(p, at, disc)
+        if not np.all(np.isfinite([*lams, disc])):
+            raise UsageError(f"A={A!r} puts the {at} spectrum outside "
+                             "double range")
         entry = {
             "quartic": {"a": q.a, "b": q.b},
             "classification": es.classification,
@@ -517,8 +504,6 @@ def cmd_portrait(cfg):
             raise UsageError("--box must be a single positive half-width "
                              "for portrait")
         half = pair[0]
-    if 0.0 in cfg.epsilon:  # checked before any file is written
-        raise UsageError("epsilon must be nonzero")
     names = [f"portrait_eps{eps:g}.csv" for eps in cfg.epsilon]
     clash = [name for name in names if names.count(name) > 1]
     if clash:  # {eps:g} keeps 6 significant digits

@@ -66,8 +66,10 @@ import numpy as np
 from .maps import ModelParams, map4_apply
 from .spectral import (
     ALL_REAL,
+    CRITICAL_A,
     NonHyperbolicError,
     characteristic_poly,
+    classify_eigenvalues,
     solve_reciprocal_quartic,
 )
 
@@ -291,6 +293,18 @@ def tail_bound(ms: ManifoldSeries):
 
 
 def _stable_eigensystem(p: ModelParams):
+    """The origin's eigen system, refused outside the closed-form window
+    [CRITICAL_A, 0) of four real eigenvalues (classify_eigenvalues), then
+    where the solver, which rounds near the window's edges, finds it
+    outside double range, non-real or non-hyperbolic."""
+    p.require_A()
+    kind = classify_eigenvalues(p.A, at="origin")
+    if kind != ALL_REAL:
+        raise NonHyperbolicError(
+            f"A={p.A!r} is outside [{CRITICAL_A!r}, 0): the origin's spectrum "
+            f"is '{kind}' there, and the manifold construction needs four "
+            "real hyperbolic eigenvalues"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         es = solve_reciprocal_quartic(characteristic_poly(p, "origin"))
     if not np.all(np.isfinite([es.lambda1, es.lambda2, es.lambda3, es.lambda4])):

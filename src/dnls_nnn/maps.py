@@ -16,9 +16,10 @@ Henon map
 
 Both maps are volume preserving with polynomial inverses, are odd
 (commute with -id), and are reversible: reversing the coordinate order
-conjugates each map to its inverse.  The pipeline needs the two forward
-maps only; the inverses, the Jacobians and the symmetry registry that test
-these properties live with the test oracles in tests/reference.py.  States
+conjugates each map to its inverse.  The pipeline needs the 4-d forward
+map only (soliton.portrait_2d runs f0 as a scalar recurrence); f0 itself,
+the inverses, the Jacobians and the symmetry registry that test these
+properties live with the test oracles in tests/reference.py.  States
 are plain float arrays with the components on the last axis; every
 operation broadcasts over leading axes.
 """
@@ -32,7 +33,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "as_state",
-    "map2_apply",
     "map4_apply",
     "nonwandering_bound",
 ]
@@ -71,12 +71,6 @@ def as_state(s, dim):
     if not np.all(np.isfinite(arr)):
         raise ValueError("state components must be finite")
     return arr
-
-
-def map2_apply(s, p: ModelParams):
-    s = as_state(s, 2)
-    x, y = s[..., 0], s[..., 1]
-    return np.stack([y, -x + 2.0 * y - y * y * y / p.epsilon], axis=-1)
 
 
 def map4_apply(s, p: ModelParams):

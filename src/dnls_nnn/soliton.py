@@ -181,10 +181,11 @@ def portrait_2d(params, seeds, steps=10000, stride=1):
 
     with its own eps, and point k of an orbit is (s_k, s_{k+1}).  All
     columns advance together through a rolling buffer of BLOCK + 2 rows,
-    updated in place by operations IEEE-identical to map2_apply's, so
-    every point is bit for bit the k-th iterate of map2_apply.  The seeds are validated
-    once (as_state: real, finite, two components); steps must be
-    non-negative and stride positive.
+    updated in place by operations IEEE-identical to f0's formula (the
+    oracle map2_apply in tests/reference.py), so every point is bit for
+    bit the k-th iterate of f0.  The seeds are validated once (as_state:
+    real, finite, two components); steps must be non-negative and stride
+    positive.
 
     A seed escapes at the first step k >= 1 whose point has sup-norm above
     ten times the non-wandering bound, or is non-finite (such orbits blow

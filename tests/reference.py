@@ -13,10 +13,10 @@ artifacts' JSON conversion by isinstance checks alone, and the series
 files rendered whole by json.dumps.
 
 It also holds the structure of the maps and of their spectra that the
-pipeline does not call but the tests check it against: the two inverses,
-the Jacobians, the symmetry registry, orbit iteration, the shear
-conjugacy of the 2-d map, the fixed points, and the four-real-roots lemma
-for the characteristic quartic."""
+pipeline does not call but the tests check it against: the 2-d map, the
+two inverses, the Jacobians, the symmetry registry, orbit iteration, the
+shear conjugacy of the 2-d map, the fixed points, and the four-real-roots
+lemma for the characteristic quartic."""
 
 import json
 from dataclasses import asdict, dataclass
@@ -50,7 +50,6 @@ from dnls_nnn.manifold import (
 from dnls_nnn.maps import (
     ModelParams,
     as_state,
-    map2_apply,
     map4_apply,
     nonwandering_bound,
 )
@@ -62,6 +61,12 @@ from dnls_nnn.soliton import (
     _tail_ratio,
 )
 from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
+
+
+def map2_apply(s, p: ModelParams):
+    s = as_state(s, 2)
+    x, y = s[..., 0], s[..., 1]
+    return np.stack([y, -x + 2.0 * y - y * y * y / p.epsilon], axis=-1)
 
 
 def map2_inverse(s, p: ModelParams):

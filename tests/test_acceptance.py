@@ -16,7 +16,7 @@ from dnls_nnn.homoclinic import (
     symmetric_search,
 )
 from dnls_nnn.manifold import compute_manifold_pair, conjugacy_residual
-from dnls_nnn.maps import ModelParams, map2_apply, map4_apply
+from dnls_nnn.maps import ModelParams, map4_apply
 from dnls_nnn.soliton import build_profile, mirror_defect, portrait_2d
 from dnls_nnn.spectral import (
     ReciprocalQuartic,
@@ -30,6 +30,7 @@ from conftest import POINT_ILL
 from reference import (
     SYMMETRIES,
     apply_symmetry,
+    map2_apply,
     map2_inverse,
     map2_jacobian,
     map4_inverse,

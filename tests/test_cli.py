@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dnls_nnn import __version__, cli, manifold
-from dnls_nnn.cli import _build_parser, _resolve, _write_json, main
+from dnls_nnn.cli import _build_parser, _parse, _resolve, _write_json, main
 from dnls_nnn.manifold import MAX_ORDER, conjugacy_residual, tail_bound
 from dnls_nnn.maps import ModelParams
 
@@ -146,12 +146,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["manifold", "--epsilon", "0.0004", "--A", "0.5"],
         ["manifold", "--epsilon", "0.1,0.2", "--A", "-0.125"],
         ["manifold", "--epsilon", "", "--A", "-0.125"],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
          "--threshold", "-1"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125", "--order", "0"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--config", str(tmp_path / "missing.json")],
-        ["portrait", "--epsilon", "0.1", "--A", "-0.125"],
         ["scan", "--epsilon", "0.0004"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "not,numbers"],
@@ -189,6 +188,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         for argv in cases:
             assert main(argv) == 2, argv
+        # the 2-d map has no A: argparse refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["portrait", "--epsilon", "0.1", "--A", "-0.125"])
+        assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert "A=-1e-62" in err and "A=-1e-70" in err
@@ -198,8 +201,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_seeds_is_resolved_for_portrait_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+              "--seeds", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
     rc = main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
-               "--seeds", "1", "--out", str(tmp_path)])
+               "--out", str(tmp_path)])
     assert rc == 0
     assert read_json(tmp_path / "eigen.json")["config"]["seeds"] is None
 
@@ -226,7 +234,7 @@ def test_series_overflow_exits_3(tmp_path, capsys):
 
 
 def test_order_one_warns(tmp_path, capsys):
-    rc = main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+    rc = main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
                "--order", "1", "--out", str(tmp_path)])
     assert rc == 0
     assert "order 1" in capsys.readouterr().err
@@ -288,13 +296,16 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
 
 
 def test_scans_refuse_box_and_ignore_its_config_entry(tmp_path, capsys):
-    # every scan cell takes the automatic gauge: an explicit --box is
-    # refused before any cell runs, not recorded as if it applied
+    # every scan cell takes the automatic gauge: the scans have no --box,
+    # so argparse refuses it before any cell runs
     for cmd in (["scan", "--epsilon", "0.0004", "--A", "-0.125"],
                 ["transversality", "--A", "-0.13,-0.12"]):
-        assert main(cmd + ["--box", "0.001,0.001",
-                           "--out", str(tmp_path / "refused")]) == 2, cmd
-        assert "--box does not apply" in capsys.readouterr().err, cmd
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--box", "0.001,0.001",
+                        "--out", str(tmp_path / "refused")])
+        assert exc.value.code == 2, cmd
+        assert "unrecognized arguments: --box 0.001,0.001" in \
+            capsys.readouterr().err, cmd
     assert not (tmp_path / "refused").exists()
     # a shared file's box entry is ignored; at this box homoclinic finds
     # nothing, so the pair found shows the automatic gauge ran
@@ -311,6 +322,83 @@ def test_scans_refuse_box_and_ignore_its_config_entry(tmp_path, capsys):
     assert main(["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
                  "--config", str(shared), "--out", str(tmp_path / "h")]) == 0
     assert not read_json(tmp_path / "h" / "homoclinic.json")["found"]
+
+
+# the flags each subcommand takes besides --epsilon, --out and --config
+FLAGS = {
+    "eigen": ("A",),
+    "manifold": ("A", "order", "box"),
+    "homoclinic": ("A", "order", "threshold", "box"),
+    "scan": ("A", "order", "threshold", "workers"),
+    "transversality": ("A", "order", "threshold", "workers"),
+    "soliton": ("A", "order", "threshold", "box"),
+    "portrait": ("box", "seeds"),
+}
+# a valid value of each of the other flags, as text and as resolved
+VALUES = {"A": ("-0.13", (-0.13,)), "order": ("40", 40),
+          "threshold": ("1e-9", 1e-9), "box": ("0.5", "0.5"),
+          "seeds": ("5", 5), "workers": ("2", 2)}
+REFUSED = [(cmd, flag) for cmd, flags in FLAGS.items() for flag in VALUES
+           if flag not in flags]
+
+
+@pytest.mark.parametrize("cmd, flag", REFUSED)
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch,
+                                                     capsys, cmd, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--epsilon", "0.0004", f"--{flag}", VALUES[flag][0],
+            "--out", "out"]
+    if "A" in FLAGS[cmd]:
+        argv += ["--A", "-0.125"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path):
+    # all nine keys: each subcommand takes the values of its own flags,
+    # exactly as from its command line, and ignores the others
+    assert len(REFUSED) == 20
+    cfg_path = tmp_path / "all.json"
+    out = str(tmp_path / "o")
+    cfg_path.write_text(json.dumps({
+        "epsilon": "0.0004", **{k: text for k, (text, _) in VALUES.items()},
+        "out": out, "config": str(tmp_path / "other.json")}))
+    for cmd, flags in FLAGS.items():
+        argv = [cmd, "--epsilon", "0.0004", "--out", out]
+        for flag in flags:
+            argv += [f"--{flag}", VALUES[flag][0]]
+        want = _resolve(_build_parser().parse_args(argv))
+        got = _resolve(_parse(_build_parser(), [cmd, "--config",
+                                                str(cfg_path)]))
+        assert got == want, cmd
+        for flag, (_, value) in VALUES.items():
+            assert (getattr(got, flag) == value) == (flag in flags), \
+                (cmd, flag)
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("A, words", [
+    ("-0.14644660940672624", "'two-pairs-complex'"),  # an ulp below CRITICAL_A
+    ("-1e-30", "all-real (non-hyperbolic)"),          # A -> 0-
+])
+def test_manifold_domain_edges_are_one_decision(tmp_path, capsys, A, words):
+    # the CLI refuses exactly the cells compute_manifold_pair refuses:
+    # homoclinic exits 2, and a scan records the refusal as the cell's error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["homoclinic", "--epsilon", "0.0004", "--A", A,
+                     "--out", str(tmp_path / "h")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err, err
+        assert not (tmp_path / "h").exists()
+        assert main(["scan", "--epsilon", "0.0004", "--A", A,
+                     "--out", str(tmp_path / "s")]) == 0
+    (cell,) = read_json(tmp_path / "s" / "scan.json")["cells"]
+    assert cell["error"].startswith("NonHyperbolicError: ")
+    assert words in cell["error"]
 
 
 def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
@@ -415,9 +503,9 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
            "out": str(tmp_path / "fromcfg")}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
-    rc = main(["eigen", "--config", str(cfg_path), "--order", "30"])
+    rc = main(["manifold", "--config", str(cfg_path), "--order", "30"])
     assert rc == 0
-    doc = read_json(tmp_path / "fromcfg" / "eigen.json")
+    doc = read_json(tmp_path / "fromcfg" / "manifold_stable.json")
     assert doc["config"]["order"] == 30          # flag beats file
     assert doc["config"]["epsilon"] == [0.0004]  # file beats default
     rc = main(["eigen", "--config", str(cfg_path), "--A", "-0.13"])
@@ -427,11 +515,11 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
 
 
 @pytest.mark.parametrize("cmd, entry, flag", [
-    ("eigen", {"order": [1]}, "--order"),
-    ("eigen", {"order": 1e400}, "--order"),   # json reads it as inf
-    ("eigen", {"threshold": [1]}, "--threshold"),
-    ("eigen", {"order": 1.9}, "--order"),     # int() would truncate it
-    ("eigen", {"order": True}, "--order"),    # int() would read 1
+    ("homoclinic", {"order": [1]}, "--order"),
+    ("homoclinic", {"order": 1e400}, "--order"),   # json reads it as inf
+    ("homoclinic", {"threshold": [1]}, "--threshold"),
+    ("homoclinic", {"order": 1.9}, "--order"),     # int() would truncate it
+    ("homoclinic", {"order": True}, "--order"),    # int() would read 1
     ("portrait", {"seeds": {}}, "--seeds"),
 ])
 def test_config_values_are_parsed_like_their_flags(tmp_path, capsys, cmd,
@@ -439,7 +527,7 @@ def test_config_values_are_parsed_like_their_flags(tmp_path, capsys, cmd,
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(entry))
     argv = [cmd, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    if cmd == "eigen":
+    if cmd == "homoclinic":
         argv += ["--epsilon", "0.0004", "--A", "-0.125"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -458,14 +546,14 @@ def test_config_value_error_names_the_file(tmp_path, capsys, entry, message):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(entry))
     with pytest.raises(SystemExit) as exc:
-        main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+        main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
               "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and f"(from config file {cfg_path})" in err
     # the same value given as a flag names no file
     with pytest.raises(SystemExit):
-        main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+        main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
               "--order", "1.9", "--out", str(tmp_path / "out")])
     assert "config file" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -317,6 +318,20 @@ def test_compute_manifold_argument_validation():
     with pytest.raises(NonHyperbolicError) as err2:
         compute_manifold_pair(ModelParams(0.0004, 0.5))
     assert "mixed" in str(err2.value)
+
+
+@pytest.mark.parametrize("A, words", [
+    # one ulp below CRITICAL_A the solver rounds the spectrum to four real
+    # eigenvalues; the closed-form window decides
+    (-0.14644660940672624, "'two-pairs-complex'"),
+    # as A -> 0- the solver puts the small pair on the unit circle
+    (-1e-30, "all-real (non-hyperbolic)"),
+])
+def test_manifold_domain_edges_raise_non_hyperbolic(A, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonHyperbolicError, match=re.escape(words)):
+            compute_manifold_pair(ModelParams(0.0004, A))
 
 
 def test_resonance_guard_raises_on_true_resonance():

@@ -4,7 +4,6 @@ import pytest
 from dnls_nnn.maps import (
     ModelParams,
     as_state,
-    map2_apply,
     map4_apply,
     nonwandering_bound,
 )
@@ -15,6 +14,7 @@ from reference import (
     conjugacy_check_2d,
     fixed_points,
     iterate_orbit,
+    map2_apply,
     map2_inverse,
     map2_jacobian,
     map4_inverse,

@@ -7,7 +7,7 @@ from dataclasses import replace
 from dnls_nnn import soliton
 from dnls_nnn.homoclinic import HomoclinicSolution, symmetric_search
 from dnls_nnn.manifold import compute_manifold_pair
-from dnls_nnn.maps import ModelParams, map2_apply
+from dnls_nnn.maps import ModelParams
 from dnls_nnn.soliton import (
     FLOOR,
     ProfileError,
@@ -17,7 +17,7 @@ from dnls_nnn.soliton import (
     portrait_2d,
 )
 
-from reference import reference_portrait, two_tail_profile
+from reference import map2_apply, reference_portrait, two_tail_profile
 
 PEAK_REF = 1.327385e-2  # largest site amplitude at eps=4e-4, A=-1/8
 LAMBDA2 = 0.47339771836588446  # slow stable rate at A=-1/8
