@@ -10,10 +10,13 @@ Subcommands map one-to-one onto the library's workflows:
     soliton         build the lattice profile of the best homoclinic point
     portrait        forward orbits of the 2-d map from a seed grid
 
-Every JSON artifact embeds the package version and the resolved run
-configuration, so outputs are self-describing and reproducible.  Exit codes:
-0 success, 2 configuration/usage error (including parameter domains where
-the construction is undefined), 3 numerical failure.
+Every JSON artifact embeds the package version and the run's settings as
+parsed (the subcommand, --epsilon, --out and the subcommand's own flags), so
+outputs are self-describing and reproducible.  Each flag's type checks its
+value, from the command line or a --config file, so a bad value exits 2
+through argparse naming the flag (and the file).  Exit codes: 0 success, 2
+configuration/usage error (including parameter domains where the
+construction is undefined: the library's ValueError), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +56,6 @@ from .soliton import ProfileError, build_profile, mirror_defect, portrait_2d
 from .spectral import (
     ALL_REAL,
     CRITICAL_A,
-    NonHyperbolicError,
     characteristic_poly,
     discriminant,
     solve_reciprocal_quartic,
@@ -70,29 +72,40 @@ class UsageError(argparse.ArgumentTypeError):
     flag's type, argparse reports it as that flag's error."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one invocation, embedded in every artifact."""
-
-    command: str
-    epsilon: tuple
-    A: tuple
-    order: int
-    threshold: float
-    box: str
-    seeds: int | None
-    workers: int
-    out: str
-
-
 def _float_list(text):
     try:
         vals = tuple(float(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}") from exc
+    if not vals:
+        raise UsageError("number list is empty")
     if not np.all(np.isfinite(vals)):
         raise UsageError(f"number list {text!r} must be finite")
     return vals
+
+
+def _checked(base, *rules):
+    """A flag type: base(text), refused with the message of the first (ok,
+    message) rule its value fails.  Named as base, so that argparse words
+    text base cannot read as for base itself ("invalid int value: '1.9'")."""
+    def parse(text):
+        value = base(text)
+        for ok, message in rules:
+            if not ok(value):
+                raise UsageError(message.format(value))
+        return value
+    parse.__name__ = base.__name__
+    return parse
+
+
+def _box(size, ok, message):
+    """A --box type: empty (the default), or `size` numbers that ok accepts.
+    Kept as text, as the run's record shows it."""
+    def parse(text):
+        if text and (len(vals := _float_list(text)) != size or not ok(vals)):
+            raise UsageError(message)
+        return text
+    return parse
 
 
 def _json_default(obj):
@@ -109,10 +122,13 @@ def _json_default(obj):
                     "is not JSON serializable")
 
 
-def _write_json(path, payload, cfg, coeffs=None):
-    """payload as indented JSON; coeffs, if given, is the text of its series
-    table, held empty (json escapes any quote inside a string)."""
-    body = {"version": __version__, "config": asdict(cfg), **payload}
+def _write_json(path, payload, args, coeffs=None):
+    """payload as indented JSON, under the run's settings: the subcommand's
+    own flags as parsed.  coeffs, if given, is the text of its series table,
+    held empty (json escapes any quote inside a string)."""
+    config = {k: getattr(args, k)
+              for k in ("command", "epsilon", *_FLAGS[args.command], "out")}
+    body = {"version": __version__, "config": config, **payload}
     text = json.dumps(body, sort_keys=True, indent=1, default=_json_default)
     if coeffs is not None:
         text = text.replace('"coeffs": {}', '"coeffs": ' + coeffs, 1)
@@ -145,29 +161,35 @@ _FLAGS = {
     "portrait": ("box", "seeds"),
 }
 
+# each flag's type checks its value, from the command line or a config file
 _OPTIONS = {
     "epsilon": dict(type=_float_list,
                     help="coupling value (comma list where applicable)"),
     "A": dict(type=_float_list,
               help="second-neighbor weight (comma list for scans)"),
-    "order": dict(type=int, help=f"series truncation order (default "
-                                 f"{DEFAULT_ORDER}, at most {MAX_ORDER})"),
-    "threshold": dict(type=float,
+    "order": dict(type=_checked(int, (lambda n: n >= 1, "must be at least 1"),
+                                (lambda n: n <= MAX_ORDER,
+                                 "order {} exceeds the limit MAX_ORDER = "
+                                 f"{MAX_ORDER}")),
+                  default=DEFAULT_ORDER,
+                  help=f"series truncation order (default {DEFAULT_ORDER}, "
+                       f"at most {MAX_ORDER})"),
+    "threshold": dict(type=_checked(float, (lambda t: 0.0 < t < np.inf,
+                                            "must be positive and finite")),
+                      default=MATCH_THRESHOLD,
                       help="matching residual threshold (default 1e-10)"),
-    "box": dict(help="manifold-family: explicit gauge pair 'g1,g2'; "
-                     "portrait: seed half-width"),
-    "seeds": dict(type=int, help="seed-grid points per axis (default 11)"),
-    "workers": dict(type=int, help="process count, at most one per cell "
-                                   "(default 0: serial)"),
-    "out": dict(help="output directory (default .)"),
+    "box": dict(type=_box(2, lambda g: 0.0 not in g,
+                          "must be a nonzero pair 'g1,g2'"),
+                default="", help="gauge pair 'g1,g2' (default: automatic)"),
+    "seeds": dict(type=_checked(int, (lambda n: n >= 2, "must be at least 2")),
+                  default=11, help="seed-grid points per axis (default 11)"),
+    "workers": dict(type=_checked(int, (lambda n: n >= 0,
+                                        "must be non-negative")),
+                    default=0, help="process count, at most one per cell "
+                                    "(default 0: serial)"),
+    "out": dict(default=".", help="output directory (default .)"),
     "config": dict(help="JSON file with defaults for the subcommand's flags"),
 }
-
-# the RunConfig fields of every subcommand; a field without a flag keeps
-# its value here, so every artifact records all of them
-_DEFAULTS = dict(epsilon=None, A=None, order=DEFAULT_ORDER,
-                 threshold=MATCH_THRESHOLD, box="", seeds=None, workers=0,
-                 out=".")
 
 
 def _build_parser():
@@ -182,17 +204,22 @@ def _build_parser():
                     version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     window = tuple(np.linspace(-0.145, -0.115, 13).tolist())
-    # the other subcommands need --epsilon and --A
-    own = {"transversality": dict(epsilon=(2e-4,), A=window),
-           "portrait": dict(epsilon=(-0.1, 0.1), A=(), seeds=11)}
+    # defaults where the other subcommands need --epsilon and --A, and
+    # portrait's --box, a half-width
+    own = {("transversality", "epsilon"): dict(default=(2e-4,)),
+           ("transversality", "A"): dict(default=window),
+           ("portrait", "epsilon"): dict(default=(-0.1, 0.1)),
+           ("portrait", "box"): dict(type=_box(1, lambda h: h[0] > 0.0,
+                                               "must be one positive "
+                                               "half-width for portrait"),
+                                     help="seed half-width (default 0.1)")}
     ap.commands = {}
     for name, flags in _FLAGS.items():
         sp = ap.commands[name] = sub.add_parser(name)
         sp._negative_number_matcher = _NEG_VALUE
-        # before add_argument, which takes each flag's default from here
-        sp.set_defaults(**(_DEFAULTS | own.get(name, {})))
         for flag in ("epsilon", *flags, "out", "config"):
-            sp.add_argument(f"--{flag}", **_OPTIONS[flag])
+            sp.add_argument(f"--{flag}",
+                            **(_OPTIONS[flag] | own.get((name, flag), {})))
     return ap
 
 
@@ -227,76 +254,47 @@ def _parse(ap, argv):
 
 
 def _resolve(args):
-    """RunConfig of the parsed flags, after the checks argparse cannot make."""
-    cmd, flags = args.command, _FLAGS[args.command]
-    if args.epsilon is None:
-        raise UsageError(f"{cmd} requires --epsilon")
-    if args.A is None:
-        raise UsageError(f"{cmd} requires --A")
-    if not args.epsilon:
-        raise UsageError("--epsilon list is empty")
-    if not args.A and "A" in flags:
-        raise UsageError("--A list is empty")
-    if args.order < 1:
-        raise UsageError("--order must be at least 1")
-    if args.order > MAX_ORDER:
-        raise UsageError(f"order {args.order} exceeds the limit "
-                         f"MAX_ORDER = {MAX_ORDER}")
-    if args.order == 1:
+    """The parsed flags, once those without a default are known given."""
+    for flag in ("epsilon", "A"):
+        if getattr(args, flag, ()) is None:
+            raise UsageError(f"{args.command} requires --{flag}")
+    if getattr(args, "order", None) == 1:
         print("warning: order 1 keeps only the degenerate linear series",
               file=sys.stderr)
-    if not 0.0 < args.threshold < np.inf:
-        raise UsageError("--threshold must be positive and finite")
-    if "seeds" in flags and args.seeds < 2:
-        raise UsageError("--seeds must be at least 2")
-    if args.workers < 0:
-        raise UsageError("--workers must be non-negative")
-    return RunConfig(cmd, args.epsilon, args.A, args.order, args.threshold,
-                     args.box, args.seeds, args.workers, args.out)
+    return args
 
 
-def _single_cell(cfg):
-    if len(cfg.epsilon) != 1 or len(cfg.A) != 1:
+def _single_cell(args):
+    if len(args.epsilon) != 1 or len(args.A) != 1:
         raise UsageError(
-            f"{cfg.command} takes a single --epsilon and a single --A; "
+            f"{args.command} takes a single --epsilon and a single --A; "
             "use the scan command for grids"
         )
-    return ModelParams(cfg.epsilon[0], cfg.A[0])
+    return ModelParams(args.epsilon[0], args.A[0])
 
 
-def _require_manifold_domain(p):
-    """compute_manifold_pair's spectrum check, its refusal a usage error."""
-    try:
-        _stable_eigensystem(p)
-    except NonHyperbolicError as exc:
-        raise UsageError(str(exc)) from None
+def _series_pair(args):
+    """(Ps, Pu) of the single cell, at the --box gauge or the automatic one;
+    outside the manifold domain, NonHyperbolicError."""
+    scale = _float_list(args.box) if args.box else None
+    return compute_manifold_pair(_single_cell(args), order=args.order,
+                                 scale=scale)
 
 
-def _series_pair(cfg):
-    """(Ps, Pu) of the single cell of cfg, refused outside the manifold
-    domain, at the --box gauge or the automatic one."""
-    p = _single_cell(cfg)
-    _require_manifold_domain(p)
-    scale = _float_list(cfg.box) if cfg.box else None
-    if scale is not None and (len(scale) != 2 or 0.0 in scale):
-        raise UsageError("--box must be a nonzero pair 'g1,g2'")
-    return compute_manifold_pair(p, order=cfg.order, scale=scale)
+def _search(args):
+    """(Ps, solutions) of the single cell."""
+    Ps, _ = _series_pair(args)
+    return Ps, symmetric_search(Ps, threshold=args.threshold)
 
 
-def _search(cfg):
-    """(Ps, solutions) of the single cell of cfg."""
-    Ps, _ = _series_pair(cfg)
-    return Ps, symmetric_search(Ps, threshold=cfg.threshold)
+def _scan(args):
+    return scan_parameters(args.epsilon, args.A, order=args.order,
+                           threshold=args.threshold,
+                           workers=args.workers or None)
 
 
-def _scan(cfg):
-    return scan_parameters(cfg.epsilon, cfg.A, order=cfg.order,
-                           threshold=cfg.threshold,
-                           workers=cfg.workers or None)
-
-
-def _outdir(cfg):
-    path = Path(cfg.out)
+def _outdir(args):
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -311,8 +309,8 @@ def _solution_dict(sol):
     }
 
 
-def cmd_eigen(cfg):
-    p = _single_cell(cfg)
+def cmd_eigen(args):
+    p = _single_cell(args)
     eps, A = p.epsilon, p.A
     payload = {"critical_A": CRITICAL_A}
     for at in ("origin", "nontrivial"):
@@ -345,15 +343,15 @@ def cmd_eigen(cfg):
         if all(abs(l.imag) == 0.0 for l in map(complex, lams)):
             print("  eigenvalues: "
                   + "  ".join(f"{complex(l).real:.12g}" for l in lams))
-    out = _outdir(cfg) / "eigen.json"
-    _write_json(out, payload, cfg)
+    out = _outdir(args) / "eigen.json"
+    _write_json(out, payload, args)
     print(f"wrote {out}")
     return 0
 
 
-def cmd_manifold(cfg):
-    Ps, Pu = _series_pair(cfg)
-    outdir = _outdir(cfg)
+def cmd_manifold(args):
+    Ps, Pu = _series_pair(args)
+    outdir = _outdir(args)
     # P_u = sigma5 o P_s, f^-1 o sigma5 = sigma5 o f: P_s's bounds are P_u's
     with np.errstate(over="ignore", invalid="ignore"):
         res = conjugacy_residual(Ps)
@@ -366,19 +364,19 @@ def cmd_manifold(cfg):
     for ms, table in zip((Ps, Pu), _coeff_tables(Ps)):
         path = outdir / f"manifold_{ms.branch}.json"
         header = series_to_dict(replace(ms, coeffs=ms.coeffs[:, :0]))
-        _write_json(path, {"series": header, **bounds}, cfg, coeffs=table)
+        _write_json(path, {"series": header, **bounds}, args, coeffs=table)
         print(f"{ms.branch}: order {ms.order}, scale "
               f"({ms.scale[0]:.6g}, {ms.scale[1]:.6g}), "
               f"box residual {res:.3e} -> {path}")
     return 0
 
 
-def cmd_homoclinic(cfg):
-    _, sols = _search(cfg)
+def cmd_homoclinic(args):
+    _, sols = _search(args)
     payload = {"found": bool(sols),
                "solutions": [_solution_dict(s) for s in sols]}
-    out = _outdir(cfg) / "homoclinic.json"
-    _write_json(out, payload, cfg)
+    out = _outdir(args) / "homoclinic.json"
+    _write_json(out, payload, args)
     if sols:
         best = sols[0]
         print(f"{len(sols)} intersection(s); best residual "
@@ -401,13 +399,13 @@ def _cell_dict(cell):
     }
 
 
-def cmd_scan(cfg):
+def cmd_scan(args):
     # bad cells (A = 0, non-real spectrum, ...) are recorded per cell by
     # scan_parameters rather than aborting the whole grid
-    cells = _scan(cfg)
-    outdir = _outdir(cfg)
+    cells = _scan(args)
+    outdir = _outdir(args)
     _write_json(outdir / "scan.json",
-                {"cells": [_cell_dict(c) for c in cells]}, cfg)
+                {"cells": [_cell_dict(c) for c in cells]}, args)
     with open(outdir / "scan.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epsilon", "A", "found", "best_residual", "det"])
@@ -427,12 +425,12 @@ def cmd_scan(cfg):
     return 0
 
 
-def cmd_transversality(cfg):
-    if len(cfg.epsilon) != 1:
+def cmd_transversality(args):
+    if len(args.epsilon) != 1:
         raise UsageError("transversality sweeps A at a single --epsilon")
-    for A in cfg.A:
-        _require_manifold_domain(ModelParams(cfg.epsilon[0], A))
-    cells = _scan(cfg)
+    for A in args.A:  # refused before any cell is computed
+        _stable_eigensystem(ModelParams(args.epsilon[0], A))
+    cells = _scan(args)
     missing = [c for c in cells if not c.found]
     if missing:
         causes = ", ".join(f"A={c.A:g}: {c.error or 'none'}" for c in missing)
@@ -443,7 +441,7 @@ def cmd_transversality(cfg):
         )
     A_vals = np.array([c.A for c in cells])
     dets = np.array([c.solution.det for c in cells])
-    outdir = _outdir(cfg)
+    outdir = _outdir(args)
     with open(outdir / "transversality.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["A", "det"])
@@ -456,7 +454,7 @@ def cmd_transversality(cfg):
         "fit_coefficients": list(fit.coeffs),
         "fit_roots": list(fit.roots),
         "ill_conditioned": fit.ill_conditioned,
-    }, cfg)
+    }, args)
     print(f"det range [{dets.min():.6g}, {dets.max():.6g}] over "
           f"A in [{A_vals.min():g}, {A_vals.max():g}]")
     print("fit roots: " + (", ".join(f"{r:.6g}" for r in fit.roots)
@@ -468,12 +466,12 @@ def cmd_transversality(cfg):
     return 0
 
 
-def cmd_soliton(cfg):
-    Ps, sols = _search(cfg)
+def cmd_soliton(args):
+    Ps, sols = _search(args)
     if not sols:
         raise ProfileError("no homoclinic intersection to build from")
     prof = build_profile(sols[0], Ps)
-    outdir = _outdir(cfg)
+    outdir = _outdir(args)
     with open(outdir / "soliton.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "u_n"])
@@ -487,7 +485,7 @@ def cmd_soliton(cfg):
         "tail_decay": list(prof.tail_decay),
         "peak": float(np.max(np.abs(prof.values))),
         "matched_point": list(sols[0].point),
-    }, cfg)
+    }, args)
     print(f"profile over sites [{prof.indices[0]}, {prof.indices[-1]}], "
           f"peak {np.max(np.abs(prof.values)):.6e}")
     print(f"stationary residual {prof.residual_max:.3e}, tail decay "
@@ -496,33 +494,27 @@ def cmd_soliton(cfg):
     return 0
 
 
-def cmd_portrait(cfg):
-    half = 0.1
-    if cfg.box:
-        pair = _float_list(cfg.box)
-        if len(pair) != 1 or pair[0] <= 0.0:
-            raise UsageError("--box must be a single positive half-width "
-                             "for portrait")
-        half = pair[0]
-    names = [f"portrait_eps{eps:g}.csv" for eps in cfg.epsilon]
+def cmd_portrait(args):
+    (half,) = _float_list(args.box or "0.1")
+    names = [f"portrait_eps{eps:g}.csv" for eps in args.epsilon]
     clash = [name for name in names if names.count(name) > 1]
     if clash:  # {eps:g} keeps 6 significant digits
         raise UsageError(f"epsilon values share the output file {clash[0]}; "
                          "they must differ within 6 significant digits")
-    g = np.linspace(-half, half, cfg.seeds)
+    g = np.linspace(-half, half, args.seeds)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     stride = max(1, PORTRAIT_STEPS // 1000)  # keep files a few MB at most
-    params = [ModelParams(eps, 0.0) for eps in cfg.epsilon]
+    params = [ModelParams(eps, 0.0) for eps in args.epsilon]
     try:
         orbits = portrait_2d(params, seeds, steps=PORTRAIT_STEPS,
                              stride=stride)
     except MemoryError as exc:
-        raise UsageError(f"--seeds {cfg.seeds}: {exc}, more than could be "
+        raise UsageError(f"--seeds {args.seeds}: {exc}, more than could be "
                          "allocated; use fewer seeds") from None
-    outdir = _outdir(cfg)
+    outdir = _outdir(args)
     manifest = {"steps": PORTRAIT_STEPS, "stride": stride,
                 "files": [], "summary": []}
-    for j, (eps, fname) in enumerate(zip(cfg.epsilon, names)):
+    for j, (eps, fname) in enumerate(zip(args.epsilon, names)):
         chunk = orbits[j * len(seeds):(j + 1) * len(seeds)]
         with open(outdir / fname, "w", newline="") as fh:
             # the excel-dialect CSV text, floats as repr; one write per orbit
@@ -540,7 +532,7 @@ def cmd_portrait(cfg):
         })
         print(f"eps={eps:g}: {escaped}/{len(chunk)} seeds escaped "
               f"-> {outdir / fname}")
-    _write_json(outdir / "portrait.json", manifest, cfg)
+    _write_json(outdir / "portrait.json", manifest, args)
     print(f"wrote {outdir / 'portrait.json'}")
     return 0
 
@@ -555,16 +547,15 @@ _COMMANDS = {
     "portrait": cmd_portrait,
 }
 
-_NUMERICAL = (ResonanceError, SeriesOverflowError, NonHyperbolicError,
-              MatchFailure, ProfileError)
+_NUMERICAL = (ResonanceError, SeriesOverflowError, MatchFailure, ProfileError)
 
 
 def main(argv=None):
     ap = _build_parser()
     try:
-        cfg = _resolve(_parse(ap, argv))
-        return _COMMANDS[cfg.command](cfg)
-    except _NUMERICAL as exc:  # before ValueError: NonHyperbolicError is one
+        args = _resolve(_parse(ap, argv))
+        return _COMMANDS[args.command](args)
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -469,11 +469,17 @@ def series_to_dict(ms: ManifoldSeries):
 
 def series_from_dict(d):
     """Inverse of series_to_dict.  The pipeline only writes series; the
-    output checks of perfbench read them back through this.  An entry of
-    even or negative total degree, of degree above the order, or of a
-    component outside 1..4 raises ValueError: the evaluators' exact
-    oddness rests on the table holding odd degrees only."""
+    output checks of perfbench read them back through this.  ValueError
+    for a branch other than stable or unstable, an order outside [1,
+    MAX_ORDER] (before any table is allocated), or an entry of even or
+    negative total degree, of degree above the order, or of a component
+    outside 1..4: the evaluators' exact oddness rests on the table holding
+    odd degrees only."""
+    if d["branch"] not in ("stable", "unstable"):
+        raise ValueError(f"branch {d['branch']!r} is not stable or unstable")
     N = int(d["order"])
+    if not 1 <= N <= MAX_ORDER:
+        raise ValueError(f"order {N} is outside [1, MAX_ORDER = {MAX_ORDER}]")
     C = np.zeros((4, N + 1, N + 1))
     for key, val in d["coeffs"].items():
         i, n, m = (int(t) for t in key.split(","))

@@ -19,7 +19,7 @@ shear conjugacy of the 2-d map, the fixed points, and the four-real-roots
 lemma for the characteristic quartic."""
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -61,6 +61,18 @@ from dnls_nnn.soliton import (
     _tail_ratio,
 )
 from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
+
+# the 82 (eps, A) cells of the CI steps: the 18-cell acceptance grid, the
+# 13-point window at eps=2e-4, the 50-cell near-critical strip, and the
+# illustrative cell last, so that [:81] drops it
+REFERENCE_CELLS = (
+    [(e, A) for e in (4e-4, 0.01, 0.1, 1.0, -0.1, -0.5)
+     for A in (-0.145, -0.13, -0.115)]
+    + [(2e-4, A) for A in np.linspace(-0.145, -0.115, 13).tolist()]
+    + [(e, A) for e in (2e-4, 4e-4, 0.01, 0.1, 1.0)
+       for A in np.linspace(-0.1464, -0.1455, 10).tolist()]
+    + [(4e-4, -0.125)]
+)
 
 
 def map2_apply(s, p: ModelParams):
@@ -724,10 +736,11 @@ def jsonable_isinstance(obj):
     return obj
 
 
-def manifold_file_text(ms: ManifoldSeries, cfg, residual, tail):
-    """The text of manifold_<branch>.json for ms, rendered by the indent
-    encoder from the whole series_to_dict table."""
-    body = {"version": __version__, "config": asdict(cfg),
+def manifold_file_text(ms: ManifoldSeries, config, residual, tail):
+    """The text of manifold_<branch>.json for ms under the settings record
+    config, rendered by the indent encoder from the whole series_to_dict
+    table."""
+    body = {"version": __version__, "config": config,
             "series": series_to_dict(ms), "conjugacy_residual": residual,
             "tail_bound": tail}
     return json.dumps(body, sort_keys=True, indent=1,

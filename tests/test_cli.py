@@ -2,15 +2,23 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dnls_nnn import __version__, cli, manifold
 from dnls_nnn.cli import _build_parser, _parse, _resolve, _write_json, main
-from dnls_nnn.manifold import MAX_ORDER, conjugacy_residual, tail_bound
+from dnls_nnn.homoclinic import MatchFailure
+from dnls_nnn.manifold import (
+    MAX_ORDER,
+    ResonanceError,
+    SeriesOverflowError,
+    conjugacy_residual,
+    tail_bound,
+)
 from dnls_nnn.maps import ModelParams
+from dnls_nnn.soliton import ProfileError
+from dnls_nnn.spectral import NonHyperbolicError
 
 from conftest import POINT_ILL
 from reference import (
@@ -95,11 +103,13 @@ def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
             "--out", str(tmp_path)]
     assert main(argv) == 0
     assert calls == ["stable"]
-    cfg = _resolve(_build_parser().parse_args(argv))
-    Ps, Pu = cli._series_pair(cfg)
+    args = _build_parser().parse_args(argv)
+    Ps, Pu = cli._series_pair(args)
     res = conjugacy_residual(Ps)
+    config = {"command": "manifold", "epsilon": args.epsilon, "A": args.A,
+              "order": args.order, "box": args.box, "out": str(tmp_path)}
     for ms in (Ps, Pu):
-        want = manifold_file_text(ms, cfg, res, tail_bound(ms))
+        want = manifold_file_text(ms, config, res, tail_bound(ms))
         got = (tmp_path / f"manifold_{ms.branch}.json").read_bytes()
         assert got == want.encode(), ms.branch
     return Ps
@@ -145,28 +155,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["manifold", "--epsilon", "0.0004", "--A", "-0.2"],
         ["manifold", "--epsilon", "0.0004", "--A", "0.5"],
         ["manifold", "--epsilon", "0.1,0.2", "--A", "-0.125"],
-        ["manifold", "--epsilon", "", "--A", "-0.125"],
-        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
-         "--threshold", "-1"],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125", "--order", "0"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--config", str(tmp_path / "missing.json")],
         ["scan", "--epsilon", "0.0004"],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
-         "--box", "not,numbers"],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
-         "--box", "1,2,3"],
-        # non-finite numbers: a NaN threshold would certify every converged
-        # Newton point and write invalid JSON
-        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
-         "--threshold", "nan", "--out", str(tmp_path)],
-        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
-         "--threshold", "inf", "--out", str(tmp_path)],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
-         "--box", "nan,1", "--out", str(tmp_path)],
-        ["portrait", "--seeds", "1", "--out", str(tmp_path)],
-        ["scan", "--epsilon", "0.0004", "--A", "0", "--workers", "-1",
-         "--out", str(tmp_path)],
         # a sweep A outside the real-spectrum window is refused before any
         # cell is computed, not reported as a missing cell
         ["transversality", "--A", "-0.2,-0.13", "--out", str(tmp_path)],
@@ -184,14 +175,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["homoclinic", "--epsilon", "0.0004", "--A", "-1e-200",
          "--out", str(tmp_path)],
     ]
+    # bad values besides test_a_bad_value_exits_2_naming_its_flag's, refused
+    # by their flags through argparse; among them non-finite numbers: a NaN
+    # threshold would certify every converged Newton point and write invalid
+    # JSON
+    refused = [
+        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+         "--box", "not,numbers"],
+        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
+         "--threshold", "inf", "--out", str(tmp_path)],
+        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+         "--box", "nan,1", "--out", str(tmp_path)],
+        # the 2-d map has no A: argparse refuses the flag
+        ["portrait", "--epsilon", "0.1", "--A", "-0.125"],
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for argv in cases:
             assert main(argv) == 2, argv
-        # the 2-d map has no A: argparse refuses the flag
-        with pytest.raises(SystemExit) as exc:
-            main(["portrait", "--epsilon", "0.1", "--A", "-0.125"])
-        assert exc.value.code == 2
+        for argv in refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
     err = capsys.readouterr().err
     assert "error:" in err
     assert "A=-1e-62" in err and "A=-1e-70" in err
@@ -209,7 +214,10 @@ def test_seeds_is_resolved_for_portrait_only(tmp_path):
     rc = main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
                "--out", str(tmp_path)])
     assert rc == 0
-    assert read_json(tmp_path / "eigen.json")["config"]["seeds"] is None
+    assert "seeds" not in read_json(tmp_path / "eigen.json")["config"]
+    assert main(["portrait", "--epsilon", "0.1", "--seeds", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "portrait.json")["config"]["seeds"] == 2
 
 
 def test_domain_refusal_names_the_classification(tmp_path, capsys):
@@ -314,11 +322,11 @@ def test_scans_refuse_box_and_ignore_its_config_entry(tmp_path, capsys):
     assert main(["scan", "--epsilon", "0.0004", "--A", "-0.125", "--config",
                  str(shared), "--out", str(tmp_path / "s")]) == 0
     doc = read_json(tmp_path / "s" / "scan.json")
-    assert doc["config"]["box"] == "" and doc["cells"][0]["found"]
+    assert "box" not in doc["config"] and doc["cells"][0]["found"]
     assert main(["transversality", "--A", "-0.13,-0.12", "--config",
                  str(shared), "--out", str(tmp_path / "t")]) == 0
     doc = read_json(tmp_path / "t" / "transversality_fit.json")
-    assert doc["config"]["box"] == ""
+    assert "box" not in doc["config"]
     assert main(["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
                  "--config", str(shared), "--out", str(tmp_path / "h")]) == 0
     assert not read_json(tmp_path / "h" / "homoclinic.json")["found"]
@@ -357,26 +365,43 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_one_config_file_serves_every_subcommand(tmp_path):
+def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
     # all nine keys: each subcommand takes the values of its own flags,
-    # exactly as from its command line, and ignores the others
+    # exactly as from its command line, and ignores the others.  --box is a
+    # gauge pair for the series commands and a half-width for portrait, so
+    # a file's box serves the subcommands of its meaning; the others refuse
+    # it, naming the flag and the file
     assert len(REFUSED) == 20
     cfg_path = tmp_path / "all.json"
     out = str(tmp_path / "o")
-    cfg_path.write_text(json.dumps({
-        "epsilon": "0.0004", **{k: text for k, (text, _) in VALUES.items()},
-        "out": out, "config": str(tmp_path / "other.json")}))
-    for cmd, flags in FLAGS.items():
-        argv = [cmd, "--epsilon", "0.0004", "--out", out]
-        for flag in flags:
-            argv += [f"--{flag}", VALUES[flag][0]]
-        want = _resolve(_build_parser().parse_args(argv))
-        got = _resolve(_parse(_build_parser(), [cmd, "--config",
-                                                str(cfg_path)]))
-        assert got == want, cmd
-        for flag, (_, value) in VALUES.items():
-            assert (getattr(got, flag) == value) == (flag in flags), \
-                (cmd, flag)
+    for box, readers in (("0.5", {"portrait"}),
+                         ("0.5,0.25", {"manifold", "homoclinic", "soliton"})):
+        values = {k: text for k, (text, _) in VALUES.items()} | {"box": box}
+        cfg_path.write_text(json.dumps({
+            "epsilon": "0.0004", **values,
+            "out": out, "config": str(tmp_path / "other.json")}))
+        for cmd, flags in FLAGS.items():
+            if "box" in flags and cmd not in readers:
+                with pytest.raises(SystemExit) as exc:
+                    _parse(_build_parser(), [cmd, "--config", str(cfg_path)])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert "argument --box: must be " in err, (cmd, box)
+                assert f"(from config file {cfg_path})" in err, (cmd, box)
+                continue
+            argv = [cmd, "--epsilon", "0.0004", "--out", out]
+            for flag in flags:
+                argv += [f"--{flag}", values[flag]]
+            want = vars(_resolve(_build_parser().parse_args(argv)))
+            got = vars(_resolve(_parse(_build_parser(),
+                                       [cmd, "--config", str(cfg_path)])))
+            assert (got.pop("config"), want.pop("config")) == \
+                (str(cfg_path), None)
+            assert got == want, cmd
+            for flag, (_, value) in VALUES.items():
+                value = box if flag == "box" else value
+                assert (got.get(flag) == value) == (flag in flags), \
+                    (cmd, flag)
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
@@ -416,7 +441,7 @@ def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
 
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
     # plain values skip the isinstance chain; everything else takes it
-    cfg = _resolve(_build_parser().parse_args(
+    args = _resolve(_build_parser().parse_args(
         ["eigen", "--epsilon", "0.1", "--A", "-0.125"]))
     payload = {
         "scalars": [np.float64(0.1), np.float32(2.5), np.int64(-3),
@@ -427,8 +452,10 @@ def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
         "complex": [complex(1.0, -2.0), np.complex128(0.5 + 0.25j)],
         "nested": {"t": (np.float64(np.pi),), "z": {"w": np.zeros(2)}},
     }
-    _write_json(tmp_path / "a.json", payload, cfg)
-    body = {"version": __version__, "config": asdict(cfg), **payload}
+    _write_json(tmp_path / "a.json", payload, args)
+    config = {"command": "eigen", "epsilon": (0.1,), "A": (-0.125,),
+              "out": "."}
+    body = {"version": __version__, "config": config, **payload}
     want = json.dumps(jsonable_isinstance(body), sort_keys=True,
                       indent=1) + "\n"
     assert (tmp_path / "a.json").read_bytes() == want.encode()
@@ -439,9 +466,9 @@ def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
 def test_transversality_default_window_parses():
     # the default A list is written out as text and parsed back: it must
     # read as the 13 window values, whatever repr numpy gives its scalars
-    cfg = _resolve(_build_parser().parse_args(["transversality"]))
-    assert cfg.epsilon == (2e-4,)
-    assert cfg.A == tuple(np.linspace(-0.145, -0.115, 13).tolist())
+    args = _resolve(_build_parser().parse_args(["transversality"]))
+    assert args.epsilon == (2e-4,)
+    assert args.A == tuple(np.linspace(-0.145, -0.115, 13).tolist())
 
 
 def test_transversality_incomplete_curve_exits_3(tmp_path, capsys):
@@ -559,6 +586,59 @@ def test_config_value_error_names_the_file(tmp_path, capsys, entry, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd, flag, text", [
+    ("manifold", "order", "0"), ("manifold", "order", "1001"),
+    ("homoclinic", "threshold", "-1"), ("homoclinic", "threshold", "nan"),
+    ("portrait", "seeds", "1"), ("scan", "workers", "-1"),
+    ("manifold", "epsilon", ""), ("manifold", "A", ""),
+    ("manifold", "box", "1,2,3"), ("manifold", "box", "0,1"),
+    ("portrait", "box", "0"),
+])
+def test_a_bad_value_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys,
+                                             cmd, flag, text, source):
+    # one refusal path: the flag's type, through argparse, whether the
+    # value comes from the command line or from a config file
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--out", "out"]
+    for other, good in (("epsilon", "0.0004"), ("A", "-0.125")):
+        if other != flag and other in ("epsilon", *FLAGS[cmd]):
+            argv += [f"--{other}", good]
+    path = tmp_path / "run.json"
+    if source == "flag":
+        argv.append(f"--{flag}={text}")
+    else:
+        path.write_text(json.dumps({flag: text}))
+        argv += ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --{flag}: " in err, err
+    assert (str(path) in err) == (source == "config"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_artifact_records_the_subcommands_own_flags(tmp_path):
+    # the run's settings are its parsed flags: the subcommand, --epsilon,
+    # --out and the subcommand's own flags, 43 entries over the seven
+    assert cli._FLAGS == FLAGS
+    assert sum(3 + len(flags) for flags in FLAGS.values()) == 43
+    cell = ["--epsilon", "0.0004", "--A", "-0.125"]
+    runs = {"eigen": cell, "manifold": cell + ["--order", "10"],
+            "homoclinic": cell, "soliton": cell,
+            "scan": cell, "transversality": ["--A", "-0.13,-0.12"],
+            "portrait": ["--epsilon", "0.1", "--seeds", "2"]}
+    for cmd, flags in FLAGS.items():
+        out = tmp_path / cmd
+        assert main([cmd, *runs[cmd], "--out", str(out)]) == 0, cmd
+        docs = list(out.glob("*.json"))
+        assert docs, cmd
+        for path in docs:
+            assert set(read_json(path)["config"]) == \
+                {"command", "epsilon", "out", *flags}, path
+
+
 def test_config_keys_outside_the_flags_are_ignored(tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"epsilon": 0.0004, "A": "-0.125"}))
@@ -578,7 +658,7 @@ def test_config_keys_outside_the_flags_are_ignored(tmp_path):
     # the 2-d map has no A: a shared file's A is ignored, a flag refused
     assert main(["portrait", "--config", str(extra), "--seeds", "2",
                  "--out", str(tmp_path / "p")]) == 0
-    assert read_json(tmp_path / "p" / "portrait.json")["config"]["A"] == []
+    assert "A" not in read_json(tmp_path / "p" / "portrait.json")["config"]
 
 
 def test_order_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
@@ -587,21 +667,24 @@ def test_order_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(manifold, "_build_coeffs", unreachable)
     out = tmp_path / "out"
-    assert main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
-                 "--order", "1000000", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+              "--order", "1000000", "--out", str(out)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: order 1000000 exceeds the limit MAX_ORDER = {MAX_ORDER}" \
-        in err
+    assert ("error: argument --order: order 1000000 exceeds the limit "
+            f"MAX_ORDER = {MAX_ORDER}") in err
     assert "Traceback" not in err
     assert not out.exists()
     # the multi-cell commands refuse it before any cell runs
     for cmd in (["scan", "--epsilon", "0.0004", "--A", "-0.125,-0.13"],
                 ["transversality", "--A", "-0.13,-0.12"]):
-        assert main(cmd + ["--order", str(MAX_ORDER + 1),
-                           "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--order", str(MAX_ORDER + 1), "--out", str(out)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: order {MAX_ORDER + 1} exceeds the "
-                              f"limit MAX_ORDER = {MAX_ORDER}"), err
+        assert (f"error: argument --order: order {MAX_ORDER + 1} exceeds "
+                f"the limit MAX_ORDER = {MAX_ORDER}\n") in err, err
         assert not out.exists()
 
 
@@ -614,18 +697,23 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_numerical_failure_outranks_value_error(monkeypatch, capsys):
-    # NonHyperbolicError subclasses ValueError; raised inside a command it is
-    # a numerical failure (3), not a usage error (2)
-    from dnls_nnn import cli
-    from dnls_nnn.spectral import NonHyperbolicError
-
-    def fail(cfg):
-        raise NonHyperbolicError("spectrum left the hyperbolic window")
+@pytest.mark.parametrize("exc, code, prefix", [
+    # a parameter cell outside the manifold domain is a usage error
+    (NonHyperbolicError("spectrum left the hyperbolic window"), 2, "error"),
+    (ResonanceError(7, 1e-20), 3, "numerical failure"),
+    (SeriesOverflowError(9), 3, "numerical failure"),
+    (MatchFailure("no-convergence", "sweep incomplete"), 3,
+     "numerical failure"),
+    (ProfileError("tail did not decay"), 3, "numerical failure"),
+])
+def test_exit_code_follows_the_exception_type(monkeypatch, capsys, exc,
+                                              code, prefix):
+    def fail(args):
+        raise exc
 
     monkeypatch.setitem(cli._COMMANDS, "eigen", fail)
-    assert main(["eigen", "--epsilon", "0.0004", "--A", "-0.125"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert main(["eigen", "--epsilon", "0.0004", "--A", "-0.125"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 def test_portrait_csv_matches_the_reference_rows(tmp_path):

@@ -10,6 +10,7 @@ from dnls_nnn.homoclinic import _census_axis
 from dnls_nnn.manifold import (
     DEFAULT_ORDER,
     GAUGE_RESIDUAL,
+    MAX_ORDER,
     OVERFLOW_LIMIT,
     ResonanceError,
     SeriesOverflowError,
@@ -547,13 +548,29 @@ def test_serialization_round_trip(pair_ill):
     assert np.array_equal(series_from_dict(raw).coeffs, Ps.coeffs)
 
 
-def test_series_from_dict_refuses_entries_off_the_odd_table(pair_ill):
+def test_series_from_dict_refuses_entries_off_the_odd_table(pair_ill,
+                                                           monkeypatch):
     d = series_to_dict(pair_ill[0])
     # even degree, degree above the order, negative index, no component
     for key in ("1,1,1", "2,0,0", "1,80,1", "3,-1,2", "0,1,0", "5,0,1"):
         bad = dict(d, coeffs={**d["coeffs"], key: 1.0})
         with pytest.raises(ValueError, match=key):
             series_from_dict(bad)
+    # a branch read case-sensitively, an order off [1, MAX_ORDER]: refused
+    # before a table is allocated (order 10**6 would ask for 29 TiB)
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape) > 4 * (MAX_ORDER + 1) ** 2:
+            raise AssertionError(f"a {shape} table was allocated")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    for field, value in (("branch", "Stable"), ("branch", None),
+                         ("order", 0), ("order", -1), ("order", MAX_ORDER + 1),
+                         ("order", 10**6)):
+        with pytest.raises(ValueError, match=field):
+            series_from_dict(dict(d, **{field: value}))
 
 
 def test_pair_uses_shared_gauge(pair_ill):
