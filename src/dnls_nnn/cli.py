@@ -11,12 +11,12 @@ Subcommands map one-to-one onto the library's workflows:
     portrait        forward orbits of the 2-d map from a seed grid
 
 Every JSON artifact embeds the package version and the run's settings as
-parsed (the subcommand, --epsilon, --out and the subcommand's own flags), so
-outputs are self-describing and reproducible.  Each flag's type checks its
-value, from the command line or a --config file, so a bad value exits 2
-through argparse naming the flag (and the file).  Exit codes: 0 success, 2
-configuration/usage error (including parameter domains where the
-construction is undefined: the library's ValueError), 3 numerical failure.
+parsed (the subcommand, --epsilon, --out and the subcommand's own flags);
+that config block, as a --config file, reruns it.  Exit codes: 0 success;
+2 a usage error, through argparse with the usage line, naming the flag (and
+the file a value came from), or a cell outside the domain the construction
+is defined on (the library's ValueError, as "error: ..."); 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import csv
 import json
 import re
 import sys
+from argparse import ArgumentTypeError
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,20 +68,15 @@ PORTRAIT_STEPS = 10000
 _NEG_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
 
 
-class UsageError(argparse.ArgumentTypeError):
-    """Bad flags or parameter domain; maps to exit code 2.  Raised by a
-    flag's type, argparse reports it as that flag's error."""
-
-
 def _float_list(text):
     try:
         vals = tuple(float(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
-        raise UsageError(f"cannot parse number list {text!r}") from exc
+        raise ArgumentTypeError(f"cannot parse number list {text!r}") from exc
     if not vals:
-        raise UsageError("number list is empty")
+        raise ArgumentTypeError("number list is empty")
     if not np.all(np.isfinite(vals)):
-        raise UsageError(f"number list {text!r} must be finite")
+        raise ArgumentTypeError(f"number list {text!r} must be finite")
     return vals
 
 
@@ -92,10 +88,20 @@ def _checked(base, *rules):
         value = base(text)
         for ok, message in rules:
             if not ok(value):
-                raise UsageError(message.format(value))
+                raise ArgumentTypeError(message.format(value))
         return value
     parse.__name__ = base.__name__
     return parse
+
+
+# a single cell's --epsilon and --A; portrait's --epsilon, whose values
+# name its files by {eps:g}, 6 significant digits
+_single = _checked(_float_list, (lambda vals: len(vals) == 1,
+                                 "takes a single value; use the scan "
+                                 "command for grids"))
+_portrait_eps = _checked(_float_list, (
+    lambda vals: len({f"{eps:g}" for eps in vals}) == len(vals),
+    "values {} share an output file; they must differ within 6 digits"))
 
 
 def _box(size, ok, message):
@@ -103,7 +109,7 @@ def _box(size, ok, message):
     Kept as text, as the run's record shows it."""
     def parse(text):
         if text and (len(vals := _float_list(text)) != size or not ok(vals)):
-            raise UsageError(message)
+            raise ArgumentTypeError(message)
         return text
     return parse
 
@@ -163,10 +169,10 @@ _FLAGS = {
 
 # each flag's type checks its value, from the command line or a config file
 _OPTIONS = {
-    "epsilon": dict(type=_float_list,
-                    help="coupling value (comma list where applicable)"),
-    "A": dict(type=_float_list,
-              help="second-neighbor weight (comma list for scans)"),
+    "epsilon": dict(type=_single,
+                    help="coupling value (comma list for scan, portrait)"),
+    "A": dict(type=_single,
+              help="second-neighbor weight (comma list for the scans)"),
     "order": dict(type=_checked(int, (lambda n: n >= 1, "must be at least 1"),
                                 (lambda n: n <= MAX_ORDER,
                                  "order {} exceeds the limit MAX_ORDER = "
@@ -204,11 +210,14 @@ def _build_parser():
                     version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     window = tuple(np.linspace(-0.145, -0.115, 13).tolist())
-    # defaults where the other subcommands need --epsilon and --A, and
-    # portrait's --box, a half-width
-    own = {("transversality", "epsilon"): dict(default=(2e-4,)),
-           ("transversality", "A"): dict(default=window),
-           ("portrait", "epsilon"): dict(default=(-0.1, 0.1)),
+    # the lists of the scans and portrait, defaults where the other
+    # subcommands need --epsilon and --A, and portrait's --box, a half-width
+    own = {("scan", "epsilon"): dict(type=_float_list),
+           ("scan", "A"): dict(type=_float_list),
+           ("transversality", "epsilon"): dict(default=(2e-4,)),
+           ("transversality", "A"): dict(type=_float_list, default=window),
+           ("portrait", "epsilon"): dict(type=_portrait_eps,
+                                         default=(-0.1, 0.1)),
            ("portrait", "box"): dict(type=_box(1, lambda h: h[0] > 0.0,
                                                "must be one positive "
                                                "half-width for portrait"),
@@ -225,60 +234,51 @@ def _build_parser():
 
 def _parse(ap, argv):
     """Flags over config-file values over defaults.  The file's values for
-    the subcommand's own flags, checked by their flags (an error names the
-    file), become its string defaults and the command line is reparsed.
-    Other keys are ignored, so that one file can serve every subcommand."""
+    the subcommand's own flags (an array as the comma list a run records),
+    checked by their flags, become its string defaults and the command line
+    is reparsed; other keys are ignored, so one file serves every command.
+    Every refusal exits 2 through the subcommand's parser."""
     args, extra = ap.parse_known_args(argv)
     sp = ap.commands[args.command]
     if extra:  # refused with the subcommand's usage, which lists its flags
         sp.error("unrecognized arguments: " + " ".join(extra))
-    if not args.config:
-        return args
-    try:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}")
-    if not isinstance(file_cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    flags = {action.dest for action in sp._actions} - {"help", "config"}
-    values = {k: str(v) for k, v in file_cfg.items()
-              if k in flags and v is not None}
-    sp.exit_on_error = False  # a bad value raises, to be named with the file
-    try:
-        sp.parse_args([f"--{k}={v}" for k, v in values.items()])
-    except argparse.ArgumentError as exc:
-        sp.error(f"{exc} (from config file {args.config})")
-    sp.set_defaults(**values)
-    return ap.parse_args(argv)
-
-
-def _resolve(args):
-    """The parsed flags, once those without a default are known given."""
-    for flag in ("epsilon", "A"):
-        if getattr(args, flag, ()) is None:
-            raise UsageError(f"{args.command} requires --{flag}")
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # not JSON, or not UTF-8
+            sp.error(f"argument --config: cannot read {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            sp.error(f"argument --config: {args.config} is not a JSON object")
+        flags = {action.dest for action in sp._actions} - {"help", "config"}
+        values = {k: ",".join(map(str, v))
+                  if k in ("epsilon", "A") and isinstance(v, list) else str(v)
+                  for k, v in file_cfg.items() if k in flags and v is not None}
+        sp.exit_on_error = False  # a bad value raises, named with the file
+        try:
+            sp.parse_args([f"--{k}={v}" for k, v in values.items()])
+        except argparse.ArgumentError as exc:
+            sp.error(f"{exc} (from config file {args.config})")
+        sp.set_defaults(**values)
+        args = ap.parse_args(argv)
+    missing = [f"--{flag}" for flag in ("epsilon", "A")
+               if getattr(args, flag, ()) is None]
+    if missing:
+        where = f" (not in config file {args.config})" if args.config else ""
+        sp.error(f"the following arguments are required: "
+                 f"{', '.join(missing)}{where}")
     if getattr(args, "order", None) == 1:
         print("warning: order 1 keeps only the degenerate linear series",
               file=sys.stderr)
     return args
 
 
-def _single_cell(args):
-    if len(args.epsilon) != 1 or len(args.A) != 1:
-        raise UsageError(
-            f"{args.command} takes a single --epsilon and a single --A; "
-            "use the scan command for grids"
-        )
-    return ModelParams(args.epsilon[0], args.A[0])
-
-
 def _series_pair(args):
     """(Ps, Pu) of the single cell, at the --box gauge or the automatic one;
     outside the manifold domain, NonHyperbolicError."""
     scale = _float_list(args.box) if args.box else None
-    return compute_manifold_pair(_single_cell(args), order=args.order,
-                                 scale=scale)
+    return compute_manifold_pair(ModelParams(*args.epsilon, *args.A),
+                                 order=args.order, scale=scale)
 
 
 def _search(args):
@@ -310,11 +310,10 @@ def _solution_dict(sol):
 
 
 def cmd_eigen(args):
-    p = _single_cell(args)
-    eps, A = p.epsilon, p.A
+    p = ModelParams(*args.epsilon, *args.A)  # one value each
     payload = {"critical_A": CRITICAL_A}
     for at in ("origin", "nontrivial"):
-        if at == "nontrivial" and eps * A >= 0.0:
+        if at == "nontrivial" and p.epsilon * p.A >= 0.0:
             payload[at] = None
             continue
         q = characteristic_poly(p, at=at)
@@ -326,7 +325,7 @@ def cmd_eigen(args):
         except (ZeroDivisionError, OverflowError):  # A**5 left double range
             disc = np.inf
         if not np.all(np.isfinite([*lams, disc])):
-            raise UsageError(f"A={A!r} puts the {at} spectrum outside "
+            raise ValueError(f"A={p.A!r} puts the {at} spectrum outside "
                              "double range")
         entry = {
             "quartic": {"a": q.a, "b": q.b},
@@ -426,8 +425,6 @@ def cmd_scan(args):
 
 
 def cmd_transversality(args):
-    if len(args.epsilon) != 1:
-        raise UsageError("transversality sweeps A at a single --epsilon")
     for A in args.A:  # refused before any cell is computed
         _stable_eigensystem(ModelParams(args.epsilon[0], A))
     cells = _scan(args)
@@ -496,11 +493,6 @@ def cmd_soliton(args):
 
 def cmd_portrait(args):
     (half,) = _float_list(args.box or "0.1")
-    names = [f"portrait_eps{eps:g}.csv" for eps in args.epsilon]
-    clash = [name for name in names if names.count(name) > 1]
-    if clash:  # {eps:g} keeps 6 significant digits
-        raise UsageError(f"epsilon values share the output file {clash[0]}; "
-                         "they must differ within 6 significant digits")
     g = np.linspace(-half, half, args.seeds)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     stride = max(1, PORTRAIT_STEPS // 1000)  # keep files a few MB at most
@@ -509,12 +501,13 @@ def cmd_portrait(args):
         orbits = portrait_2d(params, seeds, steps=PORTRAIT_STEPS,
                              stride=stride)
     except MemoryError as exc:
-        raise UsageError(f"--seeds {args.seeds}: {exc}, more than could be "
+        raise ValueError(f"--seeds {args.seeds}: {exc}, more than could be "
                          "allocated; use fewer seeds") from None
     outdir = _outdir(args)
     manifest = {"steps": PORTRAIT_STEPS, "stride": stride,
                 "files": [], "summary": []}
-    for j, (eps, fname) in enumerate(zip(args.epsilon, names)):
+    for j, eps in enumerate(args.epsilon):
+        fname = f"portrait_eps{eps:g}.csv"
         chunk = orbits[j * len(seeds):(j + 1) * len(seeds)]
         with open(outdir / fname, "w", newline="") as fh:
             # the excel-dialect CSV text, floats as repr; one write per orbit
@@ -553,12 +546,12 @@ _NUMERICAL = (ResonanceError, SeriesOverflowError, MatchFailure, ProfileError)
 def main(argv=None):
     ap = _build_parser()
     try:
-        args = _resolve(_parse(ap, argv))
+        args = _parse(ap, argv)
         return _COMMANDS[args.command](args)
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # a setting outside the domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

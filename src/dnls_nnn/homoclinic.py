@@ -44,6 +44,7 @@ import numpy as np
 from .manifold import (
     DEFAULT_ORDER,
     ManifoldSeries,
+    _contract,
     _contract_grid,
     compute_manifold_pair,
     evaluate_series,
@@ -293,11 +294,10 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     if X0.size == 0:
         return []
 
-    def fun_jac(X):
-        Q = evaluate_series(Ps, X[:, 0], X[:, 1])
-        Jq = series_jacobian(Ps, X[:, 0], X[:, 1])
-        G = np.stack([Q[:, 0] - Q[:, 3], Q[:, 1] - Q[:, 2]], axis=-1)
-        J = np.stack([Jq[:, 0] - Jq[:, 3], Jq[:, 1] - Jq[:, 2]], axis=-2)
+    def fun_jac(X):  # one contraction for both: (P, dP) -> (G, DG)
+        Q, Jq = _contract(Ps.coeffs, X[:, 0], X[:, 1], jac=True)
+        G = np.stack([Q[0] - Q[3], Q[1] - Q[2]], axis=-1)
+        J = np.stack([Jq[0] - Jq[3], Jq[1] - Jq[2]]).transpose(2, 0, 1)
         return G, J
 
     X, gn, status = _damped_newton_batch(fun_jac, X0, box_limit=1.5)

@@ -44,10 +44,10 @@ Its conjugacy defect and truncation tail are read off that stable image.
 
 One evaluator, the two-stage contraction with power tables U, V:
 B_i = C_i V, then P_i = sum_n U_n B_i[n].  Scattered points
-(evaluate_series, series_jacobian; all on the stable series: Newton,
-certification and its det, residual checks, the profile's right tail) take
-it at flat parameter arrays, and the Jacobian contracts the same
-coefficients against the tables k U^{k-1} and k V^{k-1}.  The homoclinic
+(evaluate_series, series_jacobian; all on the stable series: Newton, which
+takes both from one contraction, certification and its det, residual
+checks, the profile's right tail) take it at flat parameter arrays; the
+Jacobian contracts B_i and C_i against k U^{k-1} and k V^{k-1}.  The homoclinic
 census takes it in tensor form on its grid (_contract_grid),
 P_i = U^T (C_i V), two matrix products per component.  The scattered form
 is exactly odd (the Jacobian exactly even); the tensor form is not, as
@@ -194,17 +194,23 @@ def _power_table(x, N):
 
 def _contract(C, u, v, jac=False):
     """Two-stage contraction at flat parameter arrays: B_i = C_i V, then
-    P_i = sum_n U_n B_i[n] -> (4, P).  jac=True contracts the same tables
-    against the derivative power tables k U^{k-1}, k V^{k-1} -> (4, 2, P).
+    P_i = sum_n U_n B_i[n] -> (4, P).  jac=True also contracts the tables
+    against the derivative power tables k U^{k-1}, k V^{k-1}, dP_i/du from
+    the same B_i -> ((4, P), (4, 2, P)).
     """
     N = C.shape[1] - 1
     U, V = _power_table(u, N), _power_table(v, N)
-    if not jac:
-        return np.stack([np.sum(U * (Ci @ V), axis=0) for Ci in C])
-    k = np.arange(1.0, N + 1.0)[:, None]
-    dU, dV = k * U[:-1], k * V[:-1]
-    return np.stack([[np.sum(dU * (Ci[1:] @ V), axis=0),
-                      np.sum(U * (Ci[:, 1:] @ dV), axis=0)] for Ci in C])
+    P = np.empty((len(C), u.size))
+    if jac:
+        k = np.arange(1.0, N + 1.0)[:, None]
+        dU, dV, J = k * U[:-1], k * V[:-1], np.empty((len(C), 2, u.size))
+    for i, Ci in enumerate(C):
+        B = Ci @ V
+        P[i] = np.sum(U * B, axis=0)
+        if jac:
+            J[i] = (np.sum(dU * B[1:], axis=0),
+                    np.sum(U * (Ci[:, 1:] @ dV), axis=0))
+    return (P, J) if jac else P
 
 
 def _contract_grid(C, gu, gv):
@@ -230,7 +236,7 @@ def evaluate_series(ms: ManifoldSeries, u, v):
 def series_jacobian(ms: ManifoldSeries, u, v):
     """Term-wise derivative: dP/d(u, v), shape (..., 4, 2)."""
     u, v = _broadcast_uv(u, v)
-    flat = _contract(ms.coeffs, u.ravel(), v.ravel(), jac=True)
+    flat = _contract(ms.coeffs, u.ravel(), v.ravel(), jac=True)[1]
     return np.moveaxis(flat.reshape((4, 2) + u.shape), (0, 1), (-2, -1))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dnls_nnn import __version__, cli, manifold
-from dnls_nnn.cli import _build_parser, _parse, _resolve, _write_json, main
+from dnls_nnn.cli import _build_parser, _parse, _write_json, main
 from dnls_nnn.homoclinic import MatchFailure
 from dnls_nnn.manifold import (
     MAX_ORDER,
@@ -150,22 +150,18 @@ def test_manifold_where_the_tail_quotient_passes_double_range(tmp_path):
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
+    # cells outside the domain: main returns 2
     cases = [
         ["manifold", "--epsilon", "0.0004", "--A", "0"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.2"],
         ["manifold", "--epsilon", "0.0004", "--A", "0.5"],
-        ["manifold", "--epsilon", "0.1,0.2", "--A", "-0.125"],
-        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
-         "--config", str(tmp_path / "missing.json")],
-        ["scan", "--epsilon", "0.0004"],
         # a sweep A outside the real-spectrum window is refused before any
         # cell is computed, not reported as a missing cell
         ["transversality", "--A", "-0.2,-0.13", "--out", str(tmp_path)],
         # the single-cell series commands share one preamble
         *([cmd, "--epsilon", eps, "--A", A, "--out", str(tmp_path)]
           for cmd in ("homoclinic", "soliton")
-          for eps, A in (("0.0004", "-0.2"), ("0.0004", "0"),
-                         ("0.0004,0.01", "-0.125"))),
+          for eps, A in (("0.0004", "-0.2"), ("0.0004", "0"))),
         # the discriminant leaves double range (A**5 overflows to -inf,
         # then underflows to zero)
         *(["eigen", "--epsilon", "0.0004", "--A", A, "--out", str(tmp_path)]
@@ -175,11 +171,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["homoclinic", "--epsilon", "0.0004", "--A", "-1e-200",
          "--out", str(tmp_path)],
     ]
-    # bad values besides test_a_bad_value_exits_2_naming_its_flag's, refused
-    # by their flags through argparse; among them non-finite numbers: a NaN
-    # threshold would certify every converged Newton point and write invalid
-    # JSON
+    # bad settings besides test_a_bad_value_exits_2_naming_its_flag's and
+    # test_a_refused_setting_exits_through_its_flag's, refused through
+    # argparse; among them non-finite numbers: a NaN threshold would certify
+    # every converged Newton point and write invalid JSON
     refused = [
+        ["manifold", "--epsilon", "0.1,0.2", "--A", "-0.125"],
+        ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
+         "--config", str(tmp_path / "missing.json")],
+        ["scan", "--epsilon", "0.0004"],
+        *([cmd, "--epsilon", "0.0004,0.01", "--A", "-0.125",
+           "--out", str(tmp_path)] for cmd in ("homoclinic", "soliton")),
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "not,numbers"],
         ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
@@ -223,12 +225,17 @@ def test_seeds_is_resolved_for_portrait_only(tmp_path):
 def test_domain_refusal_names_the_classification(tmp_path, capsys):
     refusals = (("0.0004", "-0.2", "two-pairs-complex"),
                 ("0.0004", "0.5", "mixed"),
-                ("0.0004", "0", "A must be nonzero"),
-                ("0.0004,0.01", "-0.125", "single --epsilon"))
+                ("0.0004", "0", "A must be nonzero"))
     for cmd in ("manifold", "homoclinic", "soliton"):
         for eps, A, words in refusals:
             assert main([cmd, "--epsilon", eps, "--A", A]) == 2, (cmd, eps, A)
             assert words in capsys.readouterr().err, (cmd, eps, A)
+        # a grid is a usage error, refused by the flag before any cell runs
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--epsilon", "0.0004,0.01", "--A", "-0.125"])
+        assert exc.value.code == 2
+        assert ("argument --epsilon: takes a single value; use the scan "
+                "command for grids") in capsys.readouterr().err, cmd
     assert main(["transversality", "--A", "-0.2,-0.13",
                  "--out", str(tmp_path)]) == 2
     assert "two-pairs-complex" in capsys.readouterr().err
@@ -392,9 +399,9 @@ def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
             argv = [cmd, "--epsilon", "0.0004", "--out", out]
             for flag in flags:
                 argv += [f"--{flag}", values[flag]]
-            want = vars(_resolve(_build_parser().parse_args(argv)))
-            got = vars(_resolve(_parse(_build_parser(),
-                                       [cmd, "--config", str(cfg_path)])))
+            want = vars(_parse(_build_parser(), argv))
+            got = vars(_parse(_build_parser(),
+                              [cmd, "--config", str(cfg_path)]))
             assert (got.pop("config"), want.pop("config")) == \
                 (str(cfg_path), None)
             assert got == want, cmd
@@ -441,8 +448,8 @@ def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
 
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
     # plain values skip the isinstance chain; everything else takes it
-    args = _resolve(_build_parser().parse_args(
-        ["eigen", "--epsilon", "0.1", "--A", "-0.125"]))
+    args = _parse(_build_parser(),
+                  ["eigen", "--epsilon", "0.1", "--A", "-0.125"])
     payload = {
         "scalars": [np.float64(0.1), np.float32(2.5), np.int64(-3),
                     np.intp(7), 1e-300, -0.0, 4, True, None, "text"],
@@ -466,7 +473,7 @@ def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
 def test_transversality_default_window_parses():
     # the default A list is written out as text and parsed back: it must
     # read as the 13 window values, whatever repr numpy gives its scalars
-    args = _resolve(_build_parser().parse_args(["transversality"]))
+    args = _parse(_build_parser(), ["transversality"])
     assert args.epsilon == (2e-4,)
     assert args.A == tuple(np.linspace(-0.145, -0.115, 13).tolist())
 
@@ -619,6 +626,80 @@ def test_a_bad_value_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+GRID = "takes a single value; use the scan command for grids"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd, flag, text, words", [
+    # the single-cell commands take one --epsilon and one --A
+    *((cmd, flag, "0.0004,0.01" if flag == "epsilon" else "-0.13,-0.12",
+       f"argument --{flag}: {GRID}")
+      for cmd in ("eigen", "manifold", "homoclinic", "soliton")
+      for flag in ("epsilon", "A")),
+    # transversality sweeps A at one --epsilon
+    ("transversality", "epsilon", "2e-4,4e-4", f"argument --epsilon: {GRID}"),
+    # portrait names its files by {eps:g}: these two would share one
+    ("portrait", "epsilon", "0.1,0.1000001",
+     "argument --epsilon: values (0.1, 0.1000001) share an output file"),
+    # flags without a default, neither given nor in the file
+    ("scan", "A", None, "the following arguments are required: --A"),
+    ("homoclinic", "epsilon", None,
+     "the following arguments are required: --epsilon"),
+])
+def test_a_refused_setting_exits_through_its_flag(tmp_path, monkeypatch,
+                                                  capsys, cmd, flag, text,
+                                                  words, source):
+    # a refusal of a setting exits 2 through the subcommand's parser, with
+    # its usage line, naming the flag, and the config file only when the
+    # setting was read from one; nothing is written
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, "--out", "out"]
+    for other, good in (("epsilon", "0.0004"), ("A", "-0.125")):
+        if other != flag and other in ("epsilon", *FLAGS[cmd]):
+            argv += [f"--{other}", good]
+    path = tmp_path / "run.json"
+    if source == "config":
+        path.write_text(json.dumps({} if text is None else {flag: text}))
+        argv += ["--config", str(path)]
+    elif text is not None:
+        argv.append(f"--{flag}={text}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dnls-nnn {cmd} "), err
+    assert f"dnls-nnn {cmd}: error: {words}" in err, err
+    assert (str(path) in err) == (source == "config"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125"],
+    # the benchmark's scan
+    ["scan", "--epsilon", "0.0004,1.0,-0.5", "--A", "-0.145,-0.13",
+     "--workers", "2"],
+    ["transversality"],
+    ["portrait", "--seeds", "3"],
+])
+def test_a_recorded_config_reruns_the_run(tmp_path, argv):
+    # an artifact's config block, saved as a --config file, gives the same
+    # artifacts, byte for byte but for config.out
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--out", str(first)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(read_json(next(first.glob("*.json")))["config"]))
+    assert main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+    assert sorted(path.name for path in again.iterdir()) == names
+    for name in names:
+        got = (again / name).read_bytes()
+        if name.endswith(".json"):
+            assert read_json(again / name)["config"]["out"] == str(again)
+            got = got.replace(json.dumps(str(again)).encode(),
+                              json.dumps(str(first)).encode())
+        assert got == (first / name).read_bytes(), name
+
+
 def test_an_artifact_records_the_subcommands_own_flags(tmp_path):
     # the run's settings are its parsed flags: the subcommand, --epsilon,
     # --out and the subcommand's own flags, 43 entries over the seven
@@ -688,13 +769,27 @@ def test_order_above_the_limit_exits_2(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-def test_config_must_be_an_object(tmp_path, capsys):
+def test_config_must_be_an_object(tmp_path, monkeypatch, capsys):
+    # a file that cannot be read as a JSON object is --config's refusal,
+    # through argparse, naming the file; nothing is written
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text("[1, 2, 3]")
-    rc = main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
-               "--config", str(cfg_path)])
-    assert rc == 2
-    assert "JSON object" in capsys.readouterr().err
+    for content, words in ((b"[1, 2, 3]", "is not a JSON object"),
+                           (b"{", "cannot read"),
+                           (b"\xff\xfe{}", "cannot read"),  # not UTF-8
+                           (None, "cannot read")):            # no such file
+        cfg_path.unlink(missing_ok=True)
+        if content is not None:
+            cfg_path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--epsilon", "0.0004", "--A", "-0.125",
+                  "--config", str(cfg_path), "--out", "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dnls-nnn eigen "), err
+        assert "error: argument --config: " in err and words in err, err
+        assert str(cfg_path) in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
@@ -769,8 +864,16 @@ def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):
 def test_portrait_refuses_epsilons_that_share_a_file(tmp_path, capsys):
     # {eps:g} names both portrait_eps0.1.csv: the second would overwrite
     # the first, and portrait.json would list that file twice
-    assert main(["portrait", "--epsilon", "0.1,0.1000001", "--seeds", "2",
-                 "--out", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["portrait", "--epsilon", "0.1,0.1000001", "--seeds", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "epsilon values share the output file portrait_eps0.1.csv" in err
+    assert ("argument --epsilon: values (0.1, 0.1000001) share an output "
+            "file") in err
     assert list(tmp_path.iterdir()) == []
+    # values that differ in their 6 significant digits name two files
+    assert main(["portrait", "--epsilon", "0.1,0.100001", "--seeds", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "portrait.json")["files"] == \
+        ["portrait_eps0.1.csv", "portrait_eps0.100001.csv"]

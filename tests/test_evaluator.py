@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dnls_nnn.manifold import (
+    _contract,
     compute_manifold_pair,
     evaluate_series,
     series_jacobian,
@@ -73,3 +74,16 @@ def test_jacobian_is_exactly_even(pair_ill):
     for ms in pair_ill:
         assert np.array_equal(series_jacobian(ms, -u, -v),
                               series_jacobian(ms, u, v))
+
+
+def test_one_contraction_gives_the_value_and_the_jacobian(pair_ill):
+    # Newton reads P and dP/d(u, v) from one call: bit for bit the values
+    # the certification reads from evaluate_series and series_jacobian
+    Ps, _ = pair_ill
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 30):
+        u, v = rng.uniform(-1, 1, size=(2, n))
+        P, J = _contract(Ps.coeffs, u, v, jac=True)
+        assert np.array_equal(P.T, evaluate_series(Ps, u, v))
+        assert np.array_equal(np.moveaxis(J, -1, 0),
+                              series_jacobian(Ps, u, v))

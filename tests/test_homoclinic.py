@@ -69,15 +69,16 @@ def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
 
 def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
                                                                pair_ill):
-    # inside Newton, each series evaluation belongs to one fun_jac call
+    # inside Newton, each fun_jac call evaluates the series and its
+    # Jacobian in one contraction, and nothing else evaluates it
     Ps, _ = pair_ill
     log, inside = [], []
 
     def logged(name, f):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             if inside:
                 log.append(name)
-            return f(*args)
+            return f(*args, **kwargs)
         return wrapped
 
     def spy(fun_jac, X0, **kwargs):
@@ -88,14 +89,14 @@ def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
         finally:
             inside.clear()
 
-    for name in ("evaluate_series", "series_jacobian"):
+    for name in ("_contract", "evaluate_series", "series_jacobian"):
         monkeypatch.setattr(homoclinic, name,
                             logged(name, getattr(homoclinic, name)))
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
     assert len(symmetric_search(Ps)) == 2
     calls = log.count("fun_jac")
     assert 1 <= calls <= MAX_ITER + 1
-    assert log == ["fun_jac", "evaluate_series", "series_jacobian"] * calls
+    assert log == ["fun_jac", "_contract"] * calls
 
 
 def test_symmetric_search_certifies_each_root_once(monkeypatch, pair_ill):
