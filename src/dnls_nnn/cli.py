@@ -45,7 +45,6 @@ from .manifold import (
     MAX_ORDER,
     ResonanceError,
     SeriesOverflowError,
-    _coeff_key,
     _stable_eigensystem,
     compute_manifold_pair,
     conjugacy_residual,
@@ -143,17 +142,22 @@ def _write_json(path, payload, args, coeffs=None):
 
 def _coeff_tables(Ps):
     """P_s's and P_u's series tables as json.dumps(..., sort_keys=True,
-    indent=1) renders them three levels deep.  P_u's components are P_s's
-    reversed, and keys sort alike within any component: one repr each."""
-    comps = []
-    for i, C in enumerate(Ps.coeffs):
-        n, m = (a.tolist() for a in np.nonzero(C))
-        comps.append(sorted(zip((_coeff_key(i, a, b) for a, b in zip(n, m)),
-                                n, m, map(repr, C[n, m].tolist()))))
-    lines = ([f'   "{k}": {v}' for comp in comps for k, _, _, v in comp],
-             [f'   "{_coeff_key(j, n, m)}": {v}'
-              for j, comp in enumerate(comps[::-1]) for _, n, m, v in comp])
-    return ["{\n" + ",\n".join(ls) + "\n  }" for ls in lines]
+    indent=1) renders them three levels deep, keys as _coeff_key writes
+    them.  Within a component the keys "i,n,m" sort as (str(n), str(m)),
+    as ',' sorts before every digit.  P_u's components are P_s's reversed:
+    one repr per coefficient and one body per component serve both (none
+    for a component that a tiny --box underflows to zeros)."""
+    rank = np.argsort(np.argsort([str(d) for d in range(Ps.order + 1)]))
+    bodies = []
+    for C in Ps.coeffs:
+        n, m = np.nonzero(C)
+        o = np.lexsort((rank[m], rank[n]))
+        n, m = n[o].tolist(), m[o].tolist()
+        bodies.append([f'{a},{b}": {v!r}'
+                       for a, b, v in zip(n, m, C[n, m].tolist())])
+    return ["{\n" + ",\n".join(f'   "{i},' + f',\n   "{i},'.join(body)
+                                for i, body in enumerate(comps, 1) if body)
+            + "\n  }" for comps in (bodies, bodies[::-1])]
 
 
 # each subcommand's flags besides --epsilon, --out and --config

@@ -304,6 +304,10 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     # a row stalled at an ill-conditioned root ends in _NO_CONV: ||G|| decides
     X = X[((status == _CONVERGED) | (status == _NO_CONV)) & (gn <= threshold)
           & (np.max(np.abs(X), axis=-1) <= 1.0)]
+    # rows at the origin leave in one batch: no rounding of one point lifts
+    # a norm of TRIVIAL_NORM / 2 to the gate below
+    q = evaluate_series(Ps, X[:, 0], X[:, 1])
+    X = X[np.linalg.norm(q, axis=-1) > 0.5 * TRIVIAL_NORM]
     # one point per call: the scattered evaluator's rounding depends on the
     # batch size, and a certified point must read back bit for bit from
     # evaluate_series(P, sol.u1, sol.v1)

@@ -335,13 +335,22 @@ def _default_gauge(unit: ManifoldSeries, tau):
     the boundary x(y) leaves the cap or the slope 1 + x'(y) changes sign.
     x(y) is by Newton from the right, repeated from a 2^-24 grid, and M
     sums rows in ascending m, then n: degrees of negligible weight come last
-    and vanish, so orders 56 and 80 choose the same bits."""
-    p = unit.params
-    k = np.arange(unit.order + 1.0)
-    # [m, i, n], m outermost: a sum over m adds whole rows in order (numpy
-    # sums pairwise along the fast axis only)
-    Ct = np.ascontiguousarray(np.abs(unit.coeffs).transpose(2, 0, 1))
-    Ck = np.stack([Ct, Ct * k[:, None, None]], axis=1)  # |C|, m |C|
+    and vanish, so orders 56 and 80 choose the same bits.
+
+    The bisection of y to 2^-30 inside doubling steps down from the cap
+    defines the answer (bisection_gauge, tests/reference.py).  A bracket
+    search on the slope takes the bisection's own midpoints; a replay signs
+    each midpoint outside the bracket by the slope's monotonicity and takes
+    x(y) only inside it."""
+    p, N = unit.params, unit.order
+    k = np.arange(N + 1.0)
+    # [r, j, i, n] (j: |C| or m |C|), r outermost: a sum over r adds whole
+    # rows in order (numpy sums pairwise along the fast axis only).  Row r
+    # holds m = 2r at odd n and 2r + 1 at even n (the zero m = N past N):
+    # the even degrees, zeros of the recursion, would add exact zeros
+    m = np.minimum(2 * np.arange(N // 2 + 1)[:, None] + (k % 2 == 0), N)
+    Cm = np.abs(unit.coeffs)[:, np.arange(N + 1), m].transpose(1, 0, 2)
+    Ck = np.ascontiguousarray(np.stack([Cm, Cm * m[:, None]], axis=1))
     lin = np.array([2.0, 2.0, 4.0, 2.0]) / [1.0, abs(p.A), abs(p.A), abs(p.A)]
     cube = 3.0 / abs(p.epsilon * p.A)
     gcap = 256.0 * float(np.sqrt(abs(p.epsilon)))
@@ -349,27 +358,31 @@ def _default_gauge(unit: ManifoldSeries, tau):
 
     def log_bound(B, Bu, Bv, limit):  # log(B / limit) and its gradient
         # B = 0 holds, and B / limit may pass double range: inf, as past it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return ((np.log(B / limit), Bu / B, Bv / B) if np.isfinite(
-                B + Bu + Bv) else (np.inf, 0.0, 0.0))  # past double range
+        return ((np.log(B / limit), Bu / B, Bv / B) if np.isfinite(
+            B + Bu + Bv) else (np.inf, 0.0, 0.0))  # past double range
 
     def rounding(x, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if y not in rows:  # row sums of |C| g2^m and m |C| g2^m
-                t = np.fmax(Ck * (np.exp(y) ** k)[:, None, None, None], 0.0)
-                W = t.sum(axis=0)
-                rows[y] = np.concatenate([W, W[:1] * k])
-            t = np.fmax(rows[y] * np.exp(x) ** k, 0.0)  # 0 * inf is 0
-            M, Mv, Mu = np.cumsum(t, axis=-1)[..., -1]
-            c = 3.0 * cube * M[2]**2
-            return log_bound(lin @ M + cube * M[2]**3, lin @ Mu + c * Mu[2],
-                             lin @ Mv + c * Mv[2], 2.0**53 * tau)
+        if y not in rows:  # row sums of |C| g2^m and m |C| g2^m
+            t = np.fmax(Ck * (np.exp(y) ** k)[m][:, None, None], 0.0)
+            W = t.sum(axis=0)
+            rows[y] = np.concatenate([W, W[:1] * k])
+        t = np.fmax(rows[y] * np.exp(x) ** k, 0.0)  # 0 * inf is 0
+        M, Mv, Mu = np.cumsum(t, axis=-1)[..., -1]
+        c = 3.0 * cube * M[2]**2
+        return log_bound(lin @ M + cube * M[2]**3, lin @ Mu + c * Mu[2],
+                         lin @ Mv + c * Mv[2], 2.0**53 * tau)
 
-    def edge(F, y, x=cap):  # x(y) from x and the slope 1 + x'(y) there
-        if not F(-np.inf, y)[0] < 0.0:
+    def edge(F, y, x=cap, feasible=False):  # x(y) from x, slope 1 + x'(y)
+        # feasible: a larger y was, and the bound at x = -inf grows with y
+        if not (feasible or F(-np.inf, y)[0] < 0.0):
             return -np.inf, -np.inf
-        for _ in range(2):  # the second run starts on the grid
-            x = min(np.ceil(x * 2.0**24) / 2.0**24, cap)
+        start = None
+        for _ in range(2):  # the second run starts on the grid; skipped
+            # where the first started there too, as it would repeat it
+            g = min(np.ceil(x * 2.0**24) / 2.0**24, cap)
+            if g == start:
+                break
+            x = start = g
             f = F(x, y)
             while not f[0] <= 0.0:  # Newton from the right of the root
                 # never passes it; past double range, back off by 1
@@ -384,20 +397,46 @@ def _default_gauge(unit: ManifoldSeries, tau):
         if slope >= 0.0:
             return cap, y
         lo, hi, step = cap, cap, 1.0
-        x, slope = edge(F, cap)
-        while slope <= 0.0 and lo > y:  # lo = cap - 1, cap - 3, ..., corner
+        seen = {cap: edge(F, cap)}  # y: (x(y), slope)
+        while seen[lo][1] <= 0.0 and lo > y:  # cap - 1, cap - 3, ..., corner
             hi, lo, step = lo, max(lo - step, y), 2.0 * step
-            x, slope = edge(F, lo)
-        while hi - lo > 2.0**-30:
-            mid = 0.5 * (lo + hi)
-            xm, slope = edge(F, mid, x)
-            lo, hi, x = (mid, hi, xm) if slope > 0.0 else (lo, mid, x)
-        return x, lo
+            seen[lo] = edge(F, lo, cap, seen[hi][1] > -np.inf)
+        # the slope is > 0 up to a and <= 0 from b (b = a = lo if lo's is)
+        a, b = lo, hi if seen[lo][1] > 0.0 else lo
+        wa, wb, kept = 1.0, 1.0, 0  # Illinois weights, the end moved last
+        while True:
+            (xa, sa), (xb, sb) = seen[a], seen[b]
+            if b - a > 2.0**-20:  # the cubic through x + y and its slopes
+                d1 = 3.0 * (xb + b - xa - a) / (b - a) - sa - sb
+                d2 = np.sqrt(d1 * d1 - sa * sb)
+                t = b - (b - a) * (d2 - d1 - sb) / (sa - sb + 2.0 * d2)
+            else:  # where x + y differs by rounding: Illinois on the slope
+                t = a + (b - a) * wa * sa / (wa * sa - wb * sb)
+            # nan or a if b is infeasible (slope -inf): the midpoint
+            t = t if a < t < b else 0.5 * (a + b)
+            # the bisection, signed by t where unknown; u: the deepest such
+            # midpoint, next to t
+            l, h, u = lo, hi, None
+            while h - l > 2.0**-30:
+                mid = 0.5 * (l + h)
+                u = mid if a < mid < b else u
+                l, h = (mid, h) if mid <= t else (l, mid)
+            if u is None:  # every sign known: l is the bisection's lo
+                break
+            seen[u] = edge(F, u, xa, sb > -np.inf)
+            if seen[u][1] > 0.0:  # Illinois halves an end kept twice
+                a, wa, wb, kept = u, 1.0, wb * (0.5 if kept > 0 else 1.0), 1
+            else:
+                b, wb, wa, kept = u, 1.0, wa * (0.5 if kept < 0 else 1.0), -1
+        if l not in seen:  # a step's point off the final path: from lo
+            seen[l] = edge(F, l, seen[lo][0], True)
+        return seen[l][0], l
 
-    x, y = solve(rounding)
-    if _tail(unit.coeffs[2], p, np.exp(x), np.exp(y))[0] > 1e-3 * tau:
-        x, y = solve(lambda x, y: max(rounding(x, y), log_bound(
-            *_tail(unit.coeffs[2], p, np.exp(x), np.exp(y)), 1e-3 * tau)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y = solve(rounding)
+        if _tail(unit.coeffs[2], p, np.exp(x), np.exp(y))[0] > 1e-3 * tau:
+            x, y = solve(lambda x, y: max(rounding(x, y), log_bound(
+                *_tail(unit.coeffs[2], p, np.exp(x), np.exp(y)), 1e-3 * tau)))
     return tuple(min(float(np.exp(t)), gcap) if t < cap else gcap
                  for t in (x, y))
 

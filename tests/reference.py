@@ -1,16 +1,16 @@
 """Reference paths that check the package's fast code: block-at-a-time
 coefficient recursion, the anti-diagonal recursion with every convolution,
 the Horner grid evaluator and its v-stage on every column, a long-double
-grid evaluator, the gauge's two bounds summed plainly and its boundary by
-bisection, the census by Horner on the full half grid with a flood-fill
-labeller, the search seeded at every flagged census cell, a multistart
-homoclinic search that polishes the full 4-d matching system without the
-reversor that symmetric_search reduces the problem with, the 4x4
-transversality determinant and the two-series profile tails that
-symmetric_search and build_profile read off the stable series alone, the
-phase portrait stepped one masked map2_apply call at a time, the
-artifacts' JSON conversion by isinstance checks alone, and the series
-files rendered whole by json.dumps.
+grid evaluator, the gauge's two bounds summed plainly, its boundary by
+bisection and the automatic gauge by plain bisection, the census by Horner
+on the full half grid with a flood-fill labeller, the search seeded at
+every flagged census cell, a multistart homoclinic search that polishes
+the full 4-d matching system without the reversor that symmetric_search
+reduces the problem with, the 4x4 transversality determinant and the
+two-series profile tails that symmetric_search and build_profile read off
+the stable series alone, the phase portrait stepped one masked map2_apply
+call at a time, the artifacts' JSON conversion by isinstance checks alone,
+and the series files rendered whole by json.dumps.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d map, the
@@ -43,6 +43,7 @@ from dnls_nnn.manifold import (
     ManifoldSeries,
     ResonanceError,
     SeriesOverflowError,
+    _tail,
     evaluate_series,
     series_jacobian,
     series_to_dict,
@@ -515,6 +516,75 @@ def boundary_extent(unit: ManifoldSeries, g2, tau, cap):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if ok(np.exp(mid)) else (lo, mid)
     return float(np.exp(lo))
+
+
+def bisection_gauge(unit: ManifoldSeries, tau):
+    """The automatic gauge by plain bisection, as _default_gauge defines
+    it: the corner step, the doubling bracket down from the cap and the
+    bisection of log g2 to 2^-30, every midpoint's boundary point x(y) by
+    Newton from the right from the x of the current lower end, each run
+    repeated from the 2^-24 grid.  Rows of |C| g2^m sum over every m in
+    ascending order, in the [m, i, n] layout."""
+    p = unit.params
+    k = np.arange(unit.order + 1.0)
+    Ct = np.ascontiguousarray(np.abs(unit.coeffs).transpose(2, 0, 1))
+    Ck = np.stack([Ct, Ct * k[:, None, None]], axis=1)  # |C|, m |C|
+    lin = np.array([2.0, 2.0, 4.0, 2.0]) / [1.0, abs(p.A), abs(p.A), abs(p.A)]
+    cube = 3.0 / abs(p.epsilon * p.A)
+    gcap = 256.0 * float(np.sqrt(abs(p.epsilon)))
+    cap, rows = np.log(gcap), {}
+
+    def log_bound(B, Bu, Bv, limit):  # log(B / limit) and its gradient
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return ((np.log(B / limit), Bu / B, Bv / B) if np.isfinite(
+                B + Bu + Bv) else (np.inf, 0.0, 0.0))
+
+    def rounding(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if y not in rows:
+                t = np.fmax(Ck * (np.exp(y) ** k)[:, None, None, None], 0.0)
+                W = t.sum(axis=0)
+                rows[y] = np.concatenate([W, W[:1] * k])
+            t = np.fmax(rows[y] * np.exp(x) ** k, 0.0)
+            M, Mv, Mu = np.cumsum(t, axis=-1)[..., -1]
+            c = 3.0 * cube * M[2]**2
+            return log_bound(lin @ M + cube * M[2]**3, lin @ Mu + c * Mu[2],
+                             lin @ Mv + c * Mv[2], 2.0**53 * tau)
+
+    def edge(F, y, x=cap):
+        if not F(-np.inf, y)[0] < 0.0:
+            return -np.inf, -np.inf
+        for _ in range(2):
+            x = min(np.ceil(x * 2.0**24) / 2.0**24, cap)
+            f = F(x, y)
+            while not f[0] <= 0.0:
+                nxt = x - f[0] / f[1] if f[0] < np.inf else x - 1.0
+                if not nxt < x:
+                    break
+                x, f = nxt, F(nxt, y)
+        return x, 1.0 if x == cap and f[0] < 0.0 else 1.0 - f[2] / f[1]
+
+    def solve(F):
+        y, slope = edge(lambda y, x: np.array(F(x, y))[[0, 2, 1]], cap)
+        if slope >= 0.0:
+            return cap, y
+        lo, hi, step = cap, cap, 1.0
+        x, slope = edge(F, cap)
+        while slope <= 0.0 and lo > y:
+            hi, lo, step = lo, max(lo - step, y), 2.0 * step
+            x, slope = edge(F, lo)
+        while hi - lo > 2.0**-30:
+            mid = 0.5 * (lo + hi)
+            xm, slope = edge(F, mid, x)
+            lo, hi, x = (mid, hi, xm) if slope > 0.0 else (lo, mid, x)
+        return x, lo
+
+    x, y = solve(rounding)
+    if _tail(unit.coeffs[2], p, np.exp(x), np.exp(y))[0] > 1e-3 * tau:
+        x, y = solve(lambda x, y: max(rounding(x, y), log_bound(
+            *_tail(unit.coeffs[2], p, np.exp(x), np.exp(y)), 1e-3 * tau)))
+    return tuple(min(float(np.exp(t)), gcap) if t < cap else gcap
+                 for t in (x, y))
 
 
 def components_dense(mask):

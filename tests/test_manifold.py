@@ -36,6 +36,7 @@ from dnls_nnn.spectral import (
 from reference import (
     _horner_v,
     apply_symmetry,
+    bisection_gauge,
     boundary_extent,
     convolve_all_coeffs,
     cubic_convolution,
@@ -486,6 +487,25 @@ def test_gauge_survives_overflowing_probes():
         gauge = _default_gauge(unit, GAUGE_RESIDUAL)
     assert gauge == compute_manifold_pair(p)[0].scale
     _assert_boundary_maximum(unit, gauge, GAUGE_RESIDUAL)
+
+
+@pytest.mark.parametrize("order", [DEFAULT_ORDER, 80])
+@pytest.mark.parametrize("eps, A", [
+    (4e-4, -0.145), (1.0, -0.145), (-0.5, -0.145),  # the slope's sign change
+    (2e-4, -0.1464),  # the near-critical strip
+    (4e-4, -0.125),  # g1 at the cap
+    (0.059942257783364664, -0.04214889597568067),  # the tail joins the search
+])
+def test_gauge_equals_the_bisection_oracle(eps, A, order):
+    # the bracket search and the replay choose which boundary points are
+    # taken, not the bisection they reproduce: the same bits as taking every
+    # midpoint's, each from the x of the bisection's lower end
+    unit, _ = compute_manifold_pair(ModelParams(eps, A), order=order,
+                                    scale=(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gauge = _default_gauge(unit, GAUGE_RESIDUAL)
+    assert gauge == bisection_gauge(unit, GAUGE_RESIDUAL)
 
 
 @pytest.mark.parametrize("eps, A", [(2e-4, -0.14), (1.0, -0.13),
