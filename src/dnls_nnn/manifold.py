@@ -23,8 +23,9 @@ with k0 the characteristic polynomial at the origin.  The recursion is
 triangular in total degree n+m; order 1 is seeded with the Vandermonde
 eigenvectors (1, L_i, L_i^2, L_i^3).  The map is odd, so every block of
 even total degree vanishes identically, and the recursion runs on the odd
-degrees only.  np.convolve puts the longer factor first, so the square's
-mirrored convolutions (a, b) and (b, a) are one computation.
+degrees only, two np.convolve calls per degree on packed anti-diagonals
+(_build_coeffs): about six times the arithmetic of one call per pair of
+anti-diagonals, which costs less up to order about 200 and more beyond.
 
 The scales (g1, g2) are a pure gauge: (u, v) -> (g1 u, g2 v) rescales block
 (n, m) by g1^n g2^m without moving the manifold.  The recursion runs once, at
@@ -94,9 +95,10 @@ DEFAULT_ORDER = 56
 GAUGE_RESIDUAL = 1e-10
 RESONANCE_TOL = 1e-8
 OVERFLOW_LIMIT = 1e280
-# Largest order compute_manifold_pair builds: overflow sets no limit (cells
-# build to order 600 in about 1.2 s), and the (4, N+1, N+1) table is 32 MB
-# at 1000.
+# Largest order compute_manifold_pair builds: overflow sets no limit, and the
+# (4, N+1, N+1) table is 32 MB at 1000.  The packed recursion's arithmetic
+# grows as N^4, so above order about 200 it is slower than one convolution
+# per pair: orders 600 and 1000 build in about 2.4 s and 37 s (0.7 s, 4.2 s).
 MAX_ORDER = 1000
 
 
@@ -137,49 +139,49 @@ class ManifoldSeries:
 
 
 def _build_coeffs(p: ModelParams, L1, L2, N):
-    """Dense (4, N+1, N+1) unit-gauge table by anti-diagonal recursion, bit
-    for bit the full one of tests/reference.py.  The third component's
-    anti-diagonals d3[k] vanish at even k and its square's at odd k: the
-    terms skipped add exact zeros to sums that are never -0.0, in order,
-    and with positive rates each even block is the +0.0 of np.zeros."""
+    """Dense (4, N+1, N+1) unit-gauge table by the recursion in total degree
+    k, on odd k only, two valid convolutions per degree.  Row r of X holds
+    P_3's anti-diagonal 2r - 1 (entry n: block (n, 2r - 1 - n)), row r of S
+    its square's 2r, row 0 zeros.  Taken at stride W = k + 1, the product
+    of rows i and j lies whole in the W entries of slot i + j, so slot r of
+    X * X is the square's anti-diagonal k - 1 and slot r of S * X the
+    cube's k.  W depends on k alone, so no bit depends on N.  An error
+    names the lowest failing degree, resonance first, and its first block.
+    """
     k0 = characteristic_poly(p, "origin")
-    C = np.zeros((4, N + 1, N + 1))
-    # anti-diagonal views of the third component: d3[k][j] = C[2, j, k-j]
-    d3 = [np.zeros(k + 1) for k in range(N + 1)]
-    if N >= 1:
-        C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
-        C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
-        d3[1] = np.array([C[2, 0, 1], C[2, 1, 0]])
-    pw1 = L1 ** np.arange(N + 1)
-    pw2 = L2 ** np.arange(N + 1)
-    sq = [None] * (N + 1)  # sq[j] = anti-diagonals of the squared series
-    for k in range(3, N + 1, 2):
-        j = k - 1
-        # convolve puts the longer factor first, so (a, b) and (b, a) agree
-        # bit for bit: each mirrored pair is convolved once
-        half = [np.convolve(d3[a], d3[j - a])
-                for a in range(1, j // 2 + 1, 2)]
-        sq[j] = np.zeros(j + 1)
-        for j1 in range(1, j, 2):
-            sq[j] += half[min(j1, j - j1) // 2]
-        cube = np.zeros(k + 1)
-        for j2 in range(2, k, 2):
-            cube += np.convolve(sq[j2], d3[k - j2])
-        idx = np.arange(k + 1)
-        Lam = pw1[: k + 1] * pw2[k::-1]
-        R = cube / (p.epsilon * p.A)
+    n = np.arange(N + 1)
+    Lam = np.outer(L1**n, L2**n)
+    R = np.zeros_like(Lam)  # [a_3^3]_{nm} / (eps A)
+    X, S = np.zeros((2, (N + 3) // 2, N + 1))
+    X[1, :2] = L2**2, L1**2
+
+    def diag(T, k):  # anti-diagonal k of T as a view, (0, k) first
+        return T.reshape(-1)[k:k * N + k + 1:N]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         D = -k0(Lam)
-        bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL * np.maximum(1.0, np.abs(Lam) ** 4))
-        if np.any(bad):
-            nn = int(idx[bad][0])
-            raise ResonanceError((nn, k - nn), float(np.abs(D[bad][0])))
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            a1 = np.where(R == 0.0, 0.0, R / D)
-            a4 = Lam**3 * a1
-        if not np.all(np.abs(np.concatenate([a1, a4])) <= OVERFLOW_LIMIT):
-            raise SeriesOverflowError(k)
-        d3[k] = Lam * Lam * a1
-        C[:, idx, k - idx] = [a1, Lam * a1, d3[k], a4]
+        for k in range(3, N + 1, 2):
+            r, W = (k + 1) // 2, k + 1
+            x = X[:r, :W].ravel()[1:]  # k zeros, then rows 1 .. r - 1
+            S[r - 1, :W] = np.convolve(x, x[k:], "valid")
+            Rk, Lk = diag(R, k), diag(Lam, k)
+            Rk[:] = np.convolve(S[:r, :W].ravel()[1:], x[k:], "valid") / (
+                p.epsilon * p.A)
+            X[r, :W] = Lk * Lk * np.where(Rk == 0.0, 0.0, Rk / diag(D, k))
+        a1 = np.where(R == 0.0, 0.0, R / D)
+        C = np.stack([a1, Lam * a1, Lam * Lam * a1, Lam**3 * a1])
+        bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL
+                            * np.maximum(1.0, np.abs(Lam)**4))
+        over = ~np.all(np.abs(C[[0, 3]]) <= OVERFLOW_LIMIT, axis=0)
+    deg = np.add.outer(n, n)
+    kr, ko = (int(np.min(deg[m], initial=N + 1)) for m in (bad, over))
+    if kr <= min(ko, N):
+        nn = int(np.argmax(diag(bad, kr)))
+        raise ResonanceError((nn, kr - nn), float(np.abs(D[nn, kr - nn])))
+    if ko <= N:
+        raise SeriesOverflowError(ko)
+    C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
+    C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
     return C
 
 

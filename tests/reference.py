@@ -75,6 +75,10 @@ REFERENCE_CELLS = (
     + [(4e-4, -0.125)]
 )
 
+# whether np.longdouble is wider than float64 (80-bit x87 on x86-64), so
+# that the long-double oracles can resolve float64 rounding
+EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
 
 def map2_apply(s, p: ModelParams):
     s = as_state(s, 2)
@@ -352,35 +356,39 @@ def solve_order_block(ms: ManifoldSeries, n, m):
     return a1 * np.array([1.0, Lam, Lam * Lam, Lam**3])
 
 
-def convolve_all_coeffs(p: ModelParams, L1, L2, N):
+def convolve_all_coeffs(p: ModelParams, L1, L2, N, dtype=float):
     """The unit-gauge table of _build_coeffs, convolving every pair of
     anti-diagonals of every total degree, the even ones and the mirrored
-    ones included."""
+    ones included, one pair per np.convolve call, in the arithmetic of
+    dtype (np.longdouble: an oracle for the float64 recursion's rounding,
+    from the same float64 rates, eps and A)."""
     k0 = characteristic_poly(p, "origin")
-    C = np.zeros((4, N + 1, N + 1))
+    dtype = np.dtype(dtype).type
+    L1, L2 = dtype(L1), dtype(L2)
+    C = np.zeros((4, N + 1, N + 1), dtype=dtype)
     if N >= 1:
         C[:, 1, 0] = [1.0, L1, L1**2, L1**3]
         C[:, 0, 1] = [1.0, L2, L2**2, L2**3]
     pw1 = L1 ** np.arange(N + 1)
     pw2 = L2 ** np.arange(N + 1)
-    d3 = [np.zeros(k + 1) for k in range(N + 1)]
+    d3 = [np.zeros(k + 1, dtype=dtype) for k in range(N + 1)]
     if N >= 1:
         d3[1] = np.array([C[2, 0, 1], C[2, 1, 0]])
     sq = [None] * (N + 1)
     for k in range(2, N + 1):
         j = k - 1
         if j >= 2:
-            s = np.zeros(j + 1)
+            s = np.zeros(j + 1, dtype=dtype)
             for j1 in range(1, j):
                 s += np.convolve(d3[j1], d3[j - j1])
             sq[j] = s
-        cube = np.zeros(k + 1)
+        cube = np.zeros(k + 1, dtype=dtype)
         for j2 in range(2, k):
             if sq[j2] is not None:
                 cube += np.convolve(sq[j2], d3[k - j2])
         idx = np.arange(k + 1)
         Lam = pw1[idx] * pw2[k - idx]
-        R = cube / (p.epsilon * p.A)
+        R = cube / (dtype(p.epsilon) * dtype(p.A))
         D = -k0(Lam)
         bad = (R != 0.0) & (np.abs(D) <= RESONANCE_TOL
                             * np.maximum(1.0, np.abs(Lam) ** 4))

@@ -13,7 +13,7 @@ from dnls_nnn.manifold import (
 )
 from dnls_nnn.maps import ModelParams
 
-from reference import evaluate_grid, horner_longdouble
+from reference import EXTENDED, evaluate_grid, horner_longdouble
 
 # large-amplitude cell whose 1e-10 gauge target sits at the float64 rounding
 # floor, and the extents (unit coordinates) of the gauge box chosen there by
@@ -26,8 +26,6 @@ FLOOR_EXTENTS = (92.34, 42.98)
 # long double): 6.38e-11, for max|P| = 3.5e5.  The grid path must not do
 # worse: the gauge choice at this cell depends on it.
 SEED_FLOOR_ERROR = 6.4e-11
-
-EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
 
 @pytest.fixture(scope="module")

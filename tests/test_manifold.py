@@ -34,6 +34,7 @@ from dnls_nnn.spectral import (
 )
 
 from reference import (
+    EXTENDED,
     _horner_v,
     apply_symmetry,
     bisection_gauge,
@@ -350,29 +351,80 @@ def test_resonance_guard_raises_on_true_resonance():
     assert seen[0][0] is not None and seen[0] == seen[1]
 
 
-@pytest.mark.parametrize("eps, A", [(0.0004, -0.125), (1.0, -0.145),
-                                    (-0.5, -0.13), (0.0002, -0.1462)])
-def test_odd_degree_recursion_is_the_full_one_bit_for_bit(eps, A):
+def test_resonance_is_reported_before_an_overflow_at_its_degree():
+    # at eps = 1e-270 the resonant block of the injected rates above also
+    # overflows: resonance is the error at that degree, as in the per-pair
+    # recursion, which checks it first
+    p = ModelParams(1e-270, P.A)
+    l1, _ = eig(p).stable_pair()
+    seen = []
+    for build in (_build_coeffs, convolve_all_coeffs):
+        with pytest.raises(ResonanceError) as err:
+            build(p, l1, 1.0 / l1, 10)
+        seen.append((err.value.order, err.value.value))
+    assert seen[0] == seen[1]
+
+
+RECURSION_CELLS = [(0.0004, -0.125), (1.0, -0.145), (-0.5, -0.13),
+                   (0.0002, -0.1462)]
+
+
+def recursion_args(eps, A):
     p = ModelParams(eps, A)
-    l1, l2 = eig(p).stable_pair()
+    return (p, *eig(p).stable_pair())
+
+
+@pytest.mark.parametrize("eps, A", RECURSION_CELLS)
+def test_packed_recursion_keeps_the_per_pair_zeros(eps, A):
+    args = recursion_args(eps, A)
     for N in (1, 2, 10, 80):
-        fast = _build_coeffs(p, l1, l2, N)
-        full = convolve_all_coeffs(p, l1, l2, N)
+        fast = _build_coeffs(*args, N)
+        full = convolve_all_coeffs(*args, N)
         # int64 views tell -0.0 from 0.0
-        assert np.array_equal(fast.view(np.int64), full.view(np.int64)), N
+        if N <= 2:  # the seeded blocks only: bit for bit
+            assert np.array_equal(fast.view(np.int64), full.view(np.int64))
+        zero = fast == 0.0  # the packed sums round otherwise, but vanish alike
+        assert np.array_equal(zero, full == 0.0), N
+        assert np.array_equal(fast[zero].view(np.int64),
+                              full[zero].view(np.int64)), N
 
 
-def test_odd_degree_recursion_convolves_each_pair_once(monkeypatch):
+@pytest.mark.skipif(not EXTENDED, reason="long double is no wider than float64")
+@pytest.mark.parametrize("eps, A", RECURSION_CELLS)
+def test_packed_recursion_within_n_ulps_of_long_double(eps, A):
+    # against the per-pair recursion run in long double, every entry above
+    # 1e-250 (tables reach subnormals at high degree) within N 2^-52
+    # relative; the worst over these cells, about 1.2e-14 at order 80, is
+    # the per-pair float64 recursion's too
+    args = recursion_args(eps, A)
+    for N in (10, 80):
+        fast = _build_coeffs(*args, N)
+        ref = convolve_all_coeffs(*args, N, dtype=np.longdouble)
+        big = np.abs(ref) > 1e-250
+        err = float(np.max(np.abs(fast[big] - ref[big]) / np.abs(ref[big])))
+        assert err <= N * 2.0**-52, (N, err)
+
+
+@pytest.mark.parametrize("eps, A", RECURSION_CELLS)
+def test_packed_recursion_does_not_depend_on_the_order(eps, A):
+    # a degree's packing width is set by the degree alone, so orders 56
+    # and 80 agree bit for bit on degrees <= 56 (CI's default-order step)
+    args = recursion_args(eps, A)
+    low = _build_coeffs(*args, 56)
+    high = _build_coeffs(*args, 80)[:, :57, :57]
+    high[:, np.add.outer(np.arange(57), np.arange(57)) > 56] = 0.0
+    assert np.array_equal(low.view(np.int64), high.view(np.int64))
+
+
+def test_packed_recursion_convolves_twice_per_degree(monkeypatch):
     calls = []
     convolve = np.convolve
     monkeypatch.setattr(np, "convolve",
-                        lambda a, b: calls.append(1) or convolve(a, b))
+                        lambda *args: calls.append(1) or convolve(*args))
     l1, l2 = eig(P).stable_pair()
     _build_coeffs(P, l1, l2, 80)
-    # odd k = 3..79: the square at k - 1 needs ceil((k - 1) / 4) mirrored
-    # pairs, the cube (k - 1) / 2 products
-    assert len(calls) == sum(-(-(k - 1) // 4) + (k - 1) // 2
-                             for k in range(3, 81, 2)) == 1180
+    # odd k = 3..79: the square's anti-diagonal k - 1, the cube's k
+    assert len(calls) == 2 * len(range(3, 81, 2)) == 78
 
 
 def test_zero_numerator_rides_through_exact_resonance():
@@ -395,6 +447,22 @@ def test_overflow_guard():
     with pytest.raises(SeriesOverflowError) as err:
         compute_manifold_pair(P, order=80, scale=(1e6, 1e6))
     assert err.value.order > 1
+
+
+@pytest.mark.parametrize("eps, A, degree", [(1e-12, -0.13, 73),
+                                             (1e-20, -0.125, 35)])
+def test_recursion_overflow_names_the_per_pair_degree(eps, A, degree):
+    # tiny |eps A| grows the unit-gauge table past OVERFLOW_LIMIT inside the
+    # recursion itself, before any gauge is chosen: the packed build stops
+    # at the degree the per-pair one does, without a warning
+    p = ModelParams(eps, A)
+    with pytest.raises(SeriesOverflowError) as ref:
+        convolve_all_coeffs(p, *eig(p).stable_pair(), 120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SeriesOverflowError) as err:
+            compute_manifold_pair(p, order=120)
+    assert err.value.order == ref.value.order == degree
 
 
 def test_rescale_checks_only_the_kept_blocks():
