@@ -27,6 +27,7 @@ import json
 import re
 import sys
 from argparse import ArgumentTypeError
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from .manifold import (
     MAX_ORDER,
     ResonanceError,
     SeriesOverflowError,
-    _stable_eigensystem,
     compute_manifold_pair,
     conjugacy_residual,
     series_to_dict,
@@ -54,11 +54,12 @@ from .manifold import (
 from .maps import ModelParams
 from .soliton import ProfileError, build_profile, mirror_defect, portrait_2d
 from .spectral import (
-    ALL_REAL,
     CRITICAL_A,
+    NonHyperbolicError,
     characteristic_poly,
     discriminant,
-    solve_reciprocal_quartic,
+    origin_stable_pair,
+    spectrum,
 )
 
 PORTRAIT_STEPS = 10000
@@ -114,13 +115,8 @@ def _box(size, ok, message):
 
 
 def _json_default(obj):
-    """Encode what json cannot: numpy arrays, real numpy scalars, and
-    complex numbers as {"re", "im"}.  np.float64 never gets here: it
-    encodes as the float it subclasses."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    """Complex numbers (eigenvalues) as {"re", "im"}: of what payloads carry,
+    all json cannot encode (np.float64 encodes as the float it subclasses)."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"Object of type {type(obj).__name__} "
@@ -320,17 +316,12 @@ def cmd_eigen(args):
         if at == "nontrivial" and p.epsilon * p.A >= 0.0:
             payload[at] = None
             continue
-        q = characteristic_poly(p, at=at)
-        with np.errstate(over="ignore", invalid="ignore"):
-            es = solve_reciprocal_quartic(q)
+        q, es = characteristic_poly(p, at=at), spectrum(p, at)
         lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
-        try:
-            disc = discriminant(p, at=at)
-        except (ZeroDivisionError, OverflowError):  # A**5 left double range
-            disc = np.inf
-        if not np.all(np.isfinite([*lams, disc])):
-            raise ValueError(f"A={p.A!r} puts the {at} spectrum outside "
-                             "double range")
+        disc = discriminant(p, at=at)
+        if not np.isfinite(disc):  # A**5 left double range
+            raise ValueError(f"A={p.A!r} puts the {at} quartic's "
+                             "discriminant outside double range")
         entry = {
             "quartic": {"a": q.a, "b": q.b},
             "classification": es.classification,
@@ -338,7 +329,7 @@ def cmd_eigen(args):
             "eigenvalues": list(lams),
             "discriminant": disc,
         }
-        if es.hyperbolic and es.classification == ALL_REAL:
+        with suppress(NonHyperbolicError):
             entry["stable_pair"] = list(es.stable_pair())
         payload[at] = entry
         print(f"{at}: {es.classification}"
@@ -430,16 +421,15 @@ def cmd_scan(args):
 
 def cmd_transversality(args):
     for A in args.A:  # refused before any cell is computed
-        _stable_eigensystem(ModelParams(args.epsilon[0], A))
+        origin_stable_pair(ModelParams(args.epsilon[0], A))
     cells = _scan(args)
     missing = [c for c in cells if not c.found]
     if missing:
         causes = ", ".join(f"A={c.A:g}: {c.error or 'none'}" for c in missing)
         raise MatchFailure(
-            "no-convergence",
-            f"{len(missing)} of {len(cells)} sweep cells found no "
-            f"intersection ({causes}); the determinant curve is incomplete"
-        )
+            f"no-convergence: {len(missing)} of {len(cells)} sweep cells "
+            f"found no intersection ({causes}); the determinant curve is "
+            "incomplete")
     A_vals = np.array([c.A for c in cells])
     dets = np.array([c.solution.det for c in cells])
     outdir = _outdir(args)

@@ -34,7 +34,8 @@ dependent, but its vanishing (a tangency) is not.
 
 from __future__ import annotations
 
-import warnings
+import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -77,13 +78,8 @@ _RUNNING, _CONVERGED, _SINGULAR, _LEFT_BOX, _NO_CONV = -1, 0, 1, 2, 3
 
 
 class MatchFailure(RuntimeError):
-    """A homoclinic computation could not be completed; .reason carries a
-    short label (the CLI raises it when a transversality sweep misses
-    cells)."""
-
-    def __init__(self, reason, detail=""):
-        self.reason = reason
-        super().__init__(reason if not detail else f"{reason}: {detail}")
+    """A homoclinic computation could not be completed (the CLI raises it
+    when a transversality sweep misses cells)."""
 
 
 @dataclass(frozen=True)
@@ -357,11 +353,34 @@ def _scan_cell(task):
                         error=f"{type(exc).__name__}: {exc}")
 
 
+def _one_blas_thread():
+    """Pool initializer: the worker's OpenBLAS on one thread, so that the
+    workers' BLAS threads do not outnumber the cores.  A count set in the
+    environment, and any other BLAS, are left alone; the loaded libraries
+    are read from /proc/self/maps (Linux)."""
+    if any(key in os.environ for key in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh
+                     if "openblas" in line.lower()}
+        for lib in map(ctypes.CDLL, paths):
+            for name in ("scipy_openblas_set_num_threads64_",
+                         "openblas_set_num_threads64_",
+                         "openblas_set_num_threads"):
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
+    except OSError:  # no /proc, or a library that cannot be reopened
+        pass
+
+
 def _pooled(tasks, workers):
     """_scan_cell over tasks in a process pool: per cell its ScanCell, or
     the exception its future failed with (a worker that dies breaks the
     pool and fails every cell still pending in it)."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_blas_thread) as pool:
         futures = [pool.submit(_scan_cell, t) for t in tasks]
         return [f.exception() or f.result() for f in futures]
 
@@ -393,27 +412,19 @@ def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER,
     return cells
 
 
-_RANK_WARNING = getattr(getattr(np, "exceptions", np), "RankWarning",
-                        getattr(np, "RankWarning", Warning))
-
-
 def det_curve_fit(A_samples, det_values, degree=4):
     """Least-squares polynomial fit of det(A) and its real roots.
 
-    Roots with relative imaginary part above 1e-8 are discarded.  A rank
-    warning from the normal equations flags the fit as ill-conditioned
-    (constant or near-constant data) rather than raising.
+    Roots with relative imaginary part above 1e-8 are discarded.  A
+    least-squares rank below degree + 1 (too few distinct samples, or
+    near-constant data) flags the fit as ill-conditioned.
     """
     A_samples = np.asarray(A_samples, dtype=float)
     det_values = np.asarray(det_values, dtype=float)
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        coeffs = np.polyfit(A_samples, det_values, int(degree))
-    ill = any(issubclass(w.category, _RANK_WARNING) for w in log)
-    rts = np.roots(coeffs) if np.any(coeffs != 0.0) else np.array([])
-    if rts.size:
-        real = np.abs(rts.imag) <= 1e-8 * np.maximum(1.0, np.abs(rts))
-        roots = np.sort(rts[real].real)
-    else:
-        roots = np.array([])
+    coeffs, _, rank, _, _ = np.polyfit(A_samples, det_values, int(degree),
+                                       full=True)
+    ill = bool(rank < int(degree) + 1)
+    rts = np.roots(coeffs)  # none for a constant, or zero, polynomial
+    real = np.abs(rts.imag) <= 1e-8 * np.maximum(1.0, np.abs(rts))
+    roots = np.sort(rts[real].real)
     return FitResult(coeffs=coeffs, roots=roots, ill_conditioned=ill)

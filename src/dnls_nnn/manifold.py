@@ -7,7 +7,9 @@ a^{nm} = (a_1, .., a_4) per block) satisfying the conjugacy
     f(P(u, v)) = P(L1 u, L2 v),
 
 where (L1, L2) are the eigenvalue pair of the linearization: the stable pair
-(|L| < 1) for the stable branch, their reciprocals for the unstable one.
+(|L| < 1) for the stable branch, their reciprocals for the unstable one.  The
+pair, and the refusal of a cell outside the construction's domain, come from
+spectral.origin_stable_pair.
 Only the stable branch is computed.  Because f is a shift in its first
 three components, rows 1-3 of the order-(n, m) coefficient system are pure
 chain relations
@@ -65,14 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .maps import ModelParams, map4_apply
-from .spectral import (
-    ALL_REAL,
-    CRITICAL_A,
-    NonHyperbolicError,
-    characteristic_poly,
-    classify_eigenvalues,
-    solve_reciprocal_quartic,
-)
+from .spectral import characteristic_poly, origin_stable_pair
 
 __all__ = [
     "ManifoldSeries",
@@ -300,34 +295,6 @@ def tail_bound(ms: ManifoldSeries):
     return float(_tail(_stable_image(ms).coeffs[2], ms.params)[0])
 
 
-def _stable_eigensystem(p: ModelParams):
-    """The origin's eigen system, refused outside the closed-form window
-    [CRITICAL_A, 0) of four real eigenvalues (classify_eigenvalues), then
-    where the solver, which rounds near the window's edges, finds it
-    outside double range, non-real or non-hyperbolic."""
-    p.require_A()
-    kind = classify_eigenvalues(p.A, at="origin")
-    if kind != ALL_REAL:
-        raise NonHyperbolicError(
-            f"A={p.A!r} is outside [{CRITICAL_A!r}, 0): the origin's spectrum "
-            f"is '{kind}' there, and the manifold construction needs four "
-            "real hyperbolic eigenvalues"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        es = solve_reciprocal_quartic(characteristic_poly(p, "origin"))
-    if not np.all(np.isfinite([es.lambda1, es.lambda2, es.lambda3, es.lambda4])):
-        # 1/A squared overflows for |A| below about 1e-154
-        raise ValueError(f"A={p.A!r} puts the origin spectrum outside "
-                         "double range")
-    if not es.hyperbolic or es.classification != ALL_REAL:
-        raise NonHyperbolicError(
-            "manifold construction needs four real hyperbolic eigenvalues; "
-            f"at A={p.A} the origin's spectrum is {es.classification}"
-            + ("" if es.hyperbolic else " (non-hyperbolic)")
-        )
-    return es
-
-
 def _default_gauge(unit: ManifoldSeries, tau):
     """Scales (g1, g2) <= 256 sqrt|eps| of largest g1 g2 that keep the
     rounding model u (2 M_1 + 2 (M_2 + 2 M_3 + M_4) / |A| + 3 M_3^3 / |eps A|)
@@ -482,7 +449,7 @@ def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds the limit MAX_ORDER = "
                          f"{MAX_ORDER}")
-    l1, l2 = _stable_eigensystem(p).stable_pair()
+    l1, l2 = origin_stable_pair(p)
     unit = ManifoldSeries("stable", order, (l1, l2), (1.0, 1.0),
                           _build_coeffs(p, l1, l2, order), p)
     if scale is None:

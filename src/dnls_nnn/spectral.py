@@ -16,6 +16,12 @@ after which each s yields a pair from x^2 - s x + 1 = 0.  Solving this way
 keeps the pairing exact in floating point: the large root of each quadratic
 is taken with the numerically stable sign, its partner from the product of
 the roots (for x, its literal reciprocal).
+
+spectrum is the one solve, refused outside double range.  origin_stable_pair
+is the manifold construction's domain gate: the closed-form window
+[CRITICAL_A, 0) of four real eigenvalues, then spectrum, then
+EigenSystem.stable_pair, the one refusal of a spectrum not all-real and
+hyperbolic.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ __all__ = [
     "discriminant",
     "classify_eigenvalues",
     "solve_reciprocal_quartic",
+    "spectrum",
+    "origin_stable_pair",
 ]
 
 # lower edge of the all-real window of the origin's spectrum
@@ -76,12 +84,17 @@ class EigenSystem:
     classification: str
     hyperbolic: bool
 
-    def stable_pair(self):
-        """The two real stable eigenvalues as floats, |l1| <= |l2|."""
+    def stable_pair(self, A=None):
+        """The two real stable eigenvalues as floats, |l1| <= |l2|;
+        NonHyperbolicError unless all four are real and off the unit circle
+        (its message names the cell's A, if given)."""
         if not (self.hyperbolic and self.classification == ALL_REAL):
+            cell = "" if A is None else f"at A={A} "
             raise NonHyperbolicError(
-                f"need hyperbolic all-real eigenvalues, have {self.classification}"
-            )
+                "manifold construction needs four real hyperbolic "
+                f"eigenvalues; {cell}the origin's spectrum is "
+                f"{self.classification}"
+                + ("" if self.hyperbolic else " (non-hyperbolic)"))
         return float(self.lambda1.real), float(self.lambda2.real)
 
 
@@ -97,14 +110,17 @@ def characteristic_poly(p: ModelParams, at="origin"):
 
 
 def discriminant(p: ModelParams, at="origin"):
-    """Closed-form discriminant of the characteristic quartic."""
+    """Closed-form discriminant of the characteristic quartic; inf or nan
+    where A**5 leaves double range."""
     p.require_A()
-    A = p.A
-    if at == "origin":
-        return 4.0 * (-2.0 - 31.0 * A - 144.0 * A**2 - 176.0 * A**3 + 64.0 * A**5) / A**5
-    if at == "nontrivial":
-        return 16.0 * (1.0 + 17.0 * A + 144.0 * A**2 + 640.0 * A**3
-                       + 1536.0 * A**4 + 1024.0 * A**5) / A**5
+    A = np.float64(p.A)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if at == "origin":
+            return float(4.0 * (-2.0 - 31.0 * A - 144.0 * A**2 - 176.0 * A**3
+                                + 64.0 * A**5) / A**5)
+        if at == "nontrivial":
+            return float(16.0 * (1.0 + 17.0 * A + 144.0 * A**2 + 640.0 * A**3
+                                 + 1536.0 * A**4 + 1024.0 * A**5) / A**5)
     raise ValueError("at must be 'origin' or 'nontrivial'")
 
 
@@ -158,25 +174,39 @@ def solve_reciprocal_quartic(q: ReciprocalQuartic):
     pairs = [_quadratic_pair(sk, dk) for sk, dk in zip(s, disc)]
     roots = [_realify(r) for pair in pairs for r in pair]
 
-    n_real = sum(1 for r in roots if r.imag == 0.0)
-    if n_real == 4:
-        classification = ALL_REAL
-    elif n_real == 0:
-        classification = TWO_PAIRS_COMPLEX
-    else:
-        classification = MIXED
-
+    n_real = sum(r.imag == 0.0 for r in roots)
+    classification = {4: ALL_REAL, 0: TWO_PAIRS_COMPLEX}.get(n_real, MIXED)
     hyperbolic = all(abs(abs(r) - 1.0) > 1e-12 for r in roots)
-    if hyperbolic:
-        stable = sorted((r for r in roots if abs(r) < 1.0), key=abs)
-        l1, l2 = stable
-    else:
-        l1, l2 = pairs[0][0], pairs[1][0]
-    return EigenSystem(
-        lambda1=complex(l1),
-        lambda2=complex(l2),
-        lambda3=1.0 / complex(l1),
-        lambda4=1.0 / complex(l2),
-        classification=classification,
-        hyperbolic=hyperbolic,
-    )
+    stable = sorted((r for r in roots if abs(r) < 1.0), key=abs)
+    l1, l2 = map(complex, stable if hyperbolic else (pairs[0][0], pairs[1][0]))
+    return EigenSystem(lambda1=l1, lambda2=l2, lambda3=1.0 / l1,
+                       lambda4=1.0 / l2, classification=classification,
+                       hyperbolic=hyperbolic)
+
+
+def spectrum(p: ModelParams, at="origin"):
+    """The eigen system at the origin or the nontrivial fixed points;
+    ValueError where A puts it outside double range (1/A squared overflows
+    for |A| below about 1e-154)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        es = solve_reciprocal_quartic(characteristic_poly(p, at))
+    lams = [es.lambda1, es.lambda2, es.lambda3, es.lambda4]
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"A={p.A!r} puts the {at} spectrum outside "
+                         "double range")
+    return es
+
+
+def origin_stable_pair(p: ModelParams):
+    """The origin's stable pair (l1, l2), refused outside the closed-form
+    window (classify_eigenvalues), then where the solver, which rounds near
+    the window's edges, finds the spectrum outside double range or not
+    all-real and hyperbolic."""
+    p.require_A()
+    kind = classify_eigenvalues(p.A, at="origin")
+    if kind != ALL_REAL:
+        raise NonHyperbolicError(
+            f"A={p.A!r} is outside [{CRITICAL_A!r}, 0): the origin's spectrum "
+            f"is '{kind}' there, and the manifold construction needs four "
+            "real hyperbolic eigenvalues")
+    return spectrum(p, "origin").stable_pair(p.A)

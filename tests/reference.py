@@ -800,15 +800,12 @@ def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
 
 
 def jsonable_isinstance(obj):
-    """cli._jsonable without its exact-type shortcut for plain values."""
+    """obj with every complex number, the one type an artifact's payload
+    carries that json cannot encode, as {"re", "im"}."""
     if isinstance(obj, dict):
         return {k: jsonable_isinstance(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable_isinstance(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable_isinstance(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj

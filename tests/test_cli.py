@@ -18,7 +18,8 @@ from dnls_nnn.manifold import (
 )
 from dnls_nnn.maps import ModelParams
 from dnls_nnn.soliton import ProfileError
-from dnls_nnn.spectral import NonHyperbolicError
+from dnls_nnn.spectral import (NonHyperbolicError, origin_stable_pair,
+                                spectrum)
 
 from conftest import POINT_ILL
 from reference import (
@@ -412,25 +413,54 @@ def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
-@pytest.mark.parametrize("A, words", [
-    ("-0.14644660940672624", "'two-pairs-complex'"),  # an ulp below CRITICAL_A
-    ("-1e-30", "all-real (non-hyperbolic)"),          # A -> 0-
+@pytest.mark.parametrize("A, text", [
+    # 1/A squared overflows
+    ("-1e-200", "A=-1e-200 puts the origin spectrum outside double range"),
+    # an ulp below CRITICAL_A: the closed-form window decides
+    ("-0.14644660940672624",
+     "A=-0.14644660940672624 is outside [-0.1464466094067262, 0): the "
+     "origin's spectrum is 'two-pairs-complex' there, and the manifold "
+     "construction needs four real hyperbolic eigenvalues"),
+    # A -> 0-: the solver puts the small pair on the unit circle
+    ("-1e-30", "manifold construction needs four real hyperbolic "
+     "eigenvalues; at A=-1e-30 the origin's spectrum is all-real "
+     "(non-hyperbolic)"),
 ])
-def test_manifold_domain_edges_are_one_decision(tmp_path, capsys, A, words):
-    # the CLI refuses exactly the cells compute_manifold_pair refuses:
-    # homoclinic exits 2, and a scan records the refusal as the cell's error
+def test_manifold_domain_edges_are_one_decision(tmp_path, capsys, A, text):
+    # the CLI refuses exactly the cells compute_manifold_pair refuses, in
+    # spectral.origin_stable_pair's words: homoclinic and transversality's
+    # pre-check exit 2, and a scan records the refusal as the cell's error
+    with pytest.raises(ValueError) as refusal:
+        origin_stable_pair(ModelParams(0.0004, float(A)))
+    assert str(refusal.value) == text
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["homoclinic", "--epsilon", "0.0004", "--A", A,
-                     "--out", str(tmp_path / "h")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and words in err, err
-        assert not (tmp_path / "h").exists()
+        for cmd in ("homoclinic", "transversality"):
+            assert main([cmd, "--epsilon", "0.0004", "--A", A,
+                         "--out", str(tmp_path / cmd)]) == 2
+            assert capsys.readouterr().err == f"error: {refusal.value}\n"
+            assert not (tmp_path / cmd).exists()
         assert main(["scan", "--epsilon", "0.0004", "--A", A,
                      "--out", str(tmp_path / "s")]) == 0
     (cell,) = read_json(tmp_path / "s" / "scan.json")["cells"]
-    assert cell["error"].startswith("NonHyperbolicError: ")
-    assert words in cell["error"]
+    assert cell["error"] == f"{refusal.type.__name__}: {refusal.value}"
+
+
+@pytest.mark.parametrize("A", ["-1e-70", "1e80"])
+def test_eigen_refuses_a_discriminant_outside_double_range(tmp_path, capsys,
+                                                           A):
+    # the eigenvalues are finite there; A**5 alone leaves double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        es = spectrum(ModelParams(0.1, float(A)), "origin")
+        assert main(["eigen", "--epsilon", "0.1", "--A", A,
+                     "--out", str(tmp_path)]) == 2
+    assert np.all(np.isfinite([es.lambda1, es.lambda2, es.lambda3,
+                               es.lambda4]))
+    assert capsys.readouterr().err == (
+        f"error: A={float(A)!r} puts the origin quartic's discriminant "
+        "outside double range\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
@@ -447,18 +477,21 @@ def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
 
 
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
-    # plain values skip the isinstance chain; everything else takes it
+    # what payloads carry: plain values and np.float64, which json encodes
+    # as the float it subclasses, and complex eigenvalues, which _json_default
+    # encodes; anything else is refused, not written
     args = _parse(_build_parser(),
                   ["eigen", "--epsilon", "0.1", "--A", "-0.125"])
     payload = {
-        "scalars": [np.float64(0.1), np.float32(2.5), np.int64(-3),
-                    np.intp(7), 1e-300, -0.0, 4, True, None, "text"],
-        "array": np.linspace(-1.0, 1.0, 5).reshape(1, 5),
-        "ints": np.arange(3),
-        "pair": (np.float64(1.5), (2, np.int32(3))),
+        "scalars": [np.float64(0.1), 1e-300, -0.0, 4, True, None, "text"],
+        "pair": (np.float64(1.5), (2, 3)),
         "complex": [complex(1.0, -2.0), np.complex128(0.5 + 0.25j)],
-        "nested": {"t": (np.float64(np.pi),), "z": {"w": np.zeros(2)}},
+        "nested": {"t": (np.float64(np.pi),), "z": {"w": [0.0, 0.0]}},
     }
+    for value in (np.zeros(2), np.int64(-3), np.float32(2.5)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _write_json(tmp_path / "refused.json", {"v": value}, args)
+    assert not (tmp_path / "refused.json").exists()
     _write_json(tmp_path / "a.json", payload, args)
     config = {"command": "eigen", "epsilon": (0.1,), "A": (-0.125,),
               "out": "."}
@@ -797,7 +830,7 @@ def test_config_must_be_an_object(tmp_path, monkeypatch, capsys):
     (NonHyperbolicError("spectrum left the hyperbolic window"), 2, "error"),
     (ResonanceError(7, 1e-20), 3, "numerical failure"),
     (SeriesOverflowError(9), 3, "numerical failure"),
-    (MatchFailure("no-convergence", "sweep incomplete"), 3,
+    (MatchFailure("no-convergence: sweep incomplete"), 3,
      "numerical failure"),
     (ProfileError("tail did not decay"), 3, "numerical failure"),
 ])

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import multiprocessing
 import os
@@ -458,7 +459,7 @@ def test_scan_pool_is_capped_at_the_cell_count(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -510,3 +511,52 @@ def test_scan_survives_a_dead_worker(monkeypatch):
     assert "BrokenProcessPool" in dead.error
     assert good.error is None and good.found
     assert _matches_reference(good.solution.point)
+
+
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count (getter, setter), or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in map(ctypes.CDLL, paths):
+        for suffix in ("64_", ""):
+            for prefix in ("scipy_openblas", "openblas"):
+                get, put = (f"{prefix}_{verb}_num_threads{suffix}"
+                            for verb in ("get", "set"))
+                if hasattr(lib, get) and hasattr(lib, put):
+                    return getattr(lib, get), getattr(lib, put)
+    return None
+
+
+def _blas_thread_count(task):
+    # in place of a scan cell: the worker's BLAS thread count
+    return _openblas_threads()[0]()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # two workers on two BLAS threads each would share two cores among
+    # four threads; the parent keeps its own count
+    if _openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread-count getter found")
+    get, put = _openblas_threads()
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setattr(homoclinic, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(homoclinic, "_scan_cell", _blas_thread_count)
+    before = get()
+    put(2)
+    try:
+        assert homoclinic._pooled([0, 1], 2) == [1, 1]
+        assert get() == 2
+        # a count set in the environment is the user's: left alone
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert homoclinic._pooled([0, 1], 2) == [2, 2]
+    finally:
+        put(before)

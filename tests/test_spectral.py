@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,37 @@ def test_discriminant_frozen_value_and_critical_zero():
     assert abs(discriminant(pc, "origin")) < 1e-9
     with pytest.raises(ValueError):
         discriminant(ModelParams(0.1, 0.0), "origin")
+
+
+def test_discriminant_reads_nonfinite_past_double_range():
+    # the closed form in Python floats, where A**5 raises past double range
+    def closed(A, at):
+        if at == "origin":
+            return 4.0 * (-2.0 - 31.0 * A - 144.0 * A**2 - 176.0 * A**3
+                          + 64.0 * A**5) / A**5
+        return 16.0 * (1.0 + 17.0 * A + 144.0 * A**2 + 640.0 * A**3
+                       + 1536.0 * A**4 + 1024.0 * A**5) / A**5
+
+    rng = np.random.default_rng(5)
+    As = np.concatenate([rng.uniform(-1.0, 1.0, 500),
+                         rng.choice([-1.0, 1.0], 500)
+                         * 10.0 ** rng.uniform(-64.0, 64.0, 500)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for A in As.tolist():
+            for at in ("origin", "nontrivial"):
+                try:
+                    want = closed(A, at)
+                except (ZeroDivisionError, OverflowError):
+                    want = np.inf
+                got = discriminant(ModelParams(0.1, A), at)
+                assert type(got) is float
+                if np.isfinite(want):
+                    assert got.hex() == want.hex(), (A, at)
+                else:
+                    assert not np.isfinite(got), (A, at)
+        for A in (-1e-62, -1e-70, 1e80, -1e80):
+            assert not np.isfinite(discriminant(ModelParams(0.1, A)))
 
 
 def test_solver_root_quality_and_pairing():
