@@ -56,7 +56,6 @@ from .soliton import ProfileError, build_profile, mirror_defect, portrait_2d
 from .spectral import (
     CRITICAL_A,
     NonHyperbolicError,
-    characteristic_poly,
     discriminant,
     origin_stable_pair,
     spectrum,
@@ -316,14 +315,14 @@ def cmd_eigen(args):
         if at == "nontrivial" and p.epsilon * p.A >= 0.0:
             payload[at] = None
             continue
-        q, es = characteristic_poly(p, at=at), spectrum(p, at)
+        es = spectrum(p, at)
         lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
         disc = discriminant(p, at=at)
         if not np.isfinite(disc):  # A**5 left double range
             raise ValueError(f"A={p.A!r} puts the {at} quartic's "
                              "discriminant outside double range")
         entry = {
-            "quartic": {"a": q.a, "b": q.b},
+            "quartic": {"a": es.quartic.a, "b": es.quartic.b},
             "classification": es.classification,
             "hyperbolic": es.hyperbolic,
             "eigenvalues": list(lams),

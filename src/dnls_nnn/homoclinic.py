@@ -37,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -354,25 +355,20 @@ def _scan_cell(task):
 
 
 def _one_blas_thread():
-    """Pool initializer: the worker's OpenBLAS on one thread, so that the
+    """Pool initializer: numpy's OpenBLAS on one thread, so that the
     workers' BLAS threads do not outnumber the cores.  A count set in the
-    environment, and any other BLAS, are left alone; the loaded libraries
-    are read from /proc/self/maps (Linux)."""
+    environment, and any other BLAS, are left alone.  Symbols are looked up
+    on numpy's linalg module, whose handle also searches the BLAS it links."""
     if any(key in os.environ for key in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
         return
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[-1].strip() for line in fh
-                     if "openblas" in line.lower()}
-        for lib in map(ctypes.CDLL, paths):
-            for name in ("scipy_openblas_set_num_threads64_",
-                         "openblas_set_num_threads64_",
-                         "openblas_set_num_threads"):
-                if hasattr(lib, name):
-                    getattr(lib, name)(1)
-    except OSError:  # no /proc, or a library that cannot be reopened
-        pass
+    with suppress(OSError):  # a module that cannot be reopened
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if setter is not None:
+                    setter(1)
 
 
 def _pooled(tasks, workers):

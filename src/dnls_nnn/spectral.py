@@ -83,6 +83,7 @@ class EigenSystem:
     lambda4: complex
     classification: str
     hyperbolic: bool
+    quartic: ReciprocalQuartic  # the polynomial they solve
 
     def stable_pair(self, A=None):
         """The two real stable eigenvalues as floats, |l1| <= |l2|;
@@ -174,14 +175,29 @@ def solve_reciprocal_quartic(q: ReciprocalQuartic):
     pairs = [_quadratic_pair(sk, dk) for sk, dk in zip(s, disc)]
     roots = [_realify(r) for pair in pairs for r in pair]
 
-    n_real = sum(r.imag == 0.0 for r in roots)
-    classification = {4: ALL_REAL, 0: TWO_PAIRS_COMPLEX}.get(n_real, MIXED)
+    n_real = sum(1 for r in roots if r.imag == 0.0)
+    if n_real == 4:
+        classification = ALL_REAL
+    elif n_real == 0:
+        classification = TWO_PAIRS_COMPLEX
+    else:
+        classification = MIXED
+
     hyperbolic = all(abs(abs(r) - 1.0) > 1e-12 for r in roots)
-    stable = sorted((r for r in roots if abs(r) < 1.0), key=abs)
-    l1, l2 = map(complex, stable if hyperbolic else (pairs[0][0], pairs[1][0]))
-    return EigenSystem(lambda1=l1, lambda2=l2, lambda3=1.0 / l1,
-                       lambda4=1.0 / l2, classification=classification,
-                       hyperbolic=hyperbolic)
+    if hyperbolic:
+        stable = sorted((r for r in roots if abs(r) < 1.0), key=abs)
+        l1, l2 = stable
+    else:
+        l1, l2 = pairs[0][0], pairs[1][0]
+    return EigenSystem(
+        lambda1=complex(l1),
+        lambda2=complex(l2),
+        lambda3=1.0 / complex(l1),
+        lambda4=1.0 / complex(l2),
+        classification=classification,
+        hyperbolic=hyperbolic,
+        quartic=q,
+    )
 
 
 def spectrum(p: ModelParams, at="origin"):

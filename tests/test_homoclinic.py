@@ -514,20 +514,14 @@ def test_scan_survives_a_dead_worker(monkeypatch):
 
 
 def _openblas_threads():
-    """The loaded OpenBLAS's thread-count (getter, setter), or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[-1].strip() for line in fh
-                     if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for lib in map(ctypes.CDLL, paths):
-        for suffix in ("64_", ""):
-            for prefix in ("scipy_openblas", "openblas"):
-                get, put = (f"{prefix}_{verb}_num_threads{suffix}"
-                            for verb in ("get", "set"))
-                if hasattr(lib, get) and hasattr(lib, put):
-                    return getattr(lib, get), getattr(lib, put)
+    """The thread-count (getter, setter) of numpy's OpenBLAS, or None."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for suffix in ("64_", ""):
+        for prefix in ("scipy_openblas", "openblas"):
+            get, put = (f"{prefix}_{verb}_num_threads{suffix}"
+                        for verb in ("get", "set"))
+            if hasattr(lib, get) and hasattr(lib, put):
+                return getattr(lib, get), getattr(lib, put)
     return None
 
 
