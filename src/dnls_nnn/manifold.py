@@ -90,11 +90,11 @@ DEFAULT_ORDER = 56
 GAUGE_RESIDUAL = 1e-10
 RESONANCE_TOL = 1e-8
 OVERFLOW_LIMIT = 1e280
-# Largest order compute_manifold_pair builds: overflow sets no limit, and the
-# (4, N+1, N+1) table is 32 MB at 1000.  The packed recursion's arithmetic
-# grows as N^4, so above order about 200 it is slower than one convolution
-# per pair: orders 600 and 1000 build in about 2.4 s and 37 s (0.7 s, 4.2 s).
-MAX_ORDER = 1000
+# Largest order compute_manifold_pair builds: above it the zero-padded packed
+# recursion is slower than one convolution per pair (order 160 builds in
+# 0.031 s against 0.032 s, 200 in 0.057 s against 0.046 s, 400 in 0.59 s
+# against 0.24 s).
+MAX_ORDER = 160
 
 
 class ResonanceError(RuntimeError):

@@ -17,7 +17,7 @@ from dnls_nnn.manifold import (
     tail_bound,
 )
 from dnls_nnn.maps import ModelParams
-from dnls_nnn.soliton import ProfileError
+from dnls_nnn.soliton import ProfileError, portrait_2d
 from dnls_nnn.spectral import (NonHyperbolicError, origin_stable_pair,
                                 spectrum)
 
@@ -37,6 +37,23 @@ def read_json(path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+PORTRAIT_ROW = [("seed_index", "<i8"), ("step", "<i8"), ("x", "<f8"),
+                ("y", "<f8")]
+
+
+def read_portrait(path):
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype == np.dtype(PORTRAIT_ROW) and table.ndim == 1
+    return table
+
+
+def portrait_csv_text(table):
+    """The CSV text the portrait tables replace: excel dialect, floats as
+    repr."""
+    return "seed_index,step,x,y\r\n" + "".join(
+        f"{i},{k},{x!r},{y!r}\r\n" for i, k, x, y in table.tolist())
 
 
 def test_version_flag(capsys):
@@ -125,13 +142,13 @@ def test_manifold_files_equal_the_json_dumps_rendering(tmp_path, monkeypatch,
 
 
 def test_manifold_tables_keep_each_components_keys(tmp_path, monkeypatch):
-    # at order 300 the components hold different numbers of nonzero
+    # at order 150 the components hold different numbers of nonzero
     # coefficients, so a writer that reused one component's keys for
     # another would write a different table
     Ps = run_manifold_against_the_oracle(tmp_path, monkeypatch,
-                                         ("--order", "300"))
+                                         ("--order", "150"))
     assert np.count_nonzero(Ps.coeffs, axis=(1, 2)).tolist() == \
-        [6871, 5033, 3767, 2901]
+        [4477, 3975, 3419, 2847]
 
 
 def test_manifold_where_the_tail_quotient_passes_double_range(tmp_path):
@@ -543,26 +560,48 @@ def test_portrait_grid_and_decimation(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     doc = read_json(tmp_path / "portrait.json")
-    assert doc["files"] == ["portrait_eps-0.1.csv", "portrait_eps0.1.csv"]
+    assert doc["files"] == ["portrait_eps-0.1.npy", "portrait_eps0.1.npy"]
     assert doc["steps"] == 10000 and doc["stride"] == 10
     defocus, focus = doc["summary"]
     assert defocus["epsilon"] == -0.1 and defocus["seeds"] == 9
     assert defocus["escaped"] == 8  # everything except the origin
     assert focus["epsilon"] == 0.1
     assert focus["escaped"] <= 4  # only the corners sit outside the safe ball
-    rows = read_csv(tmp_path / "portrait_eps0.1.csv")
-    assert rows[0] == ["seed_index", "step", "x", "y"]
+    rows = read_portrait(tmp_path / "portrait_eps0.1.npy")
+    # rows run seed by seed, each orbit in step order
+    order = np.lexsort((rows["step"], rows["seed_index"]))
+    assert np.array_equal(order, np.arange(len(rows)))
     # decimation keeps ~1000 rows per bounded seed instead of 10000
-    last_step = {}
-    count = {}
-    for r in rows[1:]:
-        count[r[0]] = count.get(r[0], 0) + 1
-        last_step[r[0]] = max(last_step.get(r[0], 0), int(r[1]))
-    assert max(count.values()) <= 1002
+    count = np.bincount(rows["seed_index"])
+    assert count.max() <= 1002
+    last_step = {i: rows["step"][rows["seed_index"] == i].max()
+                 for i in range(9)}
     # every seed inside the 0.1 ball survives the full run (grid order is
     # row-major over [-0.1, 0, 0.1]^2, so these are the edge mids + origin)
-    for idx in ("1", "3", "4", "5", "7"):
+    for idx in (1, 3, 4, 5, 7):
         assert last_step[idx] == 10000, idx
+
+
+def test_portrait_streams_the_bytes_of_np_save(tmp_path):
+    # the header written ahead of the orbits is the one np.save writes for
+    # the whole table, and the rows follow in its order
+    assert main(["portrait", "--epsilon", "-0.1,0.1", "--seeds", "3",
+                 "--out", str(tmp_path)]) == 0
+    g = np.linspace(-0.1, 0.1, 3)
+    seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    for eps in (-0.1, 0.1):
+        blocks = []
+        for i, orb in enumerate(portrait_2d([ModelParams(eps, 0.0)], seeds,
+                                            steps=10000, stride=10)):
+            rows = np.zeros(len(orb.steps), PORTRAIT_ROW)
+            rows["seed_index"] = i
+            rows["step"] = orb.steps
+            rows["x"], rows["y"] = orb.points.T
+            blocks.append(rows)
+        buf = io.BytesIO()
+        np.save(buf, np.concatenate(blocks))
+        assert (tmp_path / f"portrait_eps{eps:g}.npy").read_bytes() == \
+            buf.getvalue(), eps
 
 
 def test_config_file_provides_defaults_flags_win(tmp_path):
@@ -844,26 +883,37 @@ def test_exit_code_follows_the_exception_type(monkeypatch, capsys, exc,
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
-def test_portrait_csv_matches_the_reference_rows(tmp_path):
+def test_portrait_table_matches_the_reference_rows(tmp_path):
     # the default 11 x 11 grid, as the benchmark runs it
     rc = main(["portrait", "--epsilon", "-0.1,0.1", "--out", str(tmp_path)])
     assert rc == 0
     g = np.linspace(-0.1, 0.1, 11)
     seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     for eps in (-0.1, 0.1):
-        # one writerow per kept point, as the writer did before it wrote
-        # each orbit in bulk
+        # one writerow per kept point, as the CSV writer did before it
+        # wrote each orbit in bulk
         buf = io.StringIO(newline="")
         w = csv.writer(buf)
         w.writerow(["seed_index", "step", "x", "y"])
+        index, steps, points = [], [], []
         orbits = reference_portrait(ModelParams(eps, 0.0), seeds, 10000)
         for i, orb in enumerate(orbits):
             last = len(orb.points) - 1
-            for k in sorted(set(range(0, last + 1, 10)) | {last}):
+            kept = sorted(set(range(0, last + 1, 10)) | {last})
+            for k in kept:
                 x, y = orb.points[k]
                 w.writerow([i, k, repr(float(x)), repr(float(y))])
-        with open(tmp_path / f"portrait_eps{eps:g}.csv", newline="") as fh:
-            assert fh.read() == buf.getvalue()
+            index += [i] * len(kept)
+            steps += kept
+            points.append(orb.points[kept])
+        got = read_portrait(tmp_path / f"portrait_eps{eps:g}.npy")
+        assert portrait_csv_text(got) == buf.getvalue()
+        assert got["seed_index"].tolist() == index
+        assert got["step"].tolist() == steps
+        # x and y bit for bit, signed zeros included
+        bits = np.concatenate(points).view(np.int64)
+        assert np.array_equal(got["x"].view(np.int64), bits[:, 0])
+        assert np.array_equal(got["y"].view(np.int64), bits[:, 1])
 
 
 def test_portrait_out_of_memory_names_the_seeds(tmp_path, capsys,
@@ -895,7 +945,7 @@ def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):
 
 
 def test_portrait_refuses_epsilons_that_share_a_file(tmp_path, capsys):
-    # {eps:g} names both portrait_eps0.1.csv: the second would overwrite
+    # {eps:g} names both portrait_eps0.1.npy: the second would overwrite
     # the first, and portrait.json would list that file twice
     with pytest.raises(SystemExit) as exc:
         main(["portrait", "--epsilon", "0.1,0.1000001", "--seeds", "2",
@@ -909,4 +959,4 @@ def test_portrait_refuses_epsilons_that_share_a_file(tmp_path, capsys):
     assert main(["portrait", "--epsilon", "0.1,0.100001", "--seeds", "2",
                  "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "portrait.json")["files"] == \
-        ["portrait_eps0.1.csv", "portrait_eps0.100001.csv"]
+        ["portrait_eps0.1.npy", "portrait_eps0.100001.npy"]

@@ -544,10 +544,13 @@ def test_gauge_meets_any_residual_target(monkeypatch):
     _assert_boundary_maximum(unit, Ps.scale, 1e-30)
 
 
-def test_gauge_survives_overflowing_probes():
+def test_gauge_survives_overflowing_probes(monkeypatch):
     # at order 300 the weights 256^n of the cap leave double range, where
     # the coefficients have underflowed to 0: their terms weigh 0, not nan,
-    # and no warning escapes; degrees above 56 weigh nothing at the gauge
+    # and no warning escapes; degrees above 56 weigh nothing at the gauge.
+    # The gauge takes a series of any order: MAX_ORDER bounds only what
+    # compute_manifold_pair builds, so it is lifted to reach those degrees
+    monkeypatch.setattr(manifold, "MAX_ORDER", 300)
     p = ModelParams(1.0, -0.145)
     unit, _ = compute_manifold_pair(p, order=300, scale=(1.0, 1.0))
     with warnings.catch_warnings():
