@@ -30,6 +30,7 @@ streamed through a small rolling buffer; only the points a caller keeps
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,10 @@ class Orbit2D:
     escaped: bool
 
 
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def portrait_2d(params, seeds, steps=10000, stride=1):
     """Iterate the 2-d map from many seeds at once, for every ModelParams
     in params.
@@ -196,9 +201,10 @@ def portrait_2d(params, seeds, steps=10000, stride=1):
     in which the last column escapes.
 
     Only steps 0, stride, 2 stride, ... and each orbit's last point are
-    stored, so memory grows with steps/stride, not steps; a MemoryError
-    from that storage names its size.  Returns one Orbit2D per column:
-    params-major, seed order within each params.
+    stored, so memory grows with steps/stride, not steps.  A store larger
+    than the host's physical memory, or one that cannot be allocated,
+    raises MemoryError naming its size before any iteration.  Returns one
+    Orbit2D per column: params-major, seed order within each params.
     """
     seeds = as_state(np.atleast_2d(seeds), 2)
     steps, stride = int(steps), int(stride)
@@ -210,13 +216,18 @@ def portrait_2d(params, seeds, steps=10000, stride=1):
     nseed = seeds.shape[0]
     ncol = len(params) * nseed
     # column c keeps its point k at store[c, ceil(k / stride)]; allocated
-    # first, so that a grid too large for memory fails before iterating
+    # first, so that a grid too large for memory fails before iterating.
+    # Sized first too: with overcommit, np.empty grants more than the host
+    # holds, and the orbits would fill it
     npts = -(-steps // stride) + 1
+    size = (f"{ncol} orbits of up to {npts} stored points need "
+            f"{16 * ncol * npts / 2**30:.3g} GiB")
+    if 16 * ncol * npts > _physical_memory():
+        raise MemoryError(size)
     try:
         store = np.empty((ncol, npts, 2))
     except MemoryError:
-        raise MemoryError(f"{ncol} orbits of up to {npts} stored points "
-                          f"need {16 * ncol * npts / 2**30:.3g} GiB") from None
+        raise MemoryError(size) from None
     eps = np.repeat([p.epsilon for p in params], nseed)
     limit = np.repeat([10.0 * nonwandering_bound(p, dim=2) for p in params],
                       nseed)

@@ -16,7 +16,8 @@ It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d map, the
 two inverses, the Jacobians, the symmetry registry, orbit iteration, the
 shear conjugacy of the 2-d map, the fixed points, and the four-real-roots
-lemma for the characteristic quartic."""
+lemma for the characteristic quartic.  reference_cells.py holds the
+package to these oracles on REFERENCE_CELLS, one function per check."""
 
 import json
 from dataclasses import dataclass
@@ -63,9 +64,8 @@ from dnls_nnn.soliton import (
 )
 from dnls_nnn.spectral import ReciprocalQuartic, characteristic_poly
 
-# the 82 (eps, A) cells of the CI steps: the 18-cell acceptance grid, the
-# 13-point window at eps=2e-4, the 50-cell near-critical strip, and the
-# illustrative cell last, so that [:81] drops it
+# the 82 cells of reference_cells.py: the 18-cell acceptance grid, the
+# window at eps=2e-4, the near-critical strip, the illustrative cell last
 REFERENCE_CELLS = (
     [(e, A) for e in (4e-4, 0.01, 0.1, 1.0, -0.1, -0.5)
      for A in (-0.145, -0.13, -0.115)]
@@ -686,14 +686,16 @@ def census_cells_full(Ps: ManifoldSeries, bound):
     return _cell_centers(np.argwhere(half[1:]) + [1, 0])
 
 
-def all_cell_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
-    """symmetric_search seeded at every flagged cell (census_cells_full).
+def all_cell_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD,
+                    seeds=census_cells_full):
+    """symmetric_search seeded at every flagged cell (census_cells_full),
+    or at seeds(Ps, bound) where given.
 
     The package's own Newton, gates, dedupe and certification run on the
     seeds; only homoclinic._census_seeds is replaced, for this call.
     """
     real = homoclinic._census_seeds
-    homoclinic._census_seeds = census_cells_full
+    homoclinic._census_seeds = seeds
     try:
         return homoclinic.symmetric_search(Ps, threshold=threshold)
     finally:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dnls_nnn import __version__, cli, manifold
+from dnls_nnn import __version__, cli, manifold, soliton
 from dnls_nnn.cli import _build_parser, _parse, _write_json, main
 from dnls_nnn.homoclinic import MatchFailure
 from dnls_nnn.manifold import (
@@ -80,6 +80,10 @@ def test_eigen_writes_classification(tmp_path, capsys):
     assert sp[1] == pytest.approx(0.47339771836588446, rel=1e-12)
     assert doc["critical_A"] == pytest.approx(-0.14644660940672624, rel=1e-15)
     assert "classification" in doc["nontrivial"]
+    # the nontrivial fixed points exist only where eps*A < 0
+    assert main(["eigen", "--epsilon", "-0.1", "--A", "-0.125",
+                 "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "eigen.json")["nontrivial"] is None
 
 
 def test_eigen_output_is_deterministic(tmp_path):
@@ -555,6 +559,15 @@ def test_soliton_profile_outputs(tmp_path, capsys):
     assert rows[0] == ["n", "u_n"]
 
 
+def test_soliton_without_an_intersection_exits_3(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["soliton", "--epsilon", "-0.5", "--A", "-0.13",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: no homoclinic "
+                                       "intersection to build from\n")
+    assert not out.exists()
+
+
 def test_portrait_grid_and_decimation(tmp_path):
     rc = main(["portrait", "--epsilon", "-0.1,0.1", "--seeds", "3",
                "--out", str(tmp_path)])
@@ -935,6 +948,22 @@ def test_portrait_out_of_memory_names_the_seeds(tmp_path, capsys,
                    "points need 2.68 GiB, more than could be allocated; "
                    "use fewer seeds\n")
     assert not out.exists()
+
+
+def test_portrait_refuses_a_store_above_physical_memory(tmp_path, capsys,
+                                                       monkeypatch):
+    # 18 orbits of 1001 stored 16-byte points: refused before any allocation
+    # on a host one byte smaller, run on one of that size
+    need, out = 18 * 1001 * 16, tmp_path / "p"
+    assert soliton._physical_memory() > need
+    monkeypatch.setattr(soliton, "_physical_memory", lambda: need - 1)
+    assert main(["portrait", "--seeds", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seeds 3: 18 orbits of up to 1001 stored points need "
+        "0.000268 GiB, more than could be allocated; use fewer seeds\n")
+    assert not out.exists()
+    monkeypatch.setattr(soliton, "_physical_memory", lambda: need)
+    assert main(["portrait", "--seeds", "3", "--out", str(out)]) == 0
 
 
 def test_portrait_checks_every_epsilon_before_writing(tmp_path, capsys):

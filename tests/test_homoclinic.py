@@ -32,10 +32,12 @@ from dnls_nnn.manifold import (_contract_grid, compute_manifold_pair,
                                series_jacobian)
 from dnls_nnn.maps import ModelParams, nonwandering_bound
 
-from conftest import POINT_ILL
-from reference import (all_cell_search, apply_symmetry, census_cells_full,
-                       census_seeds_full, census_seeds_of_grid, evaluate_grid,
-                       multistart_search, transversality_det)
+from conftest import A_ILL, EPS_ILL, POINT_ILL
+from reference import (EXTENDED, apply_symmetry, census_cells_full,
+                       census_seeds_of_grid, evaluate_grid, multistart_search,
+                       transversality_det)
+from reference_cells import (all_cell_count, census_equals_full_grid, main,
+                             seed_independence)
 
 
 def _matches_reference(point, tol=1e-8):
@@ -66,6 +68,10 @@ def test_symmetric_search_runs_one_newton_stage(monkeypatch, pair_ill):
     monkeypatch.setattr(homoclinic, "_damped_newton_batch", spy)
     assert len(symmetric_search(Ps)) == 2
     assert len(calls) == 1
+    # an empty census runs none
+    monkeypatch.setattr(homoclinic, "_census_seeds",
+                        lambda Ps, bound: np.empty((0, 2)))
+    assert symmetric_search(Ps) == [] and len(calls) == 1
 
 
 def test_symmetric_search_newton_evaluates_through_fun_jac_only(monkeypatch,
@@ -139,13 +145,9 @@ def _census_input(eps, A):
 
 @pytest.mark.parametrize("eps, A", CENSUS_CELLS)
 def test_screened_census_matches_the_full_grid(eps, A):
-    Ps, bound = _census_input(eps, A)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        seeds = _census_seeds(Ps, bound)
-    full = census_seeds_full(Ps, bound)
-    assert seeds.shape == full.shape
-    assert np.array_equal(seeds.view(np.int64), full.view(np.int64))
+        census_equals_full_grid(*_census_input(eps, A))
 
 
 @pytest.mark.parametrize("eps, A", CENSUS_CELLS)
@@ -217,7 +219,7 @@ ALL_CELL_CELLS = [(2e-4, -0.1462), (0.01, -0.1459), (1.0, -0.1455),
 def test_census_misses_no_root_that_every_flagged_cell_finds(eps, A):
     Ps, bound = _census_input(eps, A)
     assert len(census_cells_full(Ps, bound)) > len(_census_seeds(Ps, bound))
-    assert len(symmetric_search(Ps)) == len(all_cell_search(Ps))
+    all_cell_count(Ps, symmetric_search(Ps))
 
 
 def test_near_critical_pair_is_found():
@@ -234,21 +236,18 @@ def test_near_critical_pair_is_found():
 
 @pytest.mark.parametrize("eps, A", [(4e-4, -0.146), (0.1, -0.146),
                                     (2e-4, -0.1462)])
-def test_solutions_do_not_depend_on_the_other_seeds(monkeypatch, eps, A):
+def test_solutions_do_not_depend_on_the_other_seeds(eps, A):
     # a seed that leaves the box, or the seeds in reverse order, change the
     # batch's rounding; rows that stall at a root must be kept either way
     Ps, _ = _census_input(eps, A)
-    real = homoclinic._census_seeds
-    want = symmetric_search(Ps)
-    for edit in (lambda X: np.vstack([X, [[0.9, 0.9]]]),
-                 lambda X: np.vstack([X, [[1.2, -1.2]]]),
-                 lambda X: X[::-1]):
-        monkeypatch.setattr(homoclinic, "_census_seeds",
-                            lambda Ps, bound: edit(real(Ps, bound)))
-        got = symmetric_search(Ps)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert np.max(np.abs(a.point - b.point)) <= 1e-10
+    seed_independence(Ps, symmetric_search(Ps))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="long double is no wider than float64")
+def test_the_reference_cell_checks_pass_on_the_illustrative_cell(capsys):
+    # the only Tier-1 check that orders 56 and 80 give the same solutions
+    assert main([(EPS_ILL, A_ILL)]) == 0, capsys.readouterr().err
+    assert "2 solutions on 1 cells" in capsys.readouterr().out
 
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,

@@ -37,7 +37,6 @@ from reference import (
     EXTENDED,
     _horner_v,
     apply_symmetry,
-    bisection_gauge,
     boundary_extent,
     convolve_all_coeffs,
     cubic_convolution,
@@ -47,6 +46,9 @@ from reference import (
     map4_jacobian,
     solve_order_block,
 )
+from reference_cells import (conjugacy_on_the_box, gauge_equals_bisection,
+                             gauge_is_order_independent, recursion_errors,
+                             tail_licenses_the_order)
 
 P = ModelParams(0.0004, -0.125)
 
@@ -177,9 +179,7 @@ def test_tangency_at_origin(pair_ill):
 
 def test_conjugacy_residual_on_unit_box(pair_ill):
     Ps, Pu = pair_ill
-    assert conjugacy_residual(Ps) < 1e-9
-    # P_u is held to the conjugacy through its stable image, P_s bit for bit
-    assert conjugacy_residual(Pu) == conjugacy_residual(Ps)
+    conjugacy_on_the_box(Ps, Pu)
     # consistency between the grid max and the pointwise evaluation
     uu, vv = np.meshgrid(np.linspace(-1, 1, 41), np.linspace(-1, 1, 41),
                          indexing="ij")
@@ -289,8 +289,7 @@ def test_tail_bound_licenses_the_default_order():
         Ps, Pu = compute_manifold_pair(ModelParams(e, A))
         assert Ps.order == DEFAULT_ORDER
         # Pu's second component carries f^-1's cube: Ps's third, bit for bit
-        assert tail_bound(Ps) == tail_bound(Pu) <= 1e-3 * GAUGE_RESIDUAL, \
-            (e, A, tail_bound(Ps))
+        assert tail_licenses_the_order(Ps) == tail_bound(Pu), (e, A)
 
 
 def test_explicit_scale_is_honored():
@@ -392,23 +391,16 @@ def test_packed_recursion_keeps_the_per_pair_zeros(eps, A):
 @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than float64")
 @pytest.mark.parametrize("eps, A", RECURSION_CELLS)
 def test_packed_recursion_within_n_ulps_of_long_double(eps, A):
-    # against the per-pair recursion run in long double, every entry above
-    # 1e-250 (tables reach subnormals at high degree) within N 2^-52
-    # relative; the worst over these cells, about 1.2e-14 at order 80, is
-    # the per-pair float64 recursion's too
-    args = recursion_args(eps, A)
+    # about 1.2e-14 at order 80 on these cells, for both recursions
     for N in (10, 80):
-        fast = _build_coeffs(*args, N)
-        ref = convolve_all_coeffs(*args, N, dtype=np.longdouble)
-        big = np.abs(ref) > 1e-250
-        err = float(np.max(np.abs(fast[big] - ref[big]) / np.abs(ref[big])))
-        assert err <= N * 2.0**-52, (N, err)
+        recursion_errors(compute_manifold_pair(ModelParams(eps, A), order=N,
+                                               scale=(1.0, 1.0))[0])
 
 
 @pytest.mark.parametrize("eps, A", RECURSION_CELLS)
 def test_packed_recursion_does_not_depend_on_the_order(eps, A):
     # a degree's packing width is set by the degree alone, so orders 56
-    # and 80 agree bit for bit on degrees <= 56 (CI's default-order step)
+    # and 80 agree bit for bit on degrees <= 56 (the default-order check)
     args = recursion_args(eps, A)
     low = _build_coeffs(*args, 56)
     high = _build_coeffs(*args, 80)[:, :57, :57]
@@ -576,7 +568,7 @@ def test_gauge_equals_the_bisection_oracle(eps, A, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gauge = _default_gauge(unit, GAUGE_RESIDUAL)
-    assert gauge == bisection_gauge(unit, GAUGE_RESIDUAL)
+    gauge_equals_bisection(unit, gauge)
 
 
 @pytest.mark.parametrize("eps, A", [(2e-4, -0.14), (1.0, -0.13),
@@ -594,8 +586,8 @@ def test_gauge_is_order_independent():
     for eps, A in [(4e-4, -0.125), (1.0, -0.145), (2e-4, -0.1462),
                    (2e-4, -0.1225)]:
         p = ModelParams(eps, A)
-        assert (compute_manifold_pair(p)[0].scale
-                == compute_manifold_pair(p, order=80)[0].scale), (eps, A)
+        gauge_is_order_independent(compute_manifold_pair(p)[0],
+                                   compute_manifold_pair(p, order=80)[0])
 
 
 def test_gauge_varies_monotonically_across_the_window():
