@@ -116,15 +116,6 @@ def _box(size, ok, message):
     return parse
 
 
-def _json_default(obj):
-    """Complex numbers (eigenvalues) as {"re", "im"}: of what payloads carry,
-    all json cannot encode (np.float64 encodes as the float it subclasses)."""
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    "is not JSON serializable")
-
-
 def _write_json(path, payload, args, coeffs=None):
     """payload as indented JSON, under the run's settings: the subcommand's
     own flags as parsed.  coeffs, if given, is the text of its series table,
@@ -132,7 +123,7 @@ def _write_json(path, payload, args, coeffs=None):
     config = {k: getattr(args, k)
               for k in ("command", "epsilon", *_FLAGS[args.command], "out")}
     body = {"version": __version__, "config": config, **payload}
-    text = json.dumps(body, sort_keys=True, indent=1, default=_json_default)
+    text = json.dumps(body, sort_keys=True, indent=1)
     if coeffs is not None:
         text = text.replace('"coeffs": {}', '"coeffs": ' + coeffs, 1)
     Path(path).write_text(text + "\n")
@@ -328,7 +319,7 @@ def cmd_eigen(args):
             "quartic": {"a": es.quartic.a, "b": es.quartic.b},
             "classification": es.classification,
             "hyperbolic": es.hyperbolic,
-            "eigenvalues": list(lams),
+            "eigenvalues": [{"re": l.real, "im": l.imag} for l in lams],
             "discriminant": disc,
         }
         with suppress(NonHyperbolicError):
@@ -336,9 +327,9 @@ def cmd_eigen(args):
         payload[at] = entry
         print(f"{at}: {es.classification}"
               + (" (hyperbolic)" if es.hyperbolic else ""))
-        if all(abs(l.imag) == 0.0 for l in map(complex, lams)):
+        if all(l.imag == 0.0 for l in lams):
             print("  eigenvalues: "
-                  + "  ".join(f"{complex(l).real:.12g}" for l in lams))
+                  + "  ".join(f"{l.real:.12g}" for l in lams))
     out = _outdir(args) / "eigen.json"
     _write_json(out, payload, args)
     print(f"wrote {out}")

@@ -9,8 +9,7 @@ the full 4-d matching system without the reversor that symmetric_search
 reduces the problem with, the 4x4 transversality determinant and the
 two-series profile tails that symmetric_search and build_profile read off
 the stable series alone, the phase portrait stepped one masked map2_apply
-call at a time, the artifacts' JSON conversion by isinstance checks alone,
-and the series files rendered whole by json.dumps.
+call at a time, and the series files rendered whole by json.dumps.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d map, the
@@ -26,7 +25,6 @@ from functools import reduce
 import numpy as np
 
 from dnls_nnn import __version__, homoclinic
-from dnls_nnn.cli import _json_default
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     CENSUS,
@@ -801,18 +799,6 @@ def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
                           tail_decay=decay)
 
 
-def jsonable_isinstance(obj):
-    """obj with every complex number, the one type an artifact's payload
-    carries that json cannot encode, as {"re", "im"}."""
-    if isinstance(obj, dict):
-        return {k: jsonable_isinstance(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable_isinstance(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
 def manifold_file_text(ms: ManifoldSeries, config, residual, tail):
     """The text of manifold_<branch>.json for ms under the settings record
     config, rendered by the indent encoder from the whole series_to_dict
@@ -820,5 +806,4 @@ def manifold_file_text(ms: ManifoldSeries, config, residual, tail):
     body = {"version": __version__, "config": config,
             "series": series_to_dict(ms), "conjugacy_residual": residual,
             "tail_bound": tail}
-    return json.dumps(body, sort_keys=True, indent=1,
-                      default=_json_default) + "\n"
+    return json.dumps(body, sort_keys=True, indent=1) + "\n"

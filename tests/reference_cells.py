@@ -3,7 +3,8 @@
     PYTHONPATH=src:tests python -W error::RuntimeWarning tests/reference_cells.py
 
 builds each cell's unit tables, gauges and pairs once, runs every check,
-prints each check's summary and seconds, and exits 1 naming every failure."""
+prints each check's summary and seconds, and exits 1 naming every failure.
+With the package installed, no PYTHONPATH is needed."""
 
 import sys
 import time

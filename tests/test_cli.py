@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import warnings
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -22,11 +24,7 @@ from dnls_nnn.spectral import (NonHyperbolicError, origin_stable_pair,
                                 spectrum)
 
 from conftest import POINT_ILL
-from reference import (
-    jsonable_isinstance,
-    manifold_file_text,
-    reference_portrait,
-)
+from reference import manifold_file_text, reference_portrait
 
 
 def read_json(path):
@@ -84,6 +82,14 @@ def test_eigen_writes_classification(tmp_path, capsys):
     assert main(["eigen", "--epsilon", "-0.1", "--A", "-0.125",
                  "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "eigen.json")["nontrivial"] is None
+    # each eigenvalue as {"re", "im"}: at A = -0.5 the origin's are complex
+    assert main(["eigen", "--epsilon", "0.0004", "--A", "-0.5",
+                 "--out", str(tmp_path)]) == 0
+    es = spectrum(ModelParams(0.0004, -0.5))
+    lams = (es.lambda1, es.lambda2, es.lambda3, es.lambda4)
+    assert all(l.imag != 0.0 for l in lams)
+    assert read_json(tmp_path / "eigen.json")["origin"]["eigenvalues"] == [
+        {"re": l.real, "im": l.imag} for l in lams]
 
 
 def test_eigen_output_is_deterministic(tmp_path):
@@ -285,6 +291,8 @@ def test_homoclinic_reports_the_pair(tmp_path, capsys):
     doc = read_json(tmp_path / "homoclinic.json")
     assert doc["found"] is True
     assert len(doc["solutions"]) == 2
+    assert all(math.isfinite(s["det"]) and s["det"] != 0.0
+               for s in doc["solutions"])
     best = doc["solutions"][0]
     assert best["residual"] <= 1e-10
     assert abs(best["det"]) > 1e-6
@@ -499,17 +507,15 @@ def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
 
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
     # what payloads carry: plain values and np.float64, which json encodes
-    # as the float it subclasses, and complex eigenvalues, which _json_default
-    # encodes; anything else is refused, not written
+    # as the float it subclasses; anything else is refused, not written
     args = _parse(_build_parser(),
                   ["eigen", "--epsilon", "0.1", "--A", "-0.125"])
     payload = {
         "scalars": [np.float64(0.1), 1e-300, -0.0, 4, True, None, "text"],
         "pair": (np.float64(1.5), (2, 3)),
-        "complex": [complex(1.0, -2.0), np.complex128(0.5 + 0.25j)],
         "nested": {"t": (np.float64(np.pi),), "z": {"w": [0.0, 0.0]}},
     }
-    for value in (np.zeros(2), np.int64(-3), np.float32(2.5)):
+    for value in (np.zeros(2), np.int64(-3), np.float32(2.5), 1j):
         with pytest.raises(TypeError, match="is not JSON serializable"):
             _write_json(tmp_path / "refused.json", {"v": value}, args)
     assert not (tmp_path / "refused.json").exists()
@@ -517,11 +523,8 @@ def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
     config = {"command": "eigen", "epsilon": (0.1,), "A": (-0.125,),
               "out": "."}
     body = {"version": __version__, "config": config, **payload}
-    want = json.dumps(jsonable_isinstance(body), sort_keys=True,
-                      indent=1) + "\n"
+    want = json.dumps(body, sort_keys=True, indent=1) + "\n"
     assert (tmp_path / "a.json").read_bytes() == want.encode()
-    assert read_json(tmp_path / "a.json")["complex"][1] == \
-        {"re": 0.5, "im": 0.25}
 
 
 def test_transversality_default_window_parses():
@@ -783,6 +786,10 @@ def test_a_recorded_config_reruns_the_run(tmp_path, argv):
             got = got.replace(json.dumps(str(again)).encode(),
                               json.dumps(str(first)).encode())
         assert got == (first / name).read_bytes(), name
+    if argv == ["transversality"]:  # the default 13-point window
+        dets = read_json(first / "transversality_fit.json")["det"]
+        assert len(dets) == 13 and len({d > 0 for d in dets}) == 1, dets
+        assert all(math.isfinite(d) and abs(d) > 1e-6 for d in dets), dets
 
 
 def test_an_artifact_records_the_subcommands_own_flags(tmp_path):
@@ -896,6 +903,16 @@ def test_exit_code_follows_the_exception_type(monkeypatch, capsys, exc,
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
+# sha256 of each default table's .npy bytes (header and layout) and of the
+# CSV text its rows format to
+PORTRAIT_DIGESTS = {
+    -0.1: ("1826151ecec8b1a534ce1399d236c7d1f1c8d10477e7fe376bb4df2bbbcc162a",
+           "fd59257845d7dbc23388078422f97379ad47b1a7bd60b35fac484a29d0c1d86b"),
+    0.1: ("7f4572646041103e1541cf70968ad306accf6ec756796ae8e8f2dc2a1307111d",
+          "b4e8ae301f0d1f30208e5e2be5436afca27723e5826b243f45a6af7cb2ea13bd"),
+}
+
+
 def test_portrait_table_matches_the_reference_rows(tmp_path):
     # the default 11 x 11 grid, as the benchmark runs it
     rc = main(["portrait", "--epsilon", "-0.1,0.1", "--out", str(tmp_path)])
@@ -919,8 +936,11 @@ def test_portrait_table_matches_the_reference_rows(tmp_path):
             index += [i] * len(kept)
             steps += kept
             points.append(orb.points[kept])
-        got = read_portrait(tmp_path / f"portrait_eps{eps:g}.npy")
-        assert portrait_csv_text(got) == buf.getvalue()
+        path = tmp_path / f"portrait_eps{eps:g}.npy"
+        got, text = read_portrait(path), buf.getvalue()
+        assert portrait_csv_text(got) == text
+        assert (sha256(path.read_bytes()).hexdigest(),
+                sha256(text.encode()).hexdigest()) == PORTRAIT_DIGESTS[eps]
         assert got["seed_index"].tolist() == index
         assert got["step"].tolist() == steps
         # x and y bit for bit, signed zeros included

@@ -434,11 +434,16 @@ def test_scan_records_errors_and_continues():
     assert _matches_reference(good.solution.point)
 
 
-def test_scan_refuses_a_spectrum_outside_double_range():
-    # 1/A squared overflows: the cell names the range, not a spectrum type
+@pytest.mark.parametrize("workers", [None, 2])
+def test_scan_refuses_a_spectrum_outside_double_range(workers):
+    # 1/A squared overflows: the cell names the range, not a spectrum type,
+    # and the cell beside it is found, serially and in a fork pool, whose
+    # workers inherit the warning filter
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        (cell,) = scan_parameters([0.0004], [-1e-200])
+        found, cell = scan_parameters([1.0], [-0.145, -1e-200],
+                                      workers=workers)
+    assert found.found and found.error is None
     assert not cell.found
     assert "double range" in cell.error and "complex" not in cell.error
 
