@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from argparse import ArgumentTypeError
@@ -34,13 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .homoclinic import (
-    MATCH_THRESHOLD,
-    MatchFailure,
-    det_curve_fit,
-    scan_parameters,
-    symmetric_search,
-)
+from .homoclinic import (MatchFailure, det_curve_fit, scan_parameters,
+                         symmetric_search)
 from .manifold import (
     DEFAULT_ORDER,
     MAX_ORDER,
@@ -116,6 +112,15 @@ def _box(size, ok, message):
     return parse
 
 
+def _out_dir(text):
+    """An --out type: a path that neither is nor lies under an existing
+    non-directory, so that the run can write there.  Kept as text."""
+    for path in (Path(text), *Path(text).parents):
+        if os.path.lexists(path) and not path.is_dir():
+            raise ArgumentTypeError(f"{path} exists and is not a directory")
+    return text
+
+
 def _write_json(path, payload, args, coeffs=None):
     """payload as indented JSON, under the run's settings: the subcommand's
     own flags as parsed.  coeffs, if given, is the text of its series table,
@@ -153,10 +158,10 @@ def _coeff_tables(Ps):
 _FLAGS = {
     "eigen": ("A",),
     "manifold": ("A", "order", "box"),
-    "homoclinic": ("A", "order", "threshold", "box"),
-    "scan": ("A", "order", "threshold", "workers"),
-    "transversality": ("A", "order", "threshold", "workers"),
-    "soliton": ("A", "order", "threshold", "box"),
+    "homoclinic": ("A", "order", "box"),
+    "scan": ("A", "order", "workers"),
+    "transversality": ("A", "order", "workers"),
+    "soliton": ("A", "order", "box"),
     "portrait": ("box", "seeds"),
 }
 
@@ -173,10 +178,6 @@ _OPTIONS = {
                   default=DEFAULT_ORDER,
                   help=f"series truncation order (default {DEFAULT_ORDER}, "
                        f"at most {MAX_ORDER})"),
-    "threshold": dict(type=_checked(float, (lambda t: 0.0 < t < np.inf,
-                                            "must be positive and finite")),
-                      default=MATCH_THRESHOLD,
-                      help="matching residual threshold (default 1e-10)"),
     "box": dict(type=_box(2, lambda g: 0.0 not in g,
                           "must be a nonzero pair 'g1,g2'"),
                 default="", help="gauge pair 'g1,g2' (default: automatic)"),
@@ -186,7 +187,8 @@ _OPTIONS = {
                                         "must be non-negative")),
                     default=0, help="process count, at most one per cell "
                                     "(default 0: serial)"),
-    "out": dict(default=".", help="output directory (default .)"),
+    "out": dict(type=_out_dir, default=".",
+                help="output directory, made when written (default .)"),
     "config": dict(help="JSON file with defaults for the subcommand's flags"),
 }
 
@@ -277,12 +279,11 @@ def _series_pair(args):
 def _search(args):
     """(Ps, solutions) of the single cell."""
     Ps, _ = _series_pair(args)
-    return Ps, symmetric_search(Ps, threshold=args.threshold)
+    return Ps, symmetric_search(Ps)
 
 
 def _scan(args):
     return scan_parameters(args.epsilon, args.A, order=args.order,
-                           threshold=args.threshold,
                            workers=args.workers or None)
 
 

@@ -65,7 +65,8 @@ __all__ = [
     "det_curve_fit",
 ]
 
-MATCH_THRESHOLD = 1e-10
+MATCH_THRESHOLD = 1e-10  # Newton ||G||, series trust and matching residual
+FIT_DEGREE = 4  # det_curve_fit's polynomial degree
 CENSUS = 321  # census grid points per axis of the unit box
 TRIVIAL_NORM = 1e-6
 DEDUPE_TOL = 1e-8  # roots this close in (u, v), modulo sign, are one root
@@ -260,7 +261,7 @@ def _census_seeds(Ps: ManifoldSeries, bound):
                      g[cells[:, 1]] + 0.5 * step], axis=-1)
 
 
-def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
+def symmetric_search(Ps: ManifoldSeries):
     """Find the reversor-symmetric homoclinic points of the stable series
     and its sigma5 image.
 
@@ -273,17 +274,17 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     screens the grid first: G is tested only at cells where max_i |P_i|
     passes at all four corners.  Polish stage:
     batched Newton on G with steps capped at STEP_CAP, wander guard at 1.5x
-    the box.  A row that converged or stalled with ||G|| below threshold is
-    accepted only if it is nontrivial, inside the box, within the amplitude
-    filter, and sits where the series itself is trusted (pointwise
-    conjugacy residual below threshold).  Accepted roots are deduplicated
-    in (u, v) modulo sign, keeping the smallest ||G||, and each survivor
-    (u, v) is certified once, where it lands: with q = P_s(u, v),
-    u1 = u2 = u and v1 = v2 = v, its residual is ||sigma5 q - q|| and its
-    point (q + sigma5 q)/2; roots with residual above threshold are
-    dropped.  Each certified root carries its det, -det(DG) det(DH) from
-    one Jacobian of P_s, and is returned followed by its mirror image,
-    pairs sorted by residual.
+    the box.  A row that converged or stalled with ||G|| below
+    MATCH_THRESHOLD is accepted only if it is nontrivial, inside the box,
+    within the amplitude filter, and sits where the series itself is
+    trusted (pointwise conjugacy residual below MATCH_THRESHOLD).  Accepted
+    roots are deduplicated in (u, v) modulo sign, keeping the smallest
+    ||G||, and each survivor (u, v) is certified once, where it lands: with
+    q = P_s(u, v), u1 = u2 = u and v1 = v2 = v, its residual is
+    ||sigma5 q - q|| and its point (q + sigma5 q)/2; roots with residual
+    above MATCH_THRESHOLD are dropped.  Each certified root carries its
+    det, -det(DG) det(DH) from one Jacobian of P_s, and is returned
+    followed by its mirror image, pairs sorted by residual.
     """
     p = Ps.params
     bound = 2.0 * nonwandering_bound(p, dim=4)
@@ -299,8 +300,8 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
 
     X, gn, status = _damped_newton_batch(fun_jac, X0, box_limit=1.5)
     # a row stalled at an ill-conditioned root ends in _NO_CONV: ||G|| decides
-    X = X[((status == _CONVERGED) | (status == _NO_CONV)) & (gn <= threshold)
-          & (np.max(np.abs(X), axis=-1) <= 1.0)]
+    X = X[((status == _CONVERGED) | (status == _NO_CONV))
+          & (gn <= MATCH_THRESHOLD) & (np.max(np.abs(X), axis=-1) <= 1.0)]
     # rows at the origin leave in one batch: no rounding of one point lifts
     # a norm of TRIVIAL_NORM / 2 to the gate below
     q = evaluate_series(Ps, X[:, 0], X[:, 1])
@@ -313,7 +314,7 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
     ok = ((np.linalg.norm(qs, axis=-1) > TRIVIAL_NORM)
           & (np.max(np.abs(qs), axis=-1) <= bound))
     X, qs = X[ok], qs[ok]
-    ok = pointwise_conjugacy_residual(Ps, X[:, 0], X[:, 1]) <= threshold
+    ok = pointwise_conjugacy_residual(Ps, X[:, 0], X[:, 1]) <= MATCH_THRESHOLD
     X, qs = X[ok], qs[ok]
     # seeds from several components may land on one root; keep the copy
     # with the smallest ||G|| at the point it will be certified with
@@ -328,7 +329,7 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
         u, v = X[k].tolist()
         q = qs[k]
         res = float(np.linalg.norm(q[::-1] - q))
-        if res > threshold:
+        if res > MATCH_THRESHOLD:
             continue
         J = series_jacobian(Ps, u, v)
         det = -(np.linalg.det(J[[0, 1]] - J[[3, 2]])
@@ -341,11 +342,11 @@ def symmetric_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD):
 
 
 def _scan_cell(task):
-    eps, A, order, threshold = task
+    eps, A, order = task
     try:
         p = ModelParams(eps, A)
         Ps, _ = compute_manifold_pair(p, order=order)
-        sols = symmetric_search(Ps, threshold=threshold)
+        sols = symmetric_search(Ps)
         if not sols:
             return ScanCell(eps, A, False, None, None)
         return ScanCell(eps, A, True, sols[0].residual, sols[0])
@@ -381,8 +382,7 @@ def _pooled(tasks, workers):
         return [f.exception() or f.result() for f in futures]
 
 
-def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER,
-                    threshold=MATCH_THRESHOLD, workers=None):
+def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER, workers=None):
     """Search every (epsilon, A) cell of the grid; row-major cell order.
 
     Cells run independently (optionally across processes, at most one per
@@ -391,7 +391,7 @@ def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER,
     took down are rerun one at a time, each in a fresh one-process pool, so
     only a cell that kills its own worker is recorded as failed.
     """
-    tasks = [(float(e), float(A), int(order), float(threshold))
+    tasks = [(float(e), float(A), int(order))
              for e in np.atleast_1d(eps_values)
              for A in np.atleast_1d(A_values)]
     # a fork pool starts all its workers at once: never more than cells
@@ -408,18 +408,18 @@ def scan_parameters(eps_values, A_values, order=DEFAULT_ORDER,
     return cells
 
 
-def det_curve_fit(A_samples, det_values, degree=4):
-    """Least-squares polynomial fit of det(A) and its real roots.
+def det_curve_fit(A_samples, det_values):
+    """Degree-FIT_DEGREE least-squares fit of det(A) and its real roots.
 
     Roots with relative imaginary part above 1e-8 are discarded.  A
-    least-squares rank below degree + 1 (too few distinct samples, or
+    least-squares rank below FIT_DEGREE + 1 (too few distinct samples, or
     near-constant data) flags the fit as ill-conditioned.
     """
     A_samples = np.asarray(A_samples, dtype=float)
     det_values = np.asarray(det_values, dtype=float)
-    coeffs, _, rank, _, _ = np.polyfit(A_samples, det_values, int(degree),
+    coeffs, _, rank, _, _ = np.polyfit(A_samples, det_values, FIT_DEGREE,
                                        full=True)
-    ill = bool(rank < int(degree) + 1)
+    ill = bool(rank < FIT_DEGREE + 1)
     rts = np.roots(coeffs)  # none for a constant, or zero, polynomial
     real = np.abs(rts.imag) <= 1e-8 * np.maximum(1.0, np.abs(rts))
     roots = np.sort(rts[real].real)

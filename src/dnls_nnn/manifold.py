@@ -262,11 +262,10 @@ def pointwise_conjugacy_residual(ms: ManifoldSeries, u, v):
     return np.linalg.norm(F - evaluate_series(ms, L1 * u, L2 * v), axis=-1)
 
 
-def conjugacy_residual(ms: ManifoldSeries, grid=(41, 41)):
-    """Max pointwise conjugacy residual over a grid of the unit box."""
-    gu = np.linspace(-1.0, 1.0, int(grid[0]))
-    gv = np.linspace(-1.0, 1.0, int(grid[1]))
-    uu, vv = np.meshgrid(gu, gv, indexing="ij")
+def conjugacy_residual(ms: ManifoldSeries):
+    """Max pointwise conjugacy residual on a 41 x 41 grid of the unit box."""
+    g = np.linspace(-1.0, 1.0, 41)
+    uu, vv = np.meshgrid(g, g, indexing="ij")
     return float(np.max(pointwise_conjugacy_residual(ms, uu, vv)))
 
 

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 FLOOR = 1e-14
+TAIL_STEPS = 500  # build_profile's budget of tail samples per side
 BLOCK = 64  # portrait steps between escape tests
 
 
@@ -87,8 +88,7 @@ def _tail_ratio(n, vals, floor, peak):
     return float(np.exp(slope))
 
 
-def build_profile(sol: HomoclinicSolution, Ps: ManifoldSeries,
-                  floor=FLOOR, max_steps=500):
+def build_profile(sol: HomoclinicSolution, Ps: ManifoldSeries):
     """Materialize the lattice profile of a reversor-symmetric homoclinic
     orbit.
 
@@ -96,18 +96,17 @@ def build_profile(sol: HomoclinicSolution, Ps: ManifoldSeries,
     stable series at parameters shrunk k times, and the left tail its
     mirror image u_{-n} = u_{n+1} (what the unstable series, whose
     conjugacy contracts under the inverse map, reads there).  The tail
-    extends until the whole window state drops below the floor in
-    sup-norm; a tail that cannot reach the floor within max_steps raises
-    ProfileError.
+    extends until the whole window state drops below FLOOR in sup-norm; a
+    tail that cannot reach it within TAIL_STEPS steps raises ProfileError.
     """
     l1, l2 = Ps.rates
-    ks = np.arange(1, int(max_steps) + 1)
+    ks = np.arange(1, TAIL_STEPS + 1)
     states = evaluate_series(Ps, sol.u2 * l1**ks, sol.v2 * l2**ks)
-    stop = np.nonzero(np.max(np.abs(states), axis=-1) < floor)[0]
+    stop = np.nonzero(np.max(np.abs(states), axis=-1) < FLOOR)[0]
     if stop.size == 0:
         raise ProfileError(
-            f"tail above floor {floor:g} after {max_steps} steps; "
-            "the matched point does not decay (or max_steps is too small)"
+            f"tail above floor {FLOOR:g} after {TAIL_STEPS} steps "
+            "(the budget TAIL_STEPS); the matched point does not decay"
         )
     k = int(stop[0])  # number of samples kept in each tail
     # window at step j: f^j(q) = (u_{j-1}, u_j, u_{j+1}, u_{j+2})
@@ -118,8 +117,8 @@ def build_profile(sol: HomoclinicSolution, Ps: ManifoldSeries,
     indices = np.arange(-k - 1, k + 3)
     peak = float(np.max(np.abs(values)))
     # decay ratios vs distance from the center on each side
-    decay = (_tail_ratio(-indices[:k], values[:k], floor, peak),
-             _tail_ratio(indices[k + 4:], values[k + 4:], floor, peak))
+    decay = (_tail_ratio(-indices[:k], values[:k], FLOOR, peak),
+             _tail_ratio(indices[k + 4:], values[k + 4:], FLOOR, peak))
     return SolitonProfile(
         params=sol.params,
         indices=indices,

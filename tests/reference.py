@@ -684,8 +684,7 @@ def census_cells_full(Ps: ManifoldSeries, bound):
     return _cell_centers(np.argwhere(half[1:]) + [1, 0])
 
 
-def all_cell_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD,
-                    seeds=census_cells_full):
+def all_cell_search(Ps: ManifoldSeries, seeds=census_cells_full):
     """symmetric_search seeded at every flagged cell (census_cells_full),
     or at seeds(Ps, bound) where given.
 
@@ -695,7 +694,7 @@ def all_cell_search(Ps: ManifoldSeries, threshold=MATCH_THRESHOLD,
     real = homoclinic._census_seeds
     homoclinic._census_seeds = seeds
     try:
-        return homoclinic.symmetric_search(Ps, threshold=threshold)
+        return homoclinic.symmetric_search(Ps)
     finally:
         homoclinic._census_seeds = real
 

@@ -97,7 +97,7 @@ def test_criterion_3_conjugacy_on_scan_cells():
             for A in A_CELLS:
                 Ps, Pu = compute_manifold_pair(ModelParams(eps, A), order=80)
                 for ms in (Ps, Pu):
-                    res = conjugacy_residual(ms, grid=(41, 41))
+                    res = conjugacy_residual(ms)
                     assert res <= 1e-9, (eps, A, ms.branch, res)
 
 

@@ -201,8 +201,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ]
     # bad settings besides test_a_bad_value_exits_2_naming_its_flag's and
     # test_a_refused_setting_exits_through_its_flag's, refused through
-    # argparse; among them non-finite numbers: a NaN threshold would certify
-    # every converged Newton point and write invalid JSON
+    # argparse; among them non-finite numbers: a NaN gauge would write
+    # invalid JSON
     refused = [
         ["manifold", "--epsilon", "0.1,0.2", "--A", "-0.125"],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
@@ -212,8 +212,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
            "--out", str(tmp_path)] for cmd in ("homoclinic", "soliton")),
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "not,numbers"],
-        ["homoclinic", "--epsilon", "0.0004", "--A", "-0.125",
-         "--threshold", "inf", "--out", str(tmp_path)],
         ["manifold", "--epsilon", "0.0004", "--A", "-0.125",
          "--box", "nan,1", "--out", str(tmp_path)],
         # the 2-d map has no A: argparse refuses the flag
@@ -373,13 +371,14 @@ def test_scans_refuse_box_and_ignore_its_config_entry(tmp_path, capsys):
 FLAGS = {
     "eigen": ("A",),
     "manifold": ("A", "order", "box"),
-    "homoclinic": ("A", "order", "threshold", "box"),
-    "scan": ("A", "order", "threshold", "workers"),
-    "transversality": ("A", "order", "threshold", "workers"),
-    "soliton": ("A", "order", "threshold", "box"),
+    "homoclinic": ("A", "order", "box"),
+    "scan": ("A", "order", "workers"),
+    "transversality": ("A", "order", "workers"),
+    "soliton": ("A", "order", "box"),
     "portrait": ("box", "seeds"),
 }
-# a valid value of each of the other flags, as text and as resolved
+# a valid value of each of the other flags, as text and as resolved, and
+# of the retired --threshold, which no subcommand reads
 VALUES = {"A": ("-0.13", (-0.13,)), "order": ("40", 40),
           "threshold": ("1e-9", 1e-9), "box": ("0.5", "0.5"),
           "seeds": ("5", 5), "workers": ("2", 2)}
@@ -408,7 +407,7 @@ def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
     # gauge pair for the series commands and a half-width for portrait, so
     # a file's box serves the subcommands of its meaning; the others refuse
     # it, naming the flag and the file
-    assert len(REFUSED) == 20
+    assert len(REFUSED) == 24
     cfg_path = tmp_path / "all.json"
     out = str(tmp_path / "o")
     for box, readers in (("0.5", {"portrait"}),
@@ -639,7 +638,6 @@ def test_config_file_provides_defaults_flags_win(tmp_path):
 @pytest.mark.parametrize("cmd, entry, flag", [
     ("homoclinic", {"order": [1]}, "--order"),
     ("homoclinic", {"order": 1e400}, "--order"),   # json reads it as inf
-    ("homoclinic", {"threshold": [1]}, "--threshold"),
     ("homoclinic", {"order": 1.9}, "--order"),     # int() would truncate it
     ("homoclinic", {"order": True}, "--order"),    # int() would read 1
     ("portrait", {"seeds": {}}, "--seeds"),
@@ -681,21 +679,30 @@ def test_config_value_error_names_the_file(tmp_path, capsys, entry, message):
     assert not (tmp_path / "out").exists()
 
 
+def _no_scan(*args, **kwargs):
+    raise AssertionError("scan_parameters ran")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("cmd, flag, text", [
     ("manifold", "order", "0"), ("manifold", "order", "1001"),
-    ("homoclinic", "threshold", "-1"), ("homoclinic", "threshold", "nan"),
     ("portrait", "seeds", "1"), ("scan", "workers", "-1"),
     ("manifold", "epsilon", ""), ("manifold", "A", ""),
     ("manifold", "box", "1,2,3"), ("manifold", "box", "0,1"),
     ("portrait", "box", "0"),
+    # an --out that is, or lies under, an existing file: refused before
+    # eigen prints its spectrum and before scan runs a cell
+    *((cmd, "out", text) for cmd in ("eigen", "scan")
+      for text in ("file", "file/sub")),
 ])
 def test_a_bad_value_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys,
                                              cmd, flag, text, source):
     # one refusal path: the flag's type, through argparse, whether the
-    # value comes from the command line or from a config file
+    # value comes from the command line or from a config file; nothing runs
     monkeypatch.chdir(tmp_path)
-    argv = [cmd, "--out", "out"]
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "scan_parameters", _no_scan)
+    argv = [cmd, *(["--out", "out"] if flag != "out" else [])]
     for other, good in (("epsilon", "0.0004"), ("A", "-0.125")):
         if other != flag and other in ("epsilon", *FLAGS[cmd]):
             argv += [f"--{other}", good]
@@ -708,7 +715,8 @@ def test_a_bad_value_exits_2_naming_its_flag(tmp_path, monkeypatch, capsys,
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
+    assert printed == ""
     assert f"error: argument --{flag}: " in err, err
     assert (str(path) in err) == (source == "config"), err
     assert not (tmp_path / "out").exists()
@@ -771,21 +779,27 @@ def test_a_refused_setting_exits_through_its_flag(tmp_path, monkeypatch,
 ])
 def test_a_recorded_config_reruns_the_run(tmp_path, argv):
     # an artifact's config block, saved as a --config file, gives the same
-    # artifacts, byte for byte but for config.out
-    first, again = tmp_path / "first", tmp_path / "again"
+    # artifacts, byte for byte but for config.out; so does homoclinic's
+    # with the key of the retired --threshold, as artifacts written while
+    # it was a flag record it
+    first = tmp_path / "first"
     assert main(argv + ["--out", str(first)]) == 0
     names = sorted(path.name for path in first.iterdir())
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(read_json(next(first.glob("*.json")))["config"]))
-    assert main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
-    assert sorted(path.name for path in again.iterdir()) == names
-    for name in names:
-        got = (again / name).read_bytes()
-        if name.endswith(".json"):
-            assert read_json(again / name)["config"]["out"] == str(again)
-            got = got.replace(json.dumps(str(again)).encode(),
-                              json.dumps(str(first)).encode())
-        assert got == (first / name).read_bytes(), name
+    config = read_json(next(first.glob("*.json")))["config"]
+    retired = [{"threshold": 1e-10}] if argv[0] == "homoclinic" else []
+    for k, extra in enumerate([{}, *retired]):
+        again = tmp_path / f"again{k}"
+        cfg.write_text(json.dumps(config | extra))
+        assert main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+        assert sorted(path.name for path in again.iterdir()) == names
+        for name in names:
+            got = (again / name).read_bytes()
+            if name.endswith(".json"):
+                assert read_json(again / name)["config"]["out"] == str(again)
+                got = got.replace(json.dumps(str(again)).encode(),
+                                  json.dumps(str(first)).encode())
+            assert got == (first / name).read_bytes(), (name, extra)
     if argv == ["transversality"]:  # the default 13-point window
         dets = read_json(first / "transversality_fit.json")["det"]
         assert len(dets) == 13 and len({d > 0 for d in dets}) == 1, dets
@@ -794,9 +808,9 @@ def test_a_recorded_config_reruns_the_run(tmp_path, argv):
 
 def test_an_artifact_records_the_subcommands_own_flags(tmp_path):
     # the run's settings are its parsed flags: the subcommand, --epsilon,
-    # --out and the subcommand's own flags, 43 entries over the seven
+    # --out and the subcommand's own flags, 39 entries over the seven
     assert cli._FLAGS == FLAGS
-    assert sum(3 + len(flags) for flags in FLAGS.values()) == 43
+    assert sum(3 + len(flags) for flags in FLAGS.values()) == 39
     cell = ["--epsilon", "0.0004", "--A", "-0.125"]
     runs = {"eigen": cell, "manifold": cell + ["--order", "10"],
             "homoclinic": cell, "soliton": cell,

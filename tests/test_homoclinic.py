@@ -252,13 +252,15 @@ def test_the_reference_cell_checks_pass_on_the_illustrative_cell(capsys):
 
 def test_symmetric_search_honours_an_unreachable_threshold(monkeypatch,
                                                            pair_ill):
+    # the gates read MATCH_THRESHOLD when the search runs
     Ps, _ = pair_ill
-    assert symmetric_search(Ps, threshold=1e-30) == []
+    monkeypatch.setattr(homoclinic, "MATCH_THRESHOLD", 1e-30)
+    assert symmetric_search(Ps) == []
     # the matching residual alone must reject the roots, not only the
     # series-trust gate, which compares against the same threshold
     monkeypatch.setattr(homoclinic, "pointwise_conjugacy_residual",
                         lambda ms, u, v: np.zeros(np.shape(u)))
-    assert symmetric_search(Ps, threshold=1e-30) == []
+    assert symmetric_search(Ps) == []
 
 
 def test_solutions_lie_on_both_series(pair_ill, sols_ill):
@@ -419,7 +421,7 @@ def test_det_curve_fit_recovers_synthetic_roots():
 
 def test_det_curve_fit_flags_underdetermined_data():
     A = np.array([-0.14, -0.13, -0.12])
-    fit = det_curve_fit(A, np.zeros(3) + 3.7, degree=4)
+    fit = det_curve_fit(A, np.zeros(3) + 3.7)
     assert fit.ill_conditioned
 
 

@@ -85,10 +85,11 @@ def test_residual_detects_perturbation(profile):
     assert r > 1e3 * (profile.residual_max + 1e-30)
 
 
-def test_step_budget_enforced(pair_ill, sols_ill):
+def test_step_budget_enforced(monkeypatch, pair_ill, sols_ill):
     Ps, _ = pair_ill
-    with pytest.raises(ProfileError):
-        build_profile(sols_ill[0], Ps, max_steps=5)
+    monkeypatch.setattr(soliton, "TAIL_STEPS", 5)
+    with pytest.raises(ProfileError, match="after 5 steps"):
+        build_profile(sols_ill[0], Ps)
 
 
 def test_mirror_solution_gives_negated_profile(pair_ill, sols_ill):
