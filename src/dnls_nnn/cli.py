@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library's workflows:
 
     eigen           linearization spectrum and classification at given (eps, A)
-    manifold        build the stable/unstable series pair, write them as JSON
+    manifold        build the series pair; its one table is in the stable file
     homoclinic      find homoclinic intersections for one parameter cell
     scan            grid search over epsilon and A lists
     transversality  tangency-determinant sweep over an A window + quartic fit
@@ -22,7 +22,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -134,24 +133,23 @@ def _write_json(path, payload, args, coeffs=None):
     Path(path).write_text(text + "\n")
 
 
-def _coeff_tables(Ps):
-    """P_s's and P_u's series tables as json.dumps(..., sort_keys=True,
-    indent=1) renders them three levels deep, keys as _coeff_key writes
-    them.  Within a component the keys "i,n,m" sort as (str(n), str(m)),
-    as ',' sorts before every digit.  P_u's components are P_s's reversed:
-    one repr per coefficient and one body per component serve both (none
-    for a component that a tiny --box underflows to zeros)."""
-    rank = np.argsort(np.argsort([str(d) for d in range(Ps.order + 1)]))
+def _coeff_table(ms):
+    """ms's series table as json.dumps(..., sort_keys=True, indent=1)
+    renders it three levels deep, keys as _coeff_key writes them.  Within
+    a component the keys "i,n,m" sort as (str(n), str(m)), as ',' sorts
+    before every digit; a component that a tiny --box underflows to zeros
+    has no keys."""
+    rank = np.argsort(np.argsort([str(d) for d in range(ms.order + 1)]))
     bodies = []
-    for C in Ps.coeffs:
+    for C in ms.coeffs:
         n, m = np.nonzero(C)
         o = np.lexsort((rank[m], rank[n]))
         n, m = n[o].tolist(), m[o].tolist()
         bodies.append([f'{a},{b}": {v!r}'
                        for a, b, v in zip(n, m, C[n, m].tolist())])
-    return ["{\n" + ",\n".join(f'   "{i},' + f',\n   "{i},'.join(body)
-                                for i, body in enumerate(comps, 1) if body)
-            + "\n  }" for comps in (bodies, bodies[::-1])]
+    return ("{\n" + ",\n".join(f'   "{i},' + f',\n   "{i},'.join(body)
+                                for i, body in enumerate(bodies, 1) if body)
+            + "\n  }")
 
 
 # each subcommand's flags besides --epsilon, --out and --config
@@ -193,8 +191,8 @@ _OPTIONS = {
 }
 
 
-def _build_parser():
-    """The parser; its subparsers are kept by name in `.commands`."""
+def _build_parser(command):
+    """The parser (subparsers in `.commands`), with `command`'s flags only."""
     ap = argparse.ArgumentParser(
         prog="dnls-nnn",
         description="manifolds, homoclinic points, and solitons of a "
@@ -217,13 +215,13 @@ def _build_parser():
                                                "must be one positive "
                                                "half-width for portrait"),
                                      help="seed half-width (default 0.1)")}
-    ap.commands = {}
-    for name, flags in _FLAGS.items():
-        sp = ap.commands[name] = sub.add_parser(name)
+    ap.commands = {name: sub.add_parser(name) for name in _FLAGS}
+    if command in ap.commands:
+        sp = ap.commands[command]
         sp._negative_number_matcher = _NEG_VALUE
-        for flag in ("epsilon", *flags, "out", "config"):
+        for flag in ("epsilon", *_FLAGS[command], "out", "config"):
             sp.add_argument(f"--{flag}",
-                            **(_OPTIONS[flag] | own.get((name, flag), {})))
+                            **(_OPTIONS[flag] | own.get((command, flag), {})))
     return ap
 
 
@@ -349,9 +347,13 @@ def cmd_manifold(args):
                                   f"({Ps.scale[0]:g}, {Ps.scale[1]:g}); "
                                   "use a smaller --box")
     bounds = {"conjugacy_residual": res, "tail_bound": tail_bound(Ps)}
-    for ms, table in zip((Ps, Pu), _coeff_tables(Ps)):
+    for ms in (Ps, Pu):
         path = outdir / f"manifold_{ms.branch}.json"
         header = series_to_dict(replace(ms, coeffs=ms.coeffs[:, :0]))
+        table = _coeff_table(ms) if ms is Ps else None
+        if ms is Pu:  # P_u's table is P_s's with its components reversed
+            del header["coeffs"]
+            header["coeffs_reversed_from"] = "manifold_stable.json"
         _write_json(path, {"series": header, **bounds}, args, coeffs=table)
         print(f"{ms.branch}: order {ms.order}, scale "
               f"({ms.scale[0]:.6g}, {ms.scale[1]:.6g}), "
@@ -394,13 +396,6 @@ def cmd_scan(args):
     outdir = _outdir(args)
     _write_json(outdir / "scan.json",
                 {"cells": [_cell_dict(c) for c in cells]}, args)
-    with open(outdir / "scan.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "A", "found", "best_residual", "det"])
-        for c in cells:
-            det = c.solution.det if c.solution else ""
-            res = c.best_residual if c.best_residual is not None else ""
-            w.writerow([repr(c.epsilon), repr(c.A), c.found, res, det])
     found = sum(c.found for c in cells)
     errs = sum(c.error is not None for c in cells)
     for c in cells:
@@ -409,7 +404,7 @@ def cmd_scan(args):
         print(f"  eps={c.epsilon:g} A={c.A:g}: {mark}")
     print(f"{found}/{len(cells)} cells with intersections"
           + (f", {errs} errored" if errs else ""))
-    print(f"wrote {outdir / 'scan.json'} and {outdir / 'scan.csv'}")
+    print(f"wrote {outdir / 'scan.json'}")
     return 0
 
 
@@ -427,11 +422,6 @@ def cmd_transversality(args):
     A_vals = np.array([c.A for c in cells])
     dets = np.array([c.solution.det for c in cells])
     outdir = _outdir(args)
-    with open(outdir / "transversality.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["A", "det"])
-        for a, d in zip(A_vals, dets):
-            w.writerow([repr(float(a)), repr(float(d))])
     fit = det_curve_fit(A_vals, dets)
     _write_json(outdir / "transversality_fit.json", {
         "A": list(A_vals),
@@ -446,8 +436,7 @@ def cmd_transversality(args):
                            if fit.roots.size else "(none)")
           + (f" (ill-conditioned: degree {len(fit.coeffs) - 1} fit to "
              f"{len(cells)} samples)" if fit.ill_conditioned else ""))
-    print(f"wrote {outdir / 'transversality.csv'} and "
-          f"{outdir / 'transversality_fit.json'}")
+    print(f"wrote {outdir / 'transversality_fit.json'}")
     return 0
 
 
@@ -457,11 +446,6 @@ def cmd_soliton(args):
         raise ProfileError("no homoclinic intersection to build from")
     prof = build_profile(sols[0], Ps)
     outdir = _outdir(args)
-    with open(outdir / "soliton.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "u_n"])
-        for n, u in zip(prof.indices, prof.values):
-            w.writerow([int(n), repr(float(u))])
     _write_json(outdir / "soliton.json", {
         "sites": [int(n) for n in prof.indices],
         "values": list(prof.values),
@@ -475,7 +459,7 @@ def cmd_soliton(args):
           f"peak {np.max(np.abs(prof.values)):.6e}")
     print(f"stationary residual {prof.residual_max:.3e}, tail decay "
           f"({prof.tail_decay[0]:.6f}, {prof.tail_decay[1]:.6f})")
-    print(f"wrote {outdir / 'soliton.csv'} and {outdir / 'soliton.json'}")
+    print(f"wrote {outdir / 'soliton.json'}")
     return 0
 
 
@@ -540,7 +524,8 @@ _NUMERICAL = (ResonanceError, SeriesOverflowError, MatchFailure, ProfileError)
 
 
 def main(argv=None):
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = _parse(ap, argv)
         return _COMMANDS[args.command](args)

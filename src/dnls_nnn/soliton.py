@@ -144,14 +144,14 @@ def _residual_of_values(values, p: ModelParams):
 
 
 def mirror_defect(profile: SolitonProfile):
-    """Sup of |u_n - u_{1-n}| over all mirror pairs inside the window."""
-    idx = {int(n): i for i, n in enumerate(profile.indices)}
-    worst = 0.0
-    for n, i in idx.items():
-        j = idx.get(1 - n)
-        if j is not None:
-            worst = max(worst, abs(profile.values[i] - profile.values[j]))
-    return float(worst)
+    """Sup of |u_n - u_{1-n}| over the mirror pairs in the window [a, b]:
+    sites max(a, 1 - b) .. min(b, 1 - a) against their reverse, or 0.0."""
+    a, b = int(profile.indices[0]), int(profile.indices[-1])
+    lo, hi = max(a, 1 - b), min(b, 1 - a)
+    if hi < lo:
+        return 0.0
+    w = profile.values[lo - a:hi - a + 1]
+    return float(np.max(np.abs(w - w[::-1])))
 
 
 @dataclass(frozen=True)

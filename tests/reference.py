@@ -19,7 +19,7 @@ lemma for the characteristic quartic.  reference_cells.py holds the
 package to these oracles on REFERENCE_CELLS, one function per check."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -44,6 +44,7 @@ from dnls_nnn.manifold import (
     SeriesOverflowError,
     _tail,
     evaluate_series,
+    series_from_dict,
     series_jacobian,
     series_to_dict,
 )
@@ -800,9 +801,37 @@ def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
 
 def manifold_file_text(ms: ManifoldSeries, config, residual, tail):
     """The text of manifold_<branch>.json for ms under the settings record
-    config, rendered by the indent encoder from the whole series_to_dict
-    table."""
-    body = {"version": __version__, "config": config,
-            "series": series_to_dict(ms), "conjugacy_residual": residual,
-            "tail_bound": tail}
+    config, rendered by the indent encoder from series_to_dict.  The stable
+    file holds the whole table; the unstable one holds no table, and names
+    the stable file, whose table reversed is its own."""
+    series = series_to_dict(ms)
+    if ms.branch == "unstable":
+        del series["coeffs"]
+        series["coeffs_reversed_from"] = "manifold_stable.json"
+    body = {"version": __version__, "config": config, "series": series,
+            "conjugacy_residual": residual, "tail_bound": tail}
     return json.dumps(body, sort_keys=True, indent=1) + "\n"
+
+
+def unstable_from_files(out):
+    """P_u as one manifold run's two files in directory out give it: the
+    table of the file manifold_unstable.json names, its components
+    reversed, at the unstable header's branch, order, rates and scale."""
+    with open(out / "manifold_unstable.json") as fh:
+        header = json.load(fh)["series"]
+    with open(out / header.pop("coeffs_reversed_from")) as fh:
+        Ps = series_from_dict(json.load(fh)["series"])
+    Pu = series_from_dict({**header, "coeffs": {}})
+    return replace(Pu, coeffs=Ps.coeffs[::-1].copy())
+
+
+def mirror_defect_pairs(profile: SolitonProfile):
+    """Sup of |u_n - u_{1-n}| over the mirror pairs of profile's window,
+    found pair by pair through a site -> position map."""
+    idx = {int(n): i for i, n in enumerate(profile.indices)}
+    worst = 0.0
+    for n, i in idx.items():
+        j = idx.get(1 - n)
+        if j is not None:
+            worst = max(worst, abs(profile.values[i] - profile.values[j]))
+    return float(worst)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from hashlib import sha256
 
@@ -24,17 +25,13 @@ from dnls_nnn.spectral import (NonHyperbolicError, origin_stable_pair,
                                 spectrum)
 
 from conftest import POINT_ILL
-from reference import manifold_file_text, reference_portrait
+from reference import (manifold_file_text, reference_portrait,
+                       unstable_from_files)
 
 
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 PORTRAIT_ROW = [("seed_index", "<i8"), ("step", "<i8"), ("x", "<f8"),
@@ -59,6 +56,23 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dnls-nnn" in capsys.readouterr().out
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_and_each_commands_flags(capsys):
+    # main builds the flags of the named command only: --help names all
+    # seven commands, and <cmd> --help lists exactly that command's flags
+    assert "{" + ",".join(cli._FLAGS) + "}" in help_text(["--help"], capsys)
+    for cmd, flags in cli._FLAGS.items():
+        listed = set(re.findall(r"--\w+", help_text([cmd, "--help"], capsys)))
+        assert listed == {"--help", "--epsilon", "--out", "--config",
+                          *(f"--{flag}" for flag in flags)}, cmd
 
 
 def test_eigen_writes_classification(tmp_path, capsys):
@@ -106,6 +120,8 @@ def test_manifold_writes_series_pair(tmp_path, capsys):
                "--order", "40", "--out", str(tmp_path)])
     assert rc == 0
     assert "box residual" in capsys.readouterr().out
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "manifold_stable.json", "manifold_unstable.json"]
     bounds, residuals = [], []
     for branch in ("stable", "unstable"):
         doc = read_json(tmp_path / f"manifold_{branch}.json")
@@ -121,8 +137,9 @@ def test_manifold_writes_series_pair(tmp_path, capsys):
 
 def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
     """Run manifold at (4e-4, -0.125) with flags; both files must be the
-    json.dumps rendering of the whole series, the unstable one carrying
-    the stable residual, from one conjugacy_residual call.  Returns P_s."""
+    json.dumps rendering of their series, the unstable one carrying the
+    stable residual, from one conjugacy_residual call, and naming the
+    stable table, from which P_u reads back bit for bit.  Returns P_s."""
     calls = []
     real = cli.conjugacy_residual
     monkeypatch.setattr(cli, "conjugacy_residual",
@@ -131,7 +148,7 @@ def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
             "--out", str(tmp_path)]
     assert main(argv) == 0
     assert calls == ["stable"]
-    args = _build_parser().parse_args(argv)
+    args = _build_parser("manifold").parse_args(argv)
     Ps, Pu = cli._series_pair(args)
     res = conjugacy_residual(Ps)
     config = {"command": "manifold", "epsilon": args.epsilon, "A": args.A,
@@ -140,6 +157,10 @@ def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
         want = manifold_file_text(ms, config, res, tail_bound(ms))
         got = (tmp_path / f"manifold_{ms.branch}.json").read_bytes()
         assert got == want.encode(), ms.branch
+    got = unstable_from_files(tmp_path)
+    assert (got.branch, got.order, got.rates, got.scale, got.params) == \
+        (Pu.branch, Pu.order, Pu.rates, Pu.scale, Pu.params)
+    assert got.coeffs.tobytes() == Pu.coeffs.tobytes()
     return Ps
 
 
@@ -303,18 +324,16 @@ def test_scan_records_good_and_bad_cells(tmp_path):
     rc = main(["scan", "--epsilon", "0.0004", "--A", "-0.125,0",
                "--out", str(tmp_path)])
     assert rc == 0
-    rows = read_csv(tmp_path / "scan.csv")
-    assert rows[0] == ["epsilon", "A", "found", "best_residual", "det"]
-    assert len(rows) == 3
-    good = rows[1]
-    assert good[:3] == ["0.0004", "-0.125", "True"]
-    assert float(good[3]) <= 1e-10 and float(good[4]) != 0.0
-    bad = rows[2]
-    assert bad[:3] == ["0.0004", "0.0", "False"]
-    assert bad[3] == "" and bad[4] == ""
-    doc = read_json(tmp_path / "scan.json")
-    assert doc["cells"][1]["error"].startswith("ValueError")
-    assert doc["cells"][0]["solution"]["residual"] <= 1e-10
+    assert [path.name for path in tmp_path.iterdir()] == ["scan.json"]
+    good, bad = read_json(tmp_path / "scan.json")["cells"]
+    assert (good["epsilon"], good["A"], good["found"]) == (0.0004, -0.125,
+                                                           True)
+    assert good["best_residual"] <= 1e-10
+    assert good["solution"]["det"] != 0.0
+    assert good["solution"]["residual"] <= 1e-10
+    assert (bad["epsilon"], bad["A"], bad["found"]) == (0.0004, 0.0, False)
+    assert bad["best_residual"] is None and bad["solution"] is None
+    assert bad["error"].startswith("ValueError")
 
 
 def test_transversality_sweep_and_fit(tmp_path, capsys):
@@ -324,15 +343,15 @@ def test_transversality_sweep_and_fit(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "det range" in out
-    rows = read_csv(tmp_path / "transversality.csv")
-    assert rows[0] == ["A", "det"]
-    assert len(rows) == 6
-    dets = [float(r[1]) for r in rows[1:]]
-    assert all(d != 0.0 for d in dets)
-    assert len({d > 0 for d in dets}) == 1  # no sign change in the window
+    assert [path.name for path in tmp_path.iterdir()] == [
+        "transversality_fit.json"]
     doc = read_json(tmp_path / "transversality_fit.json")
     assert doc["config"]["epsilon"] == [2e-4]
-    assert len(doc["det"]) == 5
+    assert doc["A"] == [float(a) for a in A_list.split(",")]
+    dets = doc["det"]
+    assert len(dets) == 5
+    assert all(d != 0.0 for d in dets)
+    assert len({d > 0 for d in dets}) == 1  # no sign change in the window
     assert len(doc["fit_coefficients"]) == 5
     assert isinstance(doc["ill_conditioned"], bool)
     assert ("ill-conditioned" in out) == doc["ill_conditioned"]
@@ -419,7 +438,8 @@ def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
         for cmd, flags in FLAGS.items():
             if "box" in flags and cmd not in readers:
                 with pytest.raises(SystemExit) as exc:
-                    _parse(_build_parser(), [cmd, "--config", str(cfg_path)])
+                    _parse(_build_parser(cmd),
+                           [cmd, "--config", str(cfg_path)])
                 assert exc.value.code == 2
                 err = capsys.readouterr().err
                 assert "argument --box: must be " in err, (cmd, box)
@@ -428,8 +448,8 @@ def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
             argv = [cmd, "--epsilon", "0.0004", "--out", out]
             for flag in flags:
                 argv += [f"--{flag}", values[flag]]
-            want = vars(_parse(_build_parser(), argv))
-            got = vars(_parse(_build_parser(),
+            want = vars(_parse(_build_parser(cmd), argv))
+            got = vars(_parse(_build_parser(cmd),
                               [cmd, "--config", str(cfg_path)]))
             assert (got.pop("config"), want.pop("config")) == \
                 (str(cfg_path), None)
@@ -507,7 +527,7 @@ def test_transversality_flags_an_ill_conditioned_fit(tmp_path, capsys):
 def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
     # what payloads carry: plain values and np.float64, which json encodes
     # as the float it subclasses; anything else is refused, not written
-    args = _parse(_build_parser(),
+    args = _parse(_build_parser("eigen"),
                   ["eigen", "--epsilon", "0.1", "--A", "-0.125"])
     payload = {
         "scalars": [np.float64(0.1), 1e-300, -0.0, 4, True, None, "text"],
@@ -529,7 +549,7 @@ def test_write_json_bytes_match_the_isinstance_conversion(tmp_path):
 def test_transversality_default_window_parses():
     # the default A list is written out as text and parsed back: it must
     # read as the 13 window values, whatever repr numpy gives its scalars
-    args = _parse(_build_parser(), ["transversality"])
+    args = _parse(_build_parser("transversality"), ["transversality"])
     assert args.epsilon == (2e-4,)
     assert args.A == tuple(np.linspace(-0.145, -0.115, 13).tolist())
 
@@ -556,9 +576,8 @@ def test_soliton_profile_outputs(tmp_path, capsys):
         assert d == pytest.approx(0.47339771836588446, rel=0.05)
     sites = doc["sites"]
     assert sites == list(range(sites[0], sites[-1] + 1))
-    rows = read_csv(tmp_path / "soliton.csv")
-    assert len(rows) == len(sites) + 1
-    assert rows[0] == ["n", "u_n"]
+    assert len(doc["values"]) == len(sites)
+    assert [path.name for path in tmp_path.iterdir()] == ["soliton.json"]
 
 
 def test_soliton_without_an_intersection_exits_3(tmp_path, capsys):

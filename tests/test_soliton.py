@@ -17,7 +17,8 @@ from dnls_nnn.soliton import (
     portrait_2d,
 )
 
-from reference import map2_apply, reference_portrait, two_tail_profile
+from reference import (map2_apply, mirror_defect_pairs, reference_portrait,
+                       two_tail_profile)
 
 PEAK_REF = 1.327385e-2  # largest site amplitude at eps=4e-4, A=-1/8
 LAMBDA2 = 0.47339771836588446  # slow stable rate at A=-1/8
@@ -52,6 +53,34 @@ def test_profile_mirror_symmetry(profile):
     i0 = int(np.nonzero(profile.indices == 0)[0][0])
     i1 = int(np.nonzero(profile.indices == 1)[0][0])
     assert profile.values[i0] == pytest.approx(profile.values[i1], rel=1e-10)
+
+
+def test_mirror_defect_reads_a_one_site_perturbation(profile):
+    # every built profile reads exactly 0.0, so the check is shown to fail
+    # here: 1e-6 added on either side of the centre reads as 1e-6
+    assert mirror_defect(profile) == 0.0
+    for n in (-3, 0, 1, 4):
+        values = profile.values.copy()
+        values[profile.indices == n] += 1e-6
+        assert mirror_defect(replace(profile, values=values)) == \
+            pytest.approx(1e-6, rel=1e-9), n
+
+
+def test_mirror_defect_on_asymmetric_windows(profile):
+    # windows cut on one side, or holding no mirror pair at all (all sites
+    # >= 1, or <= 0), read as the pair-by-pair oracle reads them
+    rng = np.random.default_rng(5)
+    values = profile.values + rng.normal(scale=1e-9, size=profile.values.size)
+    k = len(values)
+    i0 = int(np.nonzero(profile.indices == 0)[0][0])
+    for lo, hi in ((0, k), (3, k), (0, k - 5), (7, k - 2), (i0 - 2, i0 + 9),
+                   (i0 + 1, k), (i0 + 3, k), (0, i0 + 1), (0, i0 - 2),
+                   (i0, i0 + 1), (i0, i0 + 2)):
+        window = replace(profile, indices=profile.indices[lo:hi],
+                         values=values[lo:hi])
+        assert mirror_defect(window) == mirror_defect_pairs(window), (lo, hi)
+    assert mirror_defect(replace(profile, indices=profile.indices[i0 + 3:],
+                                 values=values[i0 + 3:])) == 0.0
 
 
 def test_mirrored_tail_matches_the_unstable_series(pair_ill, sols_ill):
