@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library's workflows:
 
     eigen           linearization spectrum and classification at given (eps, A)
-    manifold        build the series pair; its one table is in the stable file
+    manifold        build the series pair; its one table is in the stable file,
+                    each component's odd-degree entries as base64 float64
     homoclinic      find homoclinic intersections for one parameter cell
     scan            grid search over epsilon and A lists
     transversality  tangency-determinant sweep over an A window + quartic fit
@@ -28,7 +29,6 @@ import re
 import sys
 from argparse import ArgumentTypeError
 from contextlib import suppress
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,36 +120,13 @@ def _out_dir(text):
     return text
 
 
-def _write_json(path, payload, args, coeffs=None):
+def _write_json(path, payload, args):
     """payload as indented JSON, under the run's settings: the subcommand's
-    own flags as parsed.  coeffs, if given, is the text of its series table,
-    held empty (json escapes any quote inside a string)."""
+    own flags as parsed."""
     config = {k: getattr(args, k)
               for k in ("command", "epsilon", *_FLAGS[args.command], "out")}
     body = {"version": __version__, "config": config, **payload}
-    text = json.dumps(body, sort_keys=True, indent=1)
-    if coeffs is not None:
-        text = text.replace('"coeffs": {}', '"coeffs": ' + coeffs, 1)
-    Path(path).write_text(text + "\n")
-
-
-def _coeff_table(ms):
-    """ms's series table as json.dumps(..., sort_keys=True, indent=1)
-    renders it three levels deep, keys as _coeff_key writes them.  Within
-    a component the keys "i,n,m" sort as (str(n), str(m)), as ',' sorts
-    before every digit; a component that a tiny --box underflows to zeros
-    has no keys."""
-    rank = np.argsort(np.argsort([str(d) for d in range(ms.order + 1)]))
-    bodies = []
-    for C in ms.coeffs:
-        n, m = np.nonzero(C)
-        o = np.lexsort((rank[m], rank[n]))
-        n, m = n[o].tolist(), m[o].tolist()
-        bodies.append([f'{a},{b}": {v!r}'
-                       for a, b, v in zip(n, m, C[n, m].tolist())])
-    return ("{\n" + ",\n".join(f'   "{i},' + f',\n   "{i},'.join(body)
-                                for i, body in enumerate(bodies, 1) if body)
-            + "\n  }")
+    Path(path).write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
 
 
 # each subcommand's flags besides --epsilon, --out and --config
@@ -349,12 +326,11 @@ def cmd_manifold(args):
     bounds = {"conjugacy_residual": res, "tail_bound": tail_bound(Ps)}
     for ms in (Ps, Pu):
         path = outdir / f"manifold_{ms.branch}.json"
-        header = series_to_dict(replace(ms, coeffs=ms.coeffs[:, :0]))
-        table = _coeff_table(ms) if ms is Ps else None
+        series = series_to_dict(ms)
         if ms is Pu:  # P_u's table is P_s's with its components reversed
-            del header["coeffs"]
-            header["coeffs_reversed_from"] = "manifold_stable.json"
-        _write_json(path, {"series": header, **bounds}, args, coeffs=table)
+            del series["coeffs"]
+            series["coeffs_reversed_from"] = "manifold_stable.json"
+        _write_json(path, {"series": series, **bounds}, args)
         print(f"{ms.branch}: order {ms.order}, scale "
               f"({ms.scale[0]:.6g}, {ms.scale[1]:.6g}), "
               f"box residual {res:.3e} -> {path}")

@@ -62,6 +62,7 @@ build and machine, and a value depends on the batch it is evaluated in
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -460,47 +461,66 @@ def compute_manifold_pair(p: ModelParams, order=DEFAULT_ORDER, scale=None):
     return Ps, Pu
 
 
-def _coeff_key(i, n, m):
-    """Table key of coeffs[i, n, m]; components count from 1 in files.
-    Not in __all__: a key is no layer boundary for tracing to record."""
-    return f"{i + 1},{n},{m}"
+def _odd_mask(N):
+    """Mask of the entries a component can hold, n + m odd and <= N; a
+    component's entries in its row-major (n, m) order fill it."""
+    deg = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+    return (deg % 2 == 1) & (deg <= N)
 
 
 def series_to_dict(ms: ManifoldSeries):
-    idx = np.nonzero(ms.coeffs)
-    table = {_coeff_key(i, n, m): c for i, n, m, c in
-             zip(*(a.tolist() for a in idx), ms.coeffs[idx].tolist())}
+    """ms as JSON values.  coeffs maps each component "1".."4" to the base64
+    of its odd-degree entries as little-endian float64, in row-major (n, m)
+    order: every bit, signed zeros included.  The other entries read back
+    as +0.0, so any other value there is a ValueError."""
+    odd = _odd_mask(ms.order)
+    even = ms.coeffs[:, ~odd]
+    if np.any(even) or np.any(np.signbit(even)):
+        raise ValueError("coefficient table holds an entry other than +0.0 "
+                         "off its odd-degree entries")
     return {
         "branch": ms.branch,
         "order": ms.order,
         "rates": list(ms.rates),
         "scale": list(ms.scale),
         "params": {"epsilon": ms.params.epsilon, "A": ms.params.A},
-        "coeffs": table,
+        "coeffs": {str(i): binascii.b2a_base64(
+            C[odd].astype("<f8").tobytes(), newline=False).decode("ascii")
+            for i, C in enumerate(ms.coeffs, 1)},
     }
 
 
 def series_from_dict(d):
-    """Inverse of series_to_dict.  The pipeline only writes series; the
-    output checks of perfbench read them back through this.  ValueError
-    for a branch other than stable or unstable, an order outside [1,
-    MAX_ORDER] (before any table is allocated), or an entry of even or
-    negative total degree, of degree above the order, or of a component
-    outside 1..4: the evaluators' exact oddness rests on the table holding
-    odd degrees only."""
+    """Inverse of series_to_dict; perfbench's output checks read series
+    files through it.  ValueError, before the table is allocated, for a
+    branch other than stable or unstable, an order outside [1, MAX_ORDER],
+    or coeffs other than the components "1".."4", each the canonical base64
+    of the order's odd-degree entries, all finite."""
     if d["branch"] not in ("stable", "unstable"):
         raise ValueError(f"branch {d['branch']!r} is not stable or unstable")
     N = int(d["order"])
     if not 1 <= N <= MAX_ORDER:
         raise ValueError(f"order {N} is outside [1, MAX_ORDER = {MAX_ORDER}]")
+    if sorted(d["coeffs"]) != ["1", "2", "3", "4"]:
+        raise ValueError(f"coeffs keys {sorted(d['coeffs'])} are not the "
+                         "components 1..4")
+    odd = _odd_mask(N)
+    size = np.count_nonzero(odd)
+    vals = []
+    for key, text in sorted(d["coeffs"].items()):
+        try:  # canonical base64 only, as series_to_dict writes it
+            raw = binascii.a2b_base64(text)
+            ok = (len(raw) == 8 * size
+                  and binascii.b2a_base64(raw, newline=False) == text.encode())
+        except (ValueError, TypeError, AttributeError):
+            ok = False
+        if not (ok and np.all(np.isfinite(v := np.frombuffer(raw, "<f8")))):
+            raise ValueError(f"coeffs component {key!r} is not the base64 "
+                             f"of {size} finite float64s, the odd-degree "
+                             f"entries of an order-{N} series")
+        vals.append(v)
     C = np.zeros((4, N + 1, N + 1))
-    for key, val in d["coeffs"].items():
-        i, n, m = (int(t) for t in key.split(","))
-        if not (1 <= i <= 4 and n >= 0 and m >= 0 and n + m <= N
-                and (n + m) % 2):
-            raise ValueError(f"coefficient {key!r} is not an odd-degree "
-                             f"entry of a 4-component order-{N} series")
-        C[i - 1, n, m] = val
+    C[:, odd] = vals
     p = ModelParams(d["params"]["epsilon"], d["params"]["A"])
     return ManifoldSeries(d["branch"], N, tuple(map(float, d["rates"])),
                           tuple(map(float, d["scale"])), C, p)

@@ -9,7 +9,7 @@ the full 4-d matching system without the reversor that symmetric_search
 reduces the problem with, the 4x4 transversality determinant and the
 two-series profile tails that symmetric_search and build_profile read off
 the stable series alone, the phase portrait stepped one masked map2_apply
-call at a time, and the series files rendered whole by json.dumps.
+call at a time, and P_u read back from the two series files.
 
 It also holds the structure of the maps and of their spectra that the
 pipeline does not call but the tests check it against: the 2-d map, the
@@ -19,12 +19,12 @@ lemma for the characteristic quartic.  reference_cells.py holds the
 package to these oracles on REFERENCE_CELLS, one function per check."""
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from dnls_nnn import __version__, homoclinic
+from dnls_nnn import homoclinic
 from dnls_nnn.homoclinic import (
     _CONVERGED,
     CENSUS,
@@ -46,7 +46,6 @@ from dnls_nnn.manifold import (
     evaluate_series,
     series_from_dict,
     series_jacobian,
-    series_to_dict,
 )
 from dnls_nnn.maps import (
     ModelParams,
@@ -799,30 +798,16 @@ def two_tail_profile(sol: HomoclinicSolution, Pu: ManifoldSeries,
                           tail_decay=decay)
 
 
-def manifold_file_text(ms: ManifoldSeries, config, residual, tail):
-    """The text of manifold_<branch>.json for ms under the settings record
-    config, rendered by the indent encoder from series_to_dict.  The stable
-    file holds the whole table; the unstable one holds no table, and names
-    the stable file, whose table reversed is its own."""
-    series = series_to_dict(ms)
-    if ms.branch == "unstable":
-        del series["coeffs"]
-        series["coeffs_reversed_from"] = "manifold_stable.json"
-    body = {"version": __version__, "config": config, "series": series,
-            "conjugacy_residual": residual, "tail_bound": tail}
-    return json.dumps(body, sort_keys=True, indent=1) + "\n"
-
-
 def unstable_from_files(out):
     """P_u as one manifold run's two files in directory out give it: the
-    table of the file manifold_unstable.json names, its components
-    reversed, at the unstable header's branch, order, rates and scale."""
+    unstable header, with the table of the file it names, components
+    reversed (P_u's component i is that table's 5 - i)."""
     with open(out / "manifold_unstable.json") as fh:
         header = json.load(fh)["series"]
     with open(out / header.pop("coeffs_reversed_from")) as fh:
-        Ps = series_from_dict(json.load(fh)["series"])
-    Pu = series_from_dict({**header, "coeffs": {}})
-    return replace(Pu, coeffs=Ps.coeffs[::-1].copy())
+        stable = json.load(fh)["series"]["coeffs"]
+    return series_from_dict({**header, "coeffs": {
+        str(5 - int(i)): text for i, text in stable.items()}})
 
 
 def mirror_defect_pairs(profile: SolitonProfile):

@@ -17,6 +17,7 @@ from dnls_nnn.manifold import (
     ResonanceError,
     SeriesOverflowError,
     conjugacy_residual,
+    series_from_dict,
     tail_bound,
 )
 from dnls_nnn.maps import ModelParams
@@ -25,8 +26,7 @@ from dnls_nnn.spectral import (NonHyperbolicError, origin_stable_pair,
                                 spectrum)
 
 from conftest import POINT_ILL
-from reference import (manifold_file_text, reference_portrait,
-                       unstable_from_files)
+from reference import reference_portrait, unstable_from_files
 
 
 def read_json(path):
@@ -136,10 +136,11 @@ def test_manifold_writes_series_pair(tmp_path, capsys):
 
 
 def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
-    """Run manifold at (4e-4, -0.125) with flags; both files must be the
-    json.dumps rendering of their series, the unstable one carrying the
-    stable residual, from one conjugacy_residual call, and naming the
-    stable table, from which P_u reads back bit for bit.  Returns P_s."""
+    """Run manifold at (4e-4, -0.125) with flags; each file must be the
+    json.dumps rendering of what it holds: its series' header, the stable
+    residual from one conjugacy_residual call, and the tail bound, with the
+    stable table, from which P_s and P_u read back bit for bit.  Returns
+    P_s."""
     calls = []
     real = cli.conjugacy_residual
     monkeypatch.setattr(cli, "conjugacy_residual",
@@ -150,22 +151,34 @@ def run_manifold_against_the_oracle(tmp_path, monkeypatch, flags):
     assert calls == ["stable"]
     args = _build_parser("manifold").parse_args(argv)
     Ps, Pu = cli._series_pair(args)
-    res = conjugacy_residual(Ps)
-    config = {"command": "manifold", "epsilon": args.epsilon, "A": args.A,
-              "order": args.order, "box": args.box, "out": str(tmp_path)}
+    config = {"command": "manifold", "epsilon": list(args.epsilon),
+              "A": list(args.A), "order": args.order, "box": args.box,
+              "out": str(tmp_path)}
     for ms in (Ps, Pu):
-        want = manifold_file_text(ms, config, res, tail_bound(ms))
-        got = (tmp_path / f"manifold_{ms.branch}.json").read_bytes()
-        assert got == want.encode(), ms.branch
-    got = unstable_from_files(tmp_path)
-    assert (got.branch, got.order, got.rates, got.scale, got.params) == \
-        (Pu.branch, Pu.order, Pu.rates, Pu.scale, Pu.params)
-    assert got.coeffs.tobytes() == Pu.coeffs.tobytes()
+        text = (tmp_path / f"manifold_{ms.branch}.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        series = doc.pop("series")
+        assert doc == {"version": __version__, "config": config,
+                       "conjugacy_residual": conjugacy_residual(Ps),
+                       "tail_bound": tail_bound(ms)}, ms.branch
+        table = series.pop("coeffs" if ms is Ps else "coeffs_reversed_from")
+        assert ms is Ps or table == "manifold_stable.json"
+        assert series == {
+            "branch": ms.branch, "order": ms.order, "rates": list(ms.rates),
+            "scale": list(ms.scale),
+            "params": {"epsilon": ms.params.epsilon, "A": ms.params.A}}
+    stable = read_json(tmp_path / "manifold_stable.json")["series"]
+    for got, ms in ((series_from_dict(stable), Ps),
+                    (unstable_from_files(tmp_path), Pu)):
+        assert (got.branch, got.order, got.rates, got.scale, got.params) == \
+            (ms.branch, ms.order, ms.rates, ms.scale, ms.params)
+        assert got.coeffs.tobytes() == ms.coeffs.tobytes(), ms.branch
     return Ps
 
 
 @pytest.mark.parametrize("flags", [("--order", "1"), ("--order", "40"),
-                                   ("--order", "80"),
+                                   (), ("--order", "80"), ("--order", "160"),
                                    ("--box", "1e-300,1e-300")])
 def test_manifold_files_equal_the_json_dumps_rendering(tmp_path, monkeypatch,
                                                        flags):
@@ -174,8 +187,8 @@ def test_manifold_files_equal_the_json_dumps_rendering(tmp_path, monkeypatch,
 
 def test_manifold_tables_keep_each_components_keys(tmp_path, monkeypatch):
     # at order 150 the components hold different numbers of nonzero
-    # coefficients, so a writer that reused one component's keys for
-    # another would write a different table
+    # coefficients, so a writer that mixed up two components' entries
+    # would write a different table
     Ps = run_manifold_against_the_oracle(tmp_path, monkeypatch,
                                          ("--order", "150"))
     assert np.count_nonzero(Ps.coeffs, axis=(1, 2)).tolist() == \

@@ -1,6 +1,8 @@
+import base64
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -614,33 +616,95 @@ def test_v_stage_mirror_is_the_full_v_stage(eps, A):
         assert np.array_equal(_horner_v(C, gv), horner_v_full(C, gv))
 
 
+def odd_entries(C, N):
+    """The entries of table C that a series file stores, in its order."""
+    return np.array([C[n, m] for n in range(N + 1) for m in range(N + 1 - n)
+                     if (n + m) % 2], "<f8")
+
+
+def b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
 def test_serialization_round_trip(pair_ill):
     Ps, _ = pair_ill
     d = series_to_dict(Ps)
-    # zeros are skipped: every stored key has odd total degree
-    for key in d["coeffs"]:
-        _, n, m = (int(t) for t in key.split(","))
-        assert (n + m) % 2 == 1, key
+    # component i is the base64 of its odd-degree entries, n + m odd and
+    # <= N in row-major (n, m) order, as little-endian float64
+    assert list(d["coeffs"]) == ["1", "2", "3", "4"]
+    for C, text in zip(Ps.coeffs, d["coeffs"].values()):
+        assert text == b64(odd_entries(C, Ps.order))
     back = series_from_dict(d)
-    assert np.array_equal(back.coeffs, Ps.coeffs)
+    assert back.coeffs.tobytes() == Ps.coeffs.tobytes()
     assert back.rates == Ps.rates and back.scale == Ps.scale
     assert back.params == Ps.params and back.branch == Ps.branch
-    # the payload is valid JSON with float-exact reprs
+    # the payload is valid JSON and reads back bit for bit
     raw = json.loads(json.dumps(d))
     assert raw["order"] == Ps.order
-    assert np.array_equal(series_from_dict(raw).coeffs, Ps.coeffs)
+    assert series_from_dict(raw).coeffs.tobytes() == Ps.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, DEFAULT_ORDER, MAX_ORDER])
+def test_series_round_trip_keeps_every_bit(N):
+    # odd-degree entries across the exponent range, then -0.0 (which a
+    # writer of the nonzero entries reads back as +0.0), the least
+    # subnormal, +-1e-300 and entries of the top odd degree
+    rng = np.random.default_rng(N)
+    deg = np.add.outer(np.arange(N + 1), np.arange(N + 1))
+    odd = (deg % 2 == 1) & (deg <= N)
+    shape = (4, np.count_nonzero(odd))
+    C = np.zeros((4, N + 1, N + 1))
+    C[:, odd] = (rng.standard_normal(shape)
+                 * 10.0 ** rng.integers(-300, 300, shape))
+    k = N - 1 + N % 2
+    C[0, 1, 0], C[0, 0, 1], C[1, 1, 0] = -0.0, 5e-324, 1e-300
+    C[1, 0, 1], C[2, k, 0], C[3, 0, k] = -1e-300, -1.5, 2.5
+    ms = manifold.ManifoldSeries("stable", N, (0.5, 0.25), (2.0, 3.0), C, P)
+    back = series_from_dict(json.loads(json.dumps(series_to_dict(ms))))
+    assert back.coeffs.tobytes() == C.tobytes()
+    assert np.signbit(back.coeffs[0, 1, 0])
+    assert (back.branch, back.order, back.rates, back.scale, back.params) == \
+        (ms.branch, ms.order, ms.rates, ms.scale, ms.params)
+
+
+def test_series_from_dict_names_the_bad_component(pair_ill):
+    d = series_to_dict(pair_ill[0])
+    good = d["coeffs"]
+    size = len(odd_entries(pair_ill[0].coeffs[0], d["order"]))
+    cases = [
+        ("'5'", {**good, "5": good["1"]}),  # a key outside 1..4
+        ("'0'", {**good, "0": good["1"]}),
+        ("'1,1,1'", {**good, "1,1,1": 1e-12}),  # a key of the old format
+        ("['1', '2', '3']", {k: good[k] for k in "123"}),
+        ("'2' is not", {**good, "2": b64(np.ones(size - 1))}),
+        ("'3' is not", {**good, "3": b64(np.ones(size + 1))}),
+        ("'4' is not", {**good, "4": base64.b64encode(  # a byte short
+            base64.b64decode(good["4"])[:-1]).decode()}),
+        ("'1' is not", {**good, "1": "not base64!"}),
+        ("'4' is not", {**good, "4": good["4"] + "\n"}),
+        ("'2' is not", {**good, "2": 1e-12}),
+        ("'3' is not", {**good, "3": b64([np.inf] * size)}),
+        ("'1' is not", {**good, "1": b64([0.0] * (size - 1) + [np.nan])}),
+    ]
+    for words, coeffs in cases:
+        with pytest.raises(ValueError, match=re.escape(words)):
+            series_from_dict(dict(d, coeffs=coeffs))
 
 
 def test_series_from_dict_refuses_entries_off_the_odd_table(pair_ill,
                                                            monkeypatch):
-    d = series_to_dict(pair_ill[0])
-    # even degree, degree above the order, negative index, no component
-    for key in ("1,1,1", "2,0,0", "1,80,1", "3,-1,2", "0,1,0", "5,0,1"):
-        bad = dict(d, coeffs={**d["coeffs"], key: 1.0})
-        with pytest.raises(ValueError, match=key):
-            series_from_dict(bad)
-    # a branch read case-sensitively, an order off [1, MAX_ORDER]: refused
-    # before a table is allocated (order 10**6 would ask for 29 TiB)
+    Ps = pair_ill[0]
+    d = series_to_dict(Ps)
+    # the format has no place for an even-degree entry or one above the
+    # order: the writer refuses a table that holds one, -0.0 included
+    for n, m, value in ((1, 1, 1e-12), (2, 0, -0.0), (Ps.order, 1, 1.0)):
+        C = Ps.coeffs.copy()
+        C[2, n, m] = value
+        with pytest.raises(ValueError, match="off its odd-degree entries"):
+            series_to_dict(replace(Ps, coeffs=C))
+    # a branch read case-sensitively, an order off [1, MAX_ORDER], a bad
+    # component: refused before a table is allocated (order 10**6 would
+    # ask for 29 TiB)
     real_zeros = np.zeros
 
     def zeros(shape, *args, **kwargs):
@@ -648,12 +712,25 @@ def test_series_from_dict_refuses_entries_off_the_odd_table(pair_ill,
             raise AssertionError(f"a {shape} table was allocated")
         return real_zeros(shape, *args, **kwargs)
 
+    def unallocated(*args, **kwargs):
+        raise AssertionError("a table was allocated")
+
     monkeypatch.setattr(np, "zeros", zeros)
     for field, value in (("branch", "Stable"), ("branch", None),
                          ("order", 0), ("order", -1), ("order", MAX_ORDER + 1),
                          ("order", 10**6)):
         with pytest.raises(ValueError, match=field):
             series_from_dict(dict(d, **{field: value}))
+    monkeypatch.setattr(np, "zeros", unallocated)
+    for coeffs in ({**d["coeffs"], "1,1,1": 1.0}, {"1": d["coeffs"]["1"]},
+                   {**d["coeffs"], "4": d["coeffs"]["4"][:-4]}):
+        with pytest.raises(ValueError, match="coeffs"):
+            series_from_dict(dict(d, coeffs=coeffs))
+    # a table of one order under the header of another (orders 2j - 1 and
+    # 2j have the same odd-degree entries)
+    for order in (Ps.order - 2, Ps.order + 1):
+        with pytest.raises(ValueError, match=f"order-{order} series"):
+            series_from_dict(dict(d, order=order))
 
 
 def test_pair_uses_shared_gauge(pair_ill):
